@@ -9,9 +9,10 @@ Subcommands::
     verify-all                        run the whole verification suite
 
 Each takes ``--format text|json|latex`` (default from EQCHOW_FORMAT, else
-text), ``--max-degree`` to override the certification horizon, and ``--out``
-to write to a file instead of stdout.  Exit codes: 0 success, 1 usage error,
-2 a verification check failed (the report is still emitted).
+text), ``--max-degree`` to override the certification horizon (at least the
+presentation's maximal generator degree), and ``--out`` to write to a file
+instead of stdout.  Exit codes: 0 success, 1 usage error, 2 a verification
+check failed (the report is still emitted).
 
 Identical invocations produce byte-identical output, except for the timing
 fields of verify-all reports.
@@ -23,9 +24,9 @@ import argparse
 import json
 import os
 import sys
-from math import comb
 
 from . import __version__
+from .ideal import DegreeBoundTooLow
 from .localization import closed_form_pushforward, veronese_pushforward
 from .pipeline import VerificationFailure, m01, orthogonal, reduced_quadrics
 from .verify import run_verify_all
@@ -89,19 +90,6 @@ def _validate(args) -> None:
         if k is not None and k > MAX_TWIST:
             raise _UsageError(
                 f"--k {k} exceeds the desk-scale limit {MAX_TWIST}; pass --force"
-            )
-    if args.max_degree is not None:
-        needed = 0
-        if args.command == "m01":
-            needed = 6
-        elif args.command == "quadrics":
-            needed = comb(n + 1, 2)
-        elif args.command == "orthogonal":
-            needed = n
-        if args.max_degree < needed:
-            raise _UsageError(
-                f"--max-degree {args.max_degree} is below the maximal generator "
-                f"degree {needed} for this command"
             )
 
 
@@ -198,19 +186,23 @@ def _render_failure(exc: VerificationFailure, fmt: str) -> str:
     return f"verification failure: {exc}\n{json.dumps(exc.report, sort_keys=True)}\n"
 
 
+def _usage_error(message: str) -> int:
+    sys.stderr.write(f"eqchow: error: {message}\n")
+    sys.stderr.write(
+        "usage: eqchow {m01 | quadrics --n N --k K | orthogonal --n N --k K"
+        " | pushforward --n N --r R | verify-all}"
+        " [--format text|json|latex] [--max-degree D] [--out PATH] [--force]\n"
+    )
+    return 1
+
+
 def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         _validate(args)
     except _UsageError as exc:
-        sys.stderr.write(f"eqchow: error: {exc}\n")
-        sys.stderr.write(
-            "usage: eqchow {m01 | quadrics --n N --k K | orthogonal --n N --k K"
-            " | pushforward --n N --r R | verify-all}"
-            " [--format text|json|latex] [--max-degree D] [--out PATH] [--force]\n"
-        )
-        return 1
+        return _usage_error(str(exc))
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)
 
@@ -256,6 +248,8 @@ def run(argv=None) -> int:
             report = run_verify_all()
             _emit(_render_report(report, fmt), args.out)
             return 0 if report["all_passed"] else 2
+    except DegreeBoundTooLow as exc:
+        return _usage_error(f"--max-degree: {exc}")
     except VerificationFailure as exc:
         _emit(_render_failure(exc, fmt), args.out)
         return 2

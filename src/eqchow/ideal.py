@@ -23,6 +23,10 @@ class NotHomogeneous(ValueError):
     """Polynomial is not homogeneous in the weighted grading."""
 
 
+class DegreeBoundTooLow(ValueError):
+    """A degree bound is below the maximal generator degree of the ideal."""
+
+
 @lru_cache(maxsize=None)
 def monomials_of_degree(variables: tuple[str, ...], degree: int) -> tuple[Mono, ...]:
     """All monomials of exact weighted degree, in canonical monomial order.
@@ -210,6 +214,15 @@ class GradedIdeal:
     def max_generator_degree(self) -> int:
         return max((g.weighted_degree() for g in self.generators), default=0)
 
+    def require_degree_bound(self, max_degree: int) -> None:
+        """Raise DegreeBoundTooLow if a bound misses some generator."""
+        needed = self.max_generator_degree()
+        if max_degree < needed:
+            raise DegreeBoundTooLow(
+                f"degree bound {max_degree} is below the maximal generator "
+                f"degree {needed}"
+            )
+
     def _basis_index(self, degree: int) -> dict[Mono, int]:
         basis = monomials_of_degree(self.variables, degree)
         return {m: i for i, m in enumerate(basis)}
@@ -262,8 +275,7 @@ class GradedIdeal:
         """
         if max_degree is None:
             max_degree = 2 * self.max_generator_degree()
-        if max_degree < self.max_generator_degree():
-            raise ValueError("bound is below the maximal generator degree")
+        self.require_degree_bound(max_degree)
         kept: list[Polynomial] = []
         for d in range(max_degree + 1):
             piece = self.graded_piece(d)

@@ -10,10 +10,12 @@ Three assemblies over the lower layers:
                          via the closed-form alpha generators and,
                          independently, a total-Chern-series division.
 
-Every pipeline records a replayable provenance log (step name + parameters;
-``replay_provenance`` rebuilds the presentation bit-exactly) and runs its
-verification checks as it goes.  A failed check raises VerificationFailure
-carrying the full per-degree lattice report; mismatches are data, not crashes.
+Every pipeline records a replayable provenance log (step name + parameters).
+``STEPS`` maps each step name to the one function that performs it, for the
+pipelines and for ``replay_provenance``, which rebuilds the presentation
+bit-exactly.  Every pipeline runs its verification checks as it goes.  A failed
+check raises VerificationFailure carrying the full per-degree lattice report;
+mismatches are data, not crashes.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from math import comb
 
 from .ideal import GradedIdeal, IdealComparison, compare_up_to
 from .localization import closed_form_pushforward, veronese_pushforward
-from .poly import ONE, Polynomial, ZERO, var
-from .symfunc import build_roots, symmetric_to_chern, total_chern_poly
+from .poly import ONE, Polynomial, ZERO, parse_polynomial, var
+from .symfunc import build_roots, e_top, symmetric_to_chern, total_chern_poly
 
 
 class VerificationFailure(Exception):
@@ -92,7 +94,12 @@ def _chern_variables(n: int) -> tuple[tuple[str, int], ...]:
     return tuple((f"c{i}", i) for i in range(1, n + 1))
 
 
-def _record_comparison(name: str, cmp: IdealComparison) -> dict:
+def _require(name: str, cmp: IdealComparison) -> dict:
+    if not cmp.equal:
+        raise VerificationFailure(
+            f"check {name!r} failed at degree {cmp.first_mismatch}",
+            {"name": name, **cmp.to_json_obj()},
+        )
     return {
         "name": name,
         "equal": cmp.equal,
@@ -101,16 +108,33 @@ def _record_comparison(name: str, cmp: IdealComparison) -> dict:
     }
 
 
-def _require(name: str, cmp: IdealComparison) -> dict:
-    if not cmp.equal:
-        raise VerificationFailure(
-            f"check {name!r} failed at degree {cmp.first_mismatch}",
-            {"name": name, **cmp.to_json_obj()},
+# -- construction steps ---------------------------------------------------------
+#
+# Each step is a function ``step(pres, **params) -> RingPresentation`` whose
+# keyword parameters are exactly the ones it records in the provenance log, so
+# ``replay_provenance`` is a fold over ``STEPS``.  The first step of a log
+# ignores ``pres``.
+
+
+def _after(pres, step: str, params: dict, relations: GradedIdeal, **fields):
+    """The presentation after one step: new relations, the step appended to
+    the provenance log, variables and hyperplane carried over unless given."""
+    provenance = ({"step": step, **params},)
+    if pres is not None:
+        provenance = pres.provenance + provenance
+        fields = {"variables": pres.variables, "hyperplane": pres.hyperplane, **fields}
+    return RingPresentation(relations=relations, provenance=provenance, **fields)
+
+
+def _hyperplane(pres: RingPresentation, logged: str | None = None) -> str:
+    """The presentation's hyperplane variable; a logged name must match it."""
+    if pres.hyperplane is None:
+        raise ValueError("presentation has no hyperplane variable")
+    if logged not in (None, pres.hyperplane):
+        raise ValueError(
+            f"step logged hyperplane {logged!r}, presentation has {pres.hyperplane!r}"
         )
-    return _record_comparison(name, cmp)
-
-
-# -- generic pipeline steps -----------------------------------------------------
+    return pres.hyperplane
 
 
 def projective_bundle(roots, hyperplane: str = "H") -> RingPresentation:
@@ -118,19 +142,19 @@ def projective_bundle(roots, hyperplane: str = "H") -> RingPresentation:
     the hyperplane class, modulo the total Chern relation of V."""
     relation = symmetric_to_chern(total_chern_poly(roots, hyperplane), roots.rank)
     variables = _chern_variables(roots.rank) + ((hyperplane, 1),)
-    ideal = GradedIdeal([v for v, _ in variables], [relation])
-    step = {
-        "step": "projective_bundle",
-        "module": roots.label,
-        "rank": roots.rank,
-        "hyperplane": hyperplane,
-    }
-    return RingPresentation(
+    return _after(
+        None,
+        "projective_bundle",
+        {"module": roots.label, "rank": roots.rank, "hyperplane": hyperplane},
+        GradedIdeal([v for v, _ in variables], [relation]),
         variables=variables,
-        relations=ideal,
-        provenance=(step,),
         hyperplane=hyperplane,
     )
+
+
+def _projective_bundle_step(pres, module: str, rank: int, hyperplane: str):
+    """``projective_bundle`` from its logged parameters (a log's first step)."""
+    return projective_bundle(build_roots(rank, module), hyperplane)
 
 
 def excise_veronese(
@@ -140,108 +164,93 @@ def excise_veronese(
     embedding as new relations (excision of the rank-one locus)."""
     if method not in ("localization", "closed_form"):
         raise ValueError(f"unknown excision method {method!r}")
-    if pres.hyperplane is None:
-        raise ValueError("presentation has no hyperplane variable")
+    h = _hyperplane(pres)
     push = veronese_pushforward if method == "localization" else closed_form_pushforward
-    extra = [push(n, r, pres.hyperplane) for r in range(n)]
-    ideal = GradedIdeal(
-        pres.relations.variables, list(pres.relations.generators) + extra
-    )
-    step = {
-        "step": "excise_veronese",
-        "rank": n,
-        "method": method,
-        "hyperplane": pres.hyperplane,
-    }
-    return RingPresentation(
-        variables=pres.variables,
-        relations=ideal,
-        provenance=pres.provenance + (step,),
-        hyperplane=pres.hyperplane,
+    extra = [push(n, r, h) for r in range(n)]
+    return _after(
+        pres,
+        "excise_veronese",
+        {"rank": n, "method": method, "hyperplane": h},
+        GradedIdeal(pres.relations.variables, list(pres.relations.generators) + extra),
     )
 
 
 def torsor_quotient(pres: RingPresentation, k: int) -> RingPresentation:
     """Pass to the multiplicative-group torsor: substitute H -> k*c1 in every
     relation, drop relations that become zero, and remove H from the ring."""
-    if pres.hyperplane is None:
-        raise ValueError("presentation has no hyperplane variable")
-    h = pres.hyperplane
+    h = _hyperplane(pres)
     c1 = var("c1")
-    new_rels = []
-    for g in pres.relations.generators:
-        image = g.substitute(h, k * c1)
-        if image:
-            new_rels.append(image)
+    new_rels = [g.substitute(h, k * c1) for g in pres.relations.generators]
     variables = tuple((v, w) for v, w in pres.variables if v != h)
-    ideal = GradedIdeal([v for v, _ in variables], new_rels)
-    step = {"step": "torsor_quotient", "k": k, "hyperplane": h}
-    return RingPresentation(
+    return _after(
+        pres,
+        "torsor_quotient",
+        {"k": k, "hyperplane": h},
+        GradedIdeal([v for v, _ in variables], new_rels),
         variables=variables,
-        relations=ideal,
-        provenance=pres.provenance + (step,),
         hyperplane=None,
     )
 
 
+def _excise_veronese_step(pres, rank: int, method: str, hyperplane: str):
+    """``excise_veronese`` from its logged parameters."""
+    _hyperplane(pres, hyperplane)
+    return excise_veronese(pres, rank, method)
+
+
+def _torsor_quotient_step(pres, k: int, hyperplane: str):
+    """``torsor_quotient`` from its logged parameters."""
+    _hyperplane(pres, hyperplane)
+    return torsor_quotient(pres, k)
+
+
 def _drop_redundant_bundle_relation(
-    pres: RingPresentation, bundle_image: Polynomial
+    pres: RingPresentation, index: int | None
 ) -> RingPresentation:
-    """Remove the residual projective-bundle relation after checking it is
-    contained in the ideal of the remaining ones.  If the relation already
-    vanished under the torsor substitution there is nothing to drop."""
-    gens = pres.relations.generators
-    index = next((i for i, g in enumerate(gens) if g == bundle_image), None)
-    if index is None:
-        step = {"step": "drop_redundant_bundle_relation", "index": None}
-        return RingPresentation(
-            variables=pres.variables,
-            relations=pres.relations,
-            provenance=pres.provenance + (step,),
-            hyperplane=pres.hyperplane,
-        )
-    rest = GradedIdeal(
-        pres.relations.variables, gens[:index] + gens[index + 1 :]
-    )
-    if not rest.contains(gens[index]):
-        raise VerificationFailure(
-            "projective-bundle relation is not redundant",
-            {
-                "name": "drop_redundant_bundle_relation",
-                "relation": gens[index].to_text(),
-            },
-        )
-    step = {"step": "drop_redundant_bundle_relation", "index": index}
-    return RingPresentation(
-        variables=pres.variables,
-        relations=rest,
-        provenance=pres.provenance + (step,),
-        hyperplane=pres.hyperplane,
-    )
+    """Remove relation ``index`` (the residual projective-bundle relation)
+    after checking it is contained in the ideal of the remaining ones.  With
+    ``index`` None (the relation already vanished) nothing is dropped."""
+    relations = pres.relations
+    if index is not None:
+        gens = relations.generators
+        relations = GradedIdeal(relations.variables, gens[:index] + gens[index + 1 :])
+        if not relations.contains(gens[index]):
+            raise VerificationFailure(
+                "projective-bundle relation is not redundant",
+                {
+                    "name": "drop_redundant_bundle_relation",
+                    "relation": gens[index].to_text(),
+                },
+            )
+    return _after(pres, "drop_redundant_bundle_relation", {"index": index}, relations)
 
 
-def _simplify(
-    pres: RingPresentation, max_degree: int, replace: bool = True
+def _simplify_generators(
+    pres: RingPresentation, max_degree: int, record_only: bool = False
 ) -> RingPresentation:
-    """Compute a small generating set; with ``replace`` the presentation's
-    relations become that set, otherwise it is only recorded alongside."""
+    """Compute a small generating set; the presentation's relations become
+    that set unless ``record_only``, which only records it alongside."""
     simplified = pres.relations.simplified_generators(max_degree)
-    step = {
-        "step": "simplify_generators",
-        "max_degree": max_degree,
-        "record_only": not replace,
-    }
-    ideal = (
-        GradedIdeal(pres.relations.variables, simplified)
-        if replace
-        else pres.relations
-    )
-    return RingPresentation(
-        variables=pres.variables,
-        relations=ideal,
-        provenance=pres.provenance + (step,),
-        hyperplane=pres.hyperplane,
+    return _after(
+        pres,
+        "simplify_generators",
+        {"max_degree": max_degree, "record_only": record_only},
+        pres.relations
+        if record_only
+        else GradedIdeal(pres.relations.variables, simplified),
         simplified=simplified,
+    )
+
+
+def _alpha_relations(pres, rank: int, k: int) -> RingPresentation:
+    """The orthogonal-type relations: the alpha family at H = k*c1."""
+    variables = _chern_variables(rank)
+    return _after(
+        None,
+        "alpha_relations",
+        {"rank": rank, "k": k},
+        GradedIdeal([v for v, _ in variables], alpha_family(rank).substituted(k)),
+        variables=variables,
     )
 
 
@@ -260,7 +269,31 @@ def default_degree_bound(kind: str, n: int) -> int:
     raise ValueError(f"unknown pipeline kind {kind!r}")
 
 
+def _degree_bound(pres, kind: str, n: int, max_degree: int | None) -> int:
+    """The certification bound of a pipeline whose relations are built: the
+    default unless ``max_degree`` is given, which must reach every generator
+    (checked before the pipeline's own, costlier, checks run)."""
+    if max_degree is None:
+        return default_degree_bound(kind, n)
+    pres.relations.require_degree_bound(max_degree)
+    return max_degree
+
+
+def _certified(
+    pres: RingPresentation, bound: int, checks: list, record_only: bool = False
+) -> RingPresentation:
+    """Final step of every pipeline: simplify up to the certification bound
+    and attach the bound and the checks that passed."""
+    pres = _simplify_generators(pres, bound, record_only)
+    pres.max_degree = bound
+    pres.verification = tuple(checks)
+    return pres
+
+
 # -- the rank-3 node stack ------------------------------------------------------------
+
+# The theorem's relations for the at-most-one-node stack, in canonical text form.
+M01_RELATIONS = ("4*c3", "2*c1*c3", "c1^2*c3")
 
 
 def m01(max_degree: int | None = None) -> RingPresentation:
@@ -269,13 +302,12 @@ def m01(max_degree: int | None = None) -> RingPresentation:
     Runs the honest localization pipeline at rank 3 and twist 1, simplifies,
     and certifies the result against the ideal (4c3, 2c1c3, c1^2 c3).
     """
-    bound = default_degree_bound("m01", 3) if max_degree is None else max_degree
     pres = projective_bundle(build_roots(3, "Sym2(E*)"), "H")
     pres = excise_veronese(pres, 3, method="localization")
     pres = torsor_quotient(pres, 1)
-    c1, c3 = var("c1"), var("c3")
+    bound = _degree_bound(pres, "m01", 3, max_degree)
     literal = GradedIdeal(
-        pres.relations.variables, [4 * c3, 2 * c1 * c3, c1**2 * c3]
+        pres.relations.variables, [parse_polynomial(t) for t in M01_RELATIONS]
     )
     checks = [
         _require(
@@ -283,13 +315,17 @@ def m01(max_degree: int | None = None) -> RingPresentation:
             compare_up_to(pres.relations, literal, bound),
         )
     ]
-    pres = _simplify(pres, bound)
-    pres.max_degree = bound
-    pres.verification = tuple(checks)
-    return pres
+    return _certified(pres, bound, checks)
 
 
 # -- reduced quadrics ------------------------------------------------------------------
+
+
+def quadric_family(n: int, k: int) -> list[Polynomial]:
+    """The closed generator family {2^(n-1-r) (k c1)^r e_top(n,k) : 0 <= r < n}
+    of the reduced-quadric ring; its first member is 2^(n-1) e_top(n,k)."""
+    c1, e = var("c1"), e_top(n, k)
+    return [2 ** (n - 1 - r) * (k * c1) ** r * e for r in range(n)]
 
 
 def reduced_quadrics(
@@ -297,47 +333,31 @@ def reduced_quadrics(
 ) -> RingPresentation:
     """Chow ring of the stack of reduced quadrics in P^(n-1) with twist k.
 
-    The pipeline relations are cross-checked against the closed generator
-    family {2^(n-1-r) (k c1)^r e_top(n,k)}; for even k the single generator
-    2^(n-1) e_top(n,k) is verified to give the same ideal.
+    The pipeline relations are cross-checked against ``quadric_family(n, k)``;
+    for even k its single generator 2^(n-1) e_top(n,k) is verified to give the
+    same ideal.
     """
     if n < 2 or k < 0:
         raise ValueError("need n >= 2 and k >= 0")
-    bound = default_degree_bound("quadrics", n) if max_degree is None else max_degree
     pres = projective_bundle(build_roots(n, "Sym2(E*)"), "H")
-    bundle_relation = pres.relations.generators[0]
+    bundle_image = pres.relations.generators[0].substitute("H", k * var("c1"))
     pres = excise_veronese(pres, n, method="closed_form")
     pres = torsor_quotient(pres, k)
-    pres = _drop_redundant_bundle_relation(
-        pres, bundle_relation.substitute("H", k * var("c1"))
-    )
+    gens = pres.relations.generators
+    index = next((i for i, g in enumerate(gens) if g == bundle_image), None)
+    pres = _drop_redundant_bundle_relation(pres, index)
+    bound = _degree_bound(pres, "quadrics", n, max_degree)
 
-    from .symfunc import e_top
-
-    c1 = var("c1")
-    e = e_top(n, k)
-    family = GradedIdeal(
-        pres.relations.variables,
-        [2 ** (n - 1 - r) * (k * c1) ** r * e for r in range(n)],
-    )
-    checks = [
-        _require(
-            "quadrics-relations-match-generator-family",
-            compare_up_to(pres.relations, family, bound),
-        )
-    ]
+    family = quadric_family(n, k)
+    targets = {"quadrics-relations-match-generator-family": family}
     if k % 2 == 0:
-        single = GradedIdeal(pres.relations.variables, [2 ** (n - 1) * e])
-        checks.append(
-            _require(
-                "even-twist-single-generator",
-                compare_up_to(pres.relations, single, bound),
-            )
-        )
-    pres = _simplify(pres, bound, replace=False)
-    pres.max_degree = bound
-    pres.verification = tuple(checks)
-    return pres
+        targets["even-twist-single-generator"] = family[:1]
+    variables = pres.relations.variables
+    checks = [
+        _require(name, compare_up_to(pres.relations, GradedIdeal(variables, g), bound))
+        for name, g in targets.items()
+    ]
+    return _certified(pres, bound, checks, record_only=True)
 
 
 # -- orthogonal-type classifying stacks ---------------------------------------------------
@@ -423,25 +443,16 @@ def orthogonal(
     """
     if n < 2 or k < 0:
         raise ValueError("need n >= 2 and k >= 0")
-    bound = default_degree_bound("orthogonal", n) if max_degree is None else max_degree
     if cross_check is None:
         cross_check = n <= 5
 
-    family = alpha_family(n)
-    relations = [a for a in family.substituted(k) if a]
-    variables = _chern_variables(n)
-    ideal = GradedIdeal([v for v, _ in variables], relations)
-    step = {"step": "alpha_relations", "rank": n, "k": k}
-    pres = RingPresentation(
-        variables=variables,
-        relations=ideal,
-        provenance=(step,),
-    )
-
+    pres = _alpha_relations(None, n, k)
+    bound = _degree_bound(pres, "orthogonal", n, max_degree)
+    variables = pres.relations.variables
     checks = []
     if cross_check:
-        hvars = [v for v, _ in variables] + ["H"]
-        alpha_ideal = GradedIdeal(hvars, family.polys)
+        hvars = variables + ("H",)
+        alpha_ideal = GradedIdeal(hvars, alpha_family(n).polys)
         beta_ideal = GradedIdeal(hvars, chern_series_divide(n))
         checks.append(
             _require(
@@ -451,24 +462,30 @@ def orthogonal(
         )
     if k == 0:
         odd = [2 * var(f"c{i}") for i in range(1, n + 1, 2)]
-        literal = GradedIdeal([v for v, _ in variables], odd)
         checks.append(
             _require(
                 "zero-twist-odd-chern-presentation",
-                compare_up_to(ideal, literal, bound),
+                compare_up_to(pres.relations, GradedIdeal(variables, odd), bound),
             )
         )
-    pres = _simplify(pres, bound, replace=False)
-    pres.max_degree = bound
-    pres.verification = tuple(checks)
-    return pres
+    return _certified(pres, bound, checks, record_only=True)
 
 
 # -- provenance replay -----------------------------------------------------------------
 
+STEPS = {
+    "projective_bundle": _projective_bundle_step,
+    "excise_veronese": _excise_veronese_step,
+    "torsor_quotient": _torsor_quotient_step,
+    "drop_redundant_bundle_relation": _drop_redundant_bundle_relation,
+    "simplify_generators": _simplify_generators,
+    "alpha_relations": _alpha_relations,
+}
+
 
 def replay_provenance(steps) -> RingPresentation:
-    """Rebuild a presentation from its provenance log.
+    """Rebuild a presentation from its provenance log by running each logged
+    step again, the redundancy containment check included.
 
     Only construction steps participate; verification summaries are not part
     of provenance.  The result's relations are bit-exact equal to the original
@@ -476,46 +493,11 @@ def replay_provenance(steps) -> RingPresentation:
     """
     pres: RingPresentation | None = None
     for step in steps:
-        name = step["step"]
-        if name == "projective_bundle":
-            pres = projective_bundle(
-                build_roots(step["rank"], step["module"]), step["hyperplane"]
-            )
-        elif name == "excise_veronese":
-            pres = excise_veronese(pres, step["rank"], step["method"])
-        elif name == "torsor_quotient":
-            pres = torsor_quotient(pres, step["k"])
-        elif name == "drop_redundant_bundle_relation":
-            gens = pres.relations.generators
-            index = step["index"]
-            relations = (
-                pres.relations
-                if index is None
-                else GradedIdeal(
-                    pres.relations.variables, gens[:index] + gens[index + 1 :]
-                )
-            )
-            pres = RingPresentation(
-                variables=pres.variables,
-                relations=relations,
-                provenance=pres.provenance + (dict(step),),
-                hyperplane=pres.hyperplane,
-            )
-        elif name == "simplify_generators":
-            pres = _simplify(
-                pres, step["max_degree"], replace=not step.get("record_only")
-            )
-        elif name == "alpha_relations":
-            family = alpha_family(step["rank"])
-            relations = [a for a in family.substituted(step["k"]) if a]
-            variables = _chern_variables(step["rank"])
-            pres = RingPresentation(
-                variables=variables,
-                relations=GradedIdeal([v for v, _ in variables], relations),
-                provenance=(dict(step),),
-            )
-        else:
+        params = dict(step)
+        name = params.pop("step")
+        if name not in STEPS:
             raise ValueError(f"unknown provenance step {name!r}")
+        pres = STEPS[name](pres, **params)
     if pres is None:
         raise ValueError("empty provenance log")
     return pres

@@ -1,9 +1,10 @@
 """Randomized and exhaustive property suites.
 
 Each function runs one property family at the documented size bounds, raising
-AssertionError on the first violation and returning the number of cases
-checked.  Seeds are fixed by the callers, so runs are reproducible; both the
-test suite and the command-line verifier call into this module.
+PropertyViolation on the first violation and returning the number of cases
+checked.  The checks are explicit raises, so they also run under ``python -O``.
+Seeds are fixed by the callers, so runs are reproducible; both the test suite
+and the command-line verifier call into this module.
 """
 
 from __future__ import annotations
@@ -27,7 +28,17 @@ from .poly import (
     sum_fractions,
     var,
 )
-from .symfunc import build_roots, chern_to_roots, symmetric_to_chern
+from .pipeline import quadric_family
+from .symfunc import build_roots, chern_to_roots, symmetric_to_chern, total_chern_poly
+
+
+class PropertyViolation(AssertionError):
+    """A property suite found a counterexample."""
+
+
+def _check(ok: bool, what: str) -> None:
+    if not ok:
+        raise PropertyViolation(what)
 
 
 def _random_poly(
@@ -59,13 +70,13 @@ def ring_axioms(cases: int = 200, seed: int = 1) -> int:
         p = _random_poly(rng, vs)
         q = _random_poly(rng, vs)
         r = _random_poly(rng, vs)
-        assert (p + q) + r == p + (q + r)
-        assert p + q == q + p
-        assert (p * q) * r == p * (q * r)
-        assert p * q == q * p
-        assert p * (q + r) == p * q + p * r
-        assert p + ZERO == p and p * ONE == p and p * ZERO == ZERO
-        assert p - p == ZERO
+        _check((p + q) + r == p + (q + r), "addition is not associative")
+        _check(p + q == q + p, "addition is not commutative")
+        _check((p * q) * r == p * (q * r), "multiplication is not associative")
+        _check(p * q == q * p, "multiplication is not commutative")
+        _check(p * (q + r) == p * q + p * r, "product does not distribute")
+        _check(p + ZERO == p and p * ONE == p and p * ZERO == ZERO, "unit laws fail")
+        _check(p - p == ZERO, "p - p is not zero")
     return cases
 
 
@@ -81,7 +92,7 @@ def exact_divide_roundtrip(cases: int = 200, seed: int = 2) -> int:
         q = _random_poly(rng, vs, max_terms=4)
         if not q:
             continue
-        assert exact_divide(p * q, q) == p
+        _check(exact_divide(p * q, q) == p, "exact_divide(p*q, q) != p")
         done += 1
     return done
 
@@ -92,6 +103,7 @@ def sum_fractions_permutation_invariance(cases: int = 200, seed: int = 3) -> int
     rng = random.Random(seed)
     ls = [var(f"l{i}") for i in range(1, 4)]
     forms = [ls[0] - ls[1], ls[1] - ls[2], ls[0] - ls[2], ls[0] + ls[1], ls[1] + ls[2]]
+    nonzero = 0
     for _ in range(cases):
         total = rng.randint(0, 2)
         fractions = []
@@ -105,11 +117,13 @@ def sum_fractions_permutation_invariance(cases: int = 200, seed: int = 3) -> int
         shuffled = fractions[:]
         rng.shuffle(shuffled)
         again = sum_fractions(shuffled)
-        assert base == again
+        _check(base == again, "fraction sum depends on the order")
         if base.numerator:
-            assert base.numerator.is_homogeneous()
+            nonzero += 1
+            _check(base.numerator.is_homogeneous(), "numerator is not homogeneous")
             forced = base.numerator.weighted_degree() - base.denominator.degree()
-            assert forced == total
+            _check(forced == total, "fraction sum has the wrong degree")
+    _check(nonzero, "every fraction sum is zero")
     return cases
 
 
@@ -120,7 +134,9 @@ def symmetric_roundtrip(cases: int = 200, seed: int = 4) -> int:
     for _ in range(cases):
         n = rng.randint(2, 5)
         q = _random_poly(rng, [f"c{i}" for i in range(1, n + 1)], max_terms=5, max_exp=2)
-        assert symmetric_to_chern(chern_to_roots(q, n), n) == q
+        _check(
+            symmetric_to_chern(chern_to_roots(q, n), n) == q, "rewrite round trip fails"
+        )
     return cases
 
 
@@ -136,8 +152,8 @@ def symmetric_homomorphism(cases: int = 200, seed: int = 5) -> int:
             _random_poly(rng, [f"c{i}" for i in range(1, n + 1)], max_terms=3, max_exp=2), n
         )
         f = lambda p: symmetric_to_chern(p, n)
-        assert f(a + b) == f(a) + f(b)
-        assert f(a * b) == f(a) * f(b)
+        _check(f(a + b) == f(a) + f(b), "rewrite is not additive")
+        _check(f(a * b) == f(a) * f(b), "rewrite is not multiplicative")
     return cases
 
 
@@ -164,7 +180,8 @@ def restriction_consistency(cases: int = 200, seed: int = 6) -> int:
         rhs = ONE
         for w in point.tangent_weights:
             rhs = rhs * w
-        assert lhs == rhs
+        _check(rhs, "product of tangent weights is zero")
+        _check(lhs == rhs, "restriction is not the product of tangent weights")
     return cases
 
 
@@ -185,15 +202,15 @@ def hnf_properties(cases: int = 200, seed: int = 7) -> int:
         relat = IntegerLattice(dim)
         for row in h:
             relat.insert(list(row))
-        assert relat.hnf() == h
+        _check(relat.hnf() == h, "HNF is not idempotent")
         shuffled = vecs[:]
         rng.shuffle(shuffled)
         lat2 = IntegerLattice(dim)
         for v in shuffled:
             lat2.insert(list(v))
-        assert lat2.hnf() == h
+        _check(lat2.hnf() == h, "HNF depends on insertion order")
         for v in vecs:
-            assert lat.contains(list(v))
+            _check(lat.contains(list(v)), "lattice misses an inserted vector")
     return cases
 
 
@@ -214,7 +231,7 @@ def contains_vs_bruteforce(cases: int = 200, seed: int = 8) -> int:
             lat.insert(list(g))
         coeffs = [rng.randint(-box, box) for _ in gens]
         target = [sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(dim)]
-        assert lat.contains(target)
+        _check(lat.contains(target), "lattice misses a combination of generators")
         probe = list(target)
         probe[rng.randrange(dim)] += rng.choice([-1, 1])
         found = any(
@@ -225,7 +242,7 @@ def contains_vs_bruteforce(cases: int = 200, seed: int = 8) -> int:
             for combo in itertools.product(range(-box, box + 1), repeat=len(gens))
         )
         if found:
-            assert lat.contains(probe)
+            _check(lat.contains(probe), "lattice misses a brute-force member")
     return cases
 
 
@@ -250,7 +267,7 @@ def simplify_preserves_ideal(cases: int = 60, seed: int = 9) -> int:
         ideal = GradedIdeal(vs, gens)
         bound = min(8, 2 * ideal.max_generator_degree())
         small = GradedIdeal(vs, ideal.simplified_generators(bound))
-        assert equal_up_to(ideal, small, bound)
+        _check(equal_up_to(ideal, small, bound), "simplification changes the ideal")
     return cases
 
 
@@ -258,44 +275,36 @@ def pr_ideal_membership(cases: int = 200, seed: int = 10) -> int:
     """The full hyperplane-class relation lies in the ideal generated by the
     pushforward classes, before and after the torsor substitution; random
     monomial multiples stay inside (n <= 5, k <= 3)."""
-    from .symfunc import e_top, total_chern_poly
-
     rng = random.Random(seed)
+    c1 = var("c1")
     checked = 0
     for n in range(2, 6):
         hvars = tuple(f"c{i}" for i in range(1, n + 1)) + ("H",)
         pr = symmetric_to_chern(total_chern_poly(build_roots(n, "Sym2(E*)"), "H"), n)
+        _check(pr, "bundle relation is zero")
         pushed = GradedIdeal(hvars, [closed_form_pushforward(n, r) for r in range(n)])
-        assert pushed.contains(pr)
+        _check(pushed.contains(pr), "bundle relation is outside the pushforward ideal")
         checked += 1
         for k in range(4):
-            c1 = var("c1")
-            cvars = tuple(f"c{i}" for i in range(1, n + 1))
-            family = GradedIdeal(
-                cvars,
-                [g for g in (2 ** (n - 1 - r) * (k * c1) ** r * e_top(n, k) for r in range(n)) if g],
-            )
+            family = GradedIdeal(hvars[:-1], quadric_family(n, k))
             image = pr.substitute("H", k * c1)
-            assert family.contains(image)
+            _check(family.contains(image), "bundle relation is outside the family")
             checked += 1
     while checked < cases:
         n = rng.randint(2, 4)
         k = rng.randint(0, 3)
-        c1 = var("c1")
         cvars = tuple(f"c{i}" for i in range(1, n + 1))
-        from .symfunc import e_top as _etop
-
-        family = GradedIdeal(
-            cvars,
-            [g for g in (2 ** (n - 1 - r) * (k * c1) ** r * _etop(n, k) for r in range(n)) if g],
-        )
+        family = GradedIdeal(cvars, quadric_family(n, k))
         pr = symmetric_to_chern(
             total_chern_poly(build_roots(n, "Sym2(E*)"), "H"), n
         ).substitute("H", k * c1)
         d = rng.randint(0, 3)
         mons = monomials_of_degree(cvars, d)
         multiplier = Polynomial({rng.choice(mons): rng.randint(1, 5)})
-        assert family.contains(pr * multiplier)
+        _check(
+            family.contains(pr * multiplier),
+            "multiple of the bundle relation is outside the family ideal",
+        )
         checked += 1
     return checked
 
@@ -306,7 +315,12 @@ def oracle_equivalence(max_rank: int = 6) -> int:
     checked = 0
     for n in range(2, max_rank + 1):
         for r in range(n):
-            assert veronese_pushforward(n, r) == closed_form_pushforward(n, r)
+            push = veronese_pushforward(n, r)
+            _check(push, "pushforward is zero")
+            _check(
+                push == closed_form_pushforward(n, r),
+                "localization and interpolation disagree",
+            )
             checked += 1
     return checked
 

@@ -25,6 +25,7 @@ from .poly import (
     ZERO,
     mono_mul,
     poly_sort_key,
+    term_key,
     var,
 )
 
@@ -191,11 +192,17 @@ def _eliminate_symmetric(q: Polynomial, n: int) -> Polynomial:
 
     Repeatedly cancels the leading monomial against the elementary-symmetric
     product with the same leading monomial; the leading monomial strictly
-    decreases, so this terminates.
+    decreases, so this terminates.  If it fails to decrease (the arithmetic
+    is broken), ArithmeticError is raised instead of looping.
     """
     out: dict[Mono, int] = {}
+    previous = None
     while q:
         mono, coeff = q.leading_item()
+        key = term_key(mono)
+        if previous is not None and key >= previous:
+            raise ArithmeticError(f"leading term {mono} did not cancel")
+        previous = key
         exps = {v: e for v, e in mono}
         evec = [exps.get(f"l{j}", 0) for j in range(1, n + 1)]
         # Leading monomial of a symmetric polynomial has ascending exponents

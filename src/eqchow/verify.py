@@ -1,20 +1,25 @@
-"""The aggregated verification suite behind ``eqchow verify-all``.
+"""The claim table behind ``eqchow verify-all`` and the acceptance tests.
 
-Every check is named, timed, and carries its degree bound; the merged report
-is deterministic apart from the timings (checks are sorted by name).  The
-rank-4 twist-3 ideal-simplification claim is adjudicated as an informational
-check: its verdict is recorded either way and never gates the suite.
+``CLAIMS`` holds every named claim once; ``run_verify_all`` runs each row and
+``tests/test_acceptance.py`` gates on the same rows, grouped by acceptance
+criterion.  Every record is named, timed, and carries its degree bound; the
+merged report is deterministic apart from the timings (records are sorted by
+name).  The runner is the boundary that turns any exception into a ``fail``
+record.  The rank-4 twist-3 ideal-simplification claim is informational: its
+verdict is recorded either way and never gates the suite.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 from . import properties
 from .ideal import GradedIdeal, compare_up_to, equal_up_to
 from .localization import veronese_pushforward
 from .pipeline import (
+    M01_RELATIONS,
     VerificationFailure,
     alpha_family,
     m01,
@@ -27,149 +32,90 @@ from .symfunc import build_roots, symmetric_to_chern, total_chern_poly
 REPORT_SCHEMA_ID = "eqchow-verify-report/1"
 
 
-@dataclass
-class CheckResult:
+@dataclass(frozen=True)
+class Claim:
+    """One named claim.  ``check`` returns whether it holds and the report
+    fields it sets, among ``degree_bound``, ``cases`` and ``detail``; a row
+    that ran fewer than ``min_cases`` cases fails.  ``criterion`` is the
+    acceptance criterion the row belongs to."""
+
     name: str
-    status: str  # "pass" | "fail" | "info"
-    seconds: float
-    degree_bound: int | None = None
-    cases: int | None = None
-    detail: dict | None = None
-
-    def to_json_obj(self) -> dict:
-        obj: dict = {
-            "name": self.name,
-            "status": self.status,
-            "seconds": round(self.seconds, 3),
-        }
-        if self.degree_bound is not None:
-            obj["degree_bound"] = self.degree_bound
-        if self.cases is not None:
-            obj["cases"] = self.cases
-        if self.detail is not None:
-            obj["detail"] = self.detail
-        return obj
+    criterion: int
+    check: Callable[[], tuple[bool, dict]]
+    min_cases: int = 0
+    informational: bool = False
 
 
-def _check_m01() -> CheckResult:
-    t0 = time.perf_counter()
-    try:
-        pres = m01()
-        rels = [g.to_text() for g in pres.relations.generators]
-        ok = rels == ["4*c3", "2*c1*c3", "c1^2*c3"]
-        return CheckResult(
-            "m01-theorem-presentation",
-            "pass" if ok else "fail",
-            time.perf_counter() - t0,
-            degree_bound=pres.max_degree,
-            detail={"relations": rels},
-        )
-    except VerificationFailure as exc:
-        return CheckResult(
-            "m01-theorem-presentation",
-            "fail",
-            time.perf_counter() - t0,
-            detail=exc.report,
-        )
-
-
-def _check_pushforward_displays() -> CheckResult:
-    t0 = time.perf_counter()
+def _rhat():
+    """The second cubic factor of the rank-3 bundle relation."""
     H, c1, c2, c3 = var("H"), var("c1"), var("c2"), var("c3")
-    rhat = H**3 - 2 * c1 * H**2 + (c1**2 + c2) * H + (c3 - c1 * c2)
+    return H**3 - 2 * c1 * H**2 + (c1**2 + c2) * H + (c3 - c1 * c2)
+
+
+def _verified(pres, *names: str) -> bool:
+    """Whether the pipeline ran and passed each named check of its own."""
+    return set(names) <= {c["name"] for c in pres.verification if c["equal"]}
+
+
+def _m01_theorem():
+    pres = m01()
+    rels = [g.to_text() for g in pres.relations.generators]
+    ok = rels == list(M01_RELATIONS)
+    return ok, {"degree_bound": pres.max_degree, "detail": {"relations": rels}}
+
+
+def _pushforward_displays():
+    H, rhat = var("H"), _rhat()
     expected = [4 * rhat, 2 * H * rhat, H**2 * rhat]
     ok = all(veronese_pushforward(3, r) == expected[r] for r in range(3))
-    return CheckResult(
-        "pushforward-displays-rank3",
-        "pass" if ok else "fail",
-        time.perf_counter() - t0,
-        cases=3,
-    )
+    return ok, {"cases": len(expected)}
 
 
-def _check_factorization() -> CheckResult:
-    t0 = time.perf_counter()
+def _factorization():
     H, c1, c2, c3 = var("H"), var("c1"), var("c2"), var("c3")
     image = symmetric_to_chern(total_chern_poly(build_roots(3, "Sym2(E*)"), "H"), 3)
-    lhs = H**3 - 2 * c1 * H**2 + 4 * c2 * H - 8 * c3
-    rhs = H**3 - 2 * c1 * H**2 + (c1**2 + c2) * H + (c3 - c1 * c2)
-    ok = image == lhs * rhs
-    return CheckResult(
-        "hyperplane-relation-factorization-rank3",
-        "pass" if ok else "fail",
-        time.perf_counter() - t0,
-    )
+    first = H**3 - 2 * c1 * H**2 + 4 * c2 * H - 8 * c3
+    return bool(image) and image == first * _rhat(), {}
 
 
-def _check_oracle() -> CheckResult:
-    t0 = time.perf_counter()
-    cases = properties.oracle_equivalence(6)
-    return CheckResult(
-        "pushforward-interpolation-oracle",
-        "pass",
-        time.perf_counter() - t0,
-        cases=cases,
-    )
+def _oracle():
+    return True, {"cases": properties.oracle_equivalence(6)}
 
 
-def _check_quadrics() -> CheckResult:
-    t0 = time.perf_counter()
-    try:
-        baseline = m01()
-        detail = {}
-        for n in range(2, 6):
-            for k in range(4):
-                reduced_quadrics(n, k)
-        cross = equal_up_to(
-            reduced_quadrics(3, 1).relations, baseline.relations, 12
-        )
-        detail["rank3-twist1-matches-m01"] = cross
-        return CheckResult(
-            "quadrics-presentations",
-            "pass" if cross else "fail",
-            time.perf_counter() - t0,
-            cases=16,
-            detail=detail,
-        )
-    except VerificationFailure as exc:
-        return CheckResult(
-            "quadrics-presentations",
-            "fail",
-            time.perf_counter() - t0,
-            detail=exc.report,
-        )
+def _quadrics():
+    ok = True
+    for n in range(2, 6):
+        for k in range(4):
+            pres = reduced_quadrics(n, k)
+            names = ["quadrics-relations-match-generator-family"]
+            if k % 2 == 0:
+                names.append("even-twist-single-generator")
+            ok = ok and _verified(pres, *names)
+    cross = equal_up_to(reduced_quadrics(3, 1).relations, m01().relations, 12)
+    return ok and cross, {"cases": 16, "detail": {"rank3-twist1-matches-m01": cross}}
 
 
-def _check_orthogonal() -> CheckResult:
-    t0 = time.perf_counter()
-    try:
-        for n in range(2, 9):
-            orthogonal(n, 0)
-        pres = orthogonal(4, 1)
-        c1, c3 = var("c1"), var("c3")
-        literal = GradedIdeal(
-            pres.relations.variables, [2 * c1, c1**2, 2 * c3, c1 * c3]
-        )
-        simplified = GradedIdeal(pres.relations.variables, pres.simplified)
-        ok = equal_up_to(simplified, literal, 10)
-        return CheckResult(
-            "orthogonal-presentations",
-            "pass" if ok else "fail",
-            time.perf_counter() - t0,
-            degree_bound=10,
-            detail={"rank4-twist1-simplified": [g.to_text() for g in pres.simplified]},
-        )
-    except VerificationFailure as exc:
-        return CheckResult(
-            "orthogonal-presentations",
-            "fail",
-            time.perf_counter() - t0,
-            detail=exc.report,
-        )
+def _orthogonal():
+    ok = True
+    for n in range(2, 9):
+        pres = orthogonal(n, 0)
+        expected = tuple(-2 * var(f"c{i}") for i in range(1, n + 1, 2))
+        names = ["zero-twist-odd-chern-presentation"]
+        if n <= 5:
+            names.append("alpha-vs-series-division")
+        ok = ok and pres.relations.generators == expected and _verified(pres, *names)
+    pres = orthogonal(4, 1)
+    c1, c3 = var("c1"), var("c3")
+    variables = pres.relations.variables
+    literal = GradedIdeal(variables, [2 * c1, c1**2, 2 * c3, c1 * c3])
+    ok = ok and equal_up_to(GradedIdeal(variables, pres.simplified), literal, 10)
+    return ok, {
+        "degree_bound": 10,
+        "detail": {"rank4-twist1-simplified": [g.to_text() for g in pres.simplified]},
+    }
 
 
-def _check_alpha_elimination() -> CheckResult:
-    t0 = time.perf_counter()
+def _alpha_elimination():
     H, c1 = var("H"), var("c1")
     family = alpha_family(3)
     a1, a2 = family.polys[0], family.polys[1]
@@ -179,18 +125,12 @@ def _check_alpha_elimination() -> CheckResult:
         image = a2.substitute("H", k * c1)
         if image:
             ok = ok and ideal.contains(image)
-    return CheckResult(
-        "alpha-elimination-rank3",
-        "pass" if ok else "fail",
-        time.perf_counter() - t0,
-        cases=7,
-    )
+    return ok, {"cases": 7}
 
 
-def _check_rank4_twist3_remark() -> CheckResult:
-    """Informational: compare the raw alpha ideal at rank 4, twist 3 with the
-    quoted simplified ideal; the verdict is recorded, not gated."""
-    t0 = time.perf_counter()
+def _rank4_twist3_remark():
+    """Compare the raw alpha ideal at rank 4, twist 3 with the quoted
+    simplified ideal; the verdict is recorded, not gated."""
     c1, c2, c3 = var("c1"), var("c2"), var("c3")
     vs = ("c1", "c2", "c3", "c4")
     raw = GradedIdeal(vs, alpha_family(4).substituted(3))
@@ -202,58 +142,83 @@ def _check_rank4_twist3_remark() -> CheckResult:
     mismatch_data = next(
         (entry for entry in cmp.per_degree if not entry["equal"]), None
     )
-    return CheckResult(
-        "rank4-twist3-remark-adjudication",
-        "info",
-        time.perf_counter() - t0,
-        degree_bound=10,
-        detail={
+    return True, {
+        "degree_bound": 10,
+        "detail": {
             "equal": cmp.equal,
             "first_mismatch": cmp.first_mismatch,
             "mismatch": mismatch_data,
             "raw_generators": [g.to_text() for g in raw.generators],
             "quoted_generators": [g.to_text() for g in quoted.generators],
         },
-    )
+    }
 
 
-def _property_check(name: str, fn) -> CheckResult:
+def _property(fn):
+    return lambda: (True, {"cases": fn()})
+
+
+CLAIMS = (
+    Claim("m01-theorem-presentation", 1, _m01_theorem),
+    Claim("pushforward-displays-rank3", 2, _pushforward_displays),
+    Claim("hyperplane-relation-factorization-rank3", 3, _factorization),
+    Claim("pushforward-interpolation-oracle", 4, _oracle, min_cases=15),
+    Claim("quadrics-presentations", 5, _quadrics),
+    Claim("orthogonal-presentations", 6, _orthogonal),
+    Claim("alpha-elimination-rank3", 7, _alpha_elimination),
+    Claim(
+        "rank4-twist3-remark-adjudication",
+        8,
+        _rank4_twist3_remark,
+        informational=True,
+    ),
+    *(
+        # simplify-preserves-ideal is bounded by construction cost, the other
+        # suites run the full randomized volume
+        Claim(
+            f"property-{name}",
+            9,
+            _property(fn),
+            min_cases=50 if name == "simplify-preserves-ideal" else 200,
+        )
+        for name, fn in properties.ALL_SUITES.items()
+    ),
+)
+
+
+def run_claim(claim: Claim) -> dict:
+    """Run one claim and return its report record.  A claim that does not
+    hold, runs too few cases or raises any exception yields a ``fail`` record;
+    an exception's message and traceback go to ``detail``."""
     t0 = time.perf_counter()
     try:
-        cases = fn()
-        return CheckResult(
-            f"property-{name}", "pass", time.perf_counter() - t0, cases=cases
-        )
-    except AssertionError as exc:
-        return CheckResult(
-            f"property-{name}",
-            "fail",
-            time.perf_counter() - t0,
-            detail={"error": str(exc)},
-        )
+        ok, fields = claim.check()
+    except VerificationFailure as exc:
+        ok, fields = False, {"detail": exc.report}
+    except Exception as exc:
+        import traceback  # only on failure, so the CLI's start-up skips it
+
+        error = f"{type(exc).__name__}: {exc}"
+        detail = {"error": error, "traceback": traceback.format_exc()}
+        ok, fields = False, {"detail": detail}
+    else:
+        cases = fields.get("cases") or 0
+        if cases < claim.min_cases:
+            error = f"ran {cases} cases, fewer than the minimum {claim.min_cases}"
+            ok, fields = False, {**fields, "detail": {"error": error}}
+    status = "fail" if not ok else "info" if claim.informational else "pass"
+    seconds = round(time.perf_counter() - t0, 3)
+    return {"name": claim.name, "status": status, "seconds": seconds, **fields}
 
 
 def run_verify_all() -> dict:
-    """Run every check and return the machine-readable report."""
-    results = [
-        _check_m01(),
-        _check_pushforward_displays(),
-        _check_factorization(),
-        _check_oracle(),
-        _check_quadrics(),
-        _check_orthogonal(),
-        _check_alpha_elimination(),
-        _check_rank4_twist3_remark(),
-    ]
-    for name, fn in properties.ALL_SUITES.items():
-        results.append(_property_check(name, fn))
-    results.sort(key=lambda r: r.name)
-    all_passed = all(r.status != "fail" for r in results)
+    """Run every claim and return the machine-readable report."""
+    checks = sorted((run_claim(c) for c in CLAIMS), key=lambda r: r["name"])
     from . import __version__
 
     return {
         "schema": REPORT_SCHEMA_ID,
         "version": __version__,
-        "all_passed": all_passed,
-        "checks": [r.to_json_obj() for r in results],
+        "all_passed": all(c["status"] != "fail" for c in checks),
+        "checks": checks,
     }

@@ -1,169 +1,53 @@
-"""Acceptance gate: one test per criterion, each printing a pass/fail line.
+"""Acceptance gate: one test per criterion over the claim table of verify-all,
+each printing one pass/fail line per claim.
 
-Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines.  All identities are exact; the stated runtimes are expectations, the
-assertions allow a 3x cushion for slow machines.
+Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.  All
+identities are exact; the stated runtimes are expectations, the assertions
+allow a 3x cushion for slow machines.  A criterion's runtime is the sum of its
+claims' timings in the session's verify-all report.
 """
 
-import time
-from math import comb
+from eqchow.verify import CLAIMS
 
-from eqchow.ideal import GradedIdeal, compare_up_to, equal_up_to
-from eqchow.localization import closed_form_pushforward, veronese_pushforward
-from eqchow.pipeline import alpha_family, m01, orthogonal, reduced_quadrics
-from eqchow.poly import var
-from eqchow.symfunc import build_roots, e_top, symmetric_to_chern, total_chern_poly
-from eqchow import properties
-
-H = var("H")
-c1, c2, c3 = var("c1"), var("c2"), var("c3")
-
-RHAT = H**3 - 2 * c1 * H**2 + (c1**2 + c2) * H + (c3 - c1 * c2)
+# criterion -> time budget in seconds
+BUDGETS = {1: 5, 2: 1, 3: 1, 4: 60, 5: 120, 6: 60, 7: 1, 8: 10, 9: 120}
 
 
-def _report(number, label, t0, budget, ok=True, note=""):
-    elapsed = time.perf_counter() - t0
-    status = "PASS" if ok else "FAIL"
-    suffix = f" [{note}]" if note else ""
-    print(f"ACCEPTANCE {number} {label}: {status} ({elapsed:.2f}s, budget {budget}s){suffix}")
-    assert ok, f"criterion {number} failed"
-    assert elapsed < 3 * budget, f"criterion {number} exceeded 3x its time budget"
-
-
-def test_criterion_1_theorem_reproduction():
-    t0 = time.perf_counter()
-    pres = m01()
-    literal = GradedIdeal(("c1", "c2", "c3"), [4 * c3, 2 * c1 * c3, c1**2 * c3])
-    ok = equal_up_to(pres.relations, literal, 12)
-    ok = ok and [g.to_text() for g in pres.relations.generators] == [
-        "4*c3",
-        "2*c1*c3",
-        "c1^2*c3",
-    ]
-    _report(1, "node-stack presentation matches literal ideal (D=12)", t0, 5, ok)
-
-
-def test_criterion_2_displayed_pushforwards():
-    t0 = time.perf_counter()
-    ok = (
-        veronese_pushforward(3, 0) == 4 * RHAT
-        and veronese_pushforward(3, 1) == 2 * H * RHAT
-        and veronese_pushforward(3, 2) == H**2 * RHAT
-    )
-    _report(2, "rank-3 pushforward classes match displays", t0, 1, ok)
-
-
-def test_criterion_3_hyperplane_factorization():
-    t0 = time.perf_counter()
-    image = symmetric_to_chern(total_chern_poly(build_roots(3, "Sym2(E*)"), "H"), 3)
-    first = H**3 - 2 * c1 * H**2 + 4 * c2 * H - 8 * c3
-    ok = image == first * RHAT
-    _report(3, "rank-3 bundle relation factors into the two cubics", t0, 1, ok)
-
-
-def test_criterion_4_localization_vs_interpolation():
-    t0 = time.perf_counter()
-    cases = 0
-    ok = True
-    for n in range(2, 7):
-        for r in range(n):
-            ok = ok and veronese_pushforward(n, r) == closed_form_pushforward(n, r)
-            cases += 1
-    _report(4, f"localization equals interpolation ({cases} cases)", t0, 60, ok)
-
-
-def test_criterion_5_reduced_quadrics():
-    t0 = time.perf_counter()
-    ok = True
-    for n in range(2, 6):
-        bound = 2 * comb(n, 2) + n
-        for k in range(4):
-            pres = reduced_quadrics(n, k)  # raises on any internal mismatch
-            family = GradedIdeal(
-                pres.relations.variables,
-                [
-                    g
-                    for g in (
-                        2 ** (n - 1 - r) * (k * c1) ** r * e_top(n, k)
-                        for r in range(n)
-                    )
-                    if g
-                ],
-            )
-            ok = ok and equal_up_to(pres.relations, family, bound)
-            if k % 2 == 0:
-                single = GradedIdeal(
-                    pres.relations.variables,
-                    [g for g in [2 ** (n - 1) * e_top(n, k)] if g],
+def _criterion(number):
+    def test(verify_report):
+        records = {c["name"]: c for c in verify_report["checks"]}
+        claims = [c for c in CLAIMS if c.criterion == number]
+        assert claims, f"criterion {number} has no claims"
+        budget = BUDGETS[number]
+        ok = True
+        for claim in claims:
+            record = records[claim.name]
+            passed = record["status"] == ("info" if claim.informational else "pass")
+            note = f" [cases {record['cases']}]" if "cases" in record else ""
+            if claim.informational:
+                detail = record["detail"]
+                note = (
+                    f" [verdict recorded: equal={detail['equal']}, "
+                    f"first_mismatch={detail['first_mismatch']}]"
                 )
-                ok = ok and equal_up_to(pres.relations, single, bound)
-    ok = ok and equal_up_to(reduced_quadrics(3, 1).relations, m01().relations, 12)
-    _report(5, "quadric-stack relations match generator families (n<=5, k<=3)", t0, 120, ok)
+            print(
+                f"ACCEPTANCE {number} {claim.name}: {'PASS' if passed else 'FAIL'}"
+                f" ({record['seconds']:.2f}s, budget {budget}s for the criterion){note}"
+            )
+            ok = ok and passed
+        elapsed = sum(records[c.name]["seconds"] for c in claims)
+        assert ok, f"criterion {number} failed"
+        assert elapsed < 3 * budget, f"criterion {number} exceeded 3x its time budget"
+
+    return test
 
 
-def test_criterion_6_orthogonal_presentations():
-    t0 = time.perf_counter()
-    from eqchow.pipeline import chern_series_divide
-
-    ok = True
-    for n in range(2, 6):
-        hvars = tuple(f"c{i}" for i in range(1, n + 1)) + ("H",)
-        a = GradedIdeal(hvars, alpha_family(n).polys)
-        b = GradedIdeal(hvars, chern_series_divide(n))
-        ok = ok and equal_up_to(a, b, 2 * n)
-    for n in range(2, 9):
-        pres = orthogonal(n, 0)
-        expected = tuple(-2 * var(f"c{i}") for i in range(1, n + 1) if i % 2)
-        ok = ok and pres.relations.generators == expected
-    pres = orthogonal(4, 1)
-    literal = GradedIdeal(pres.relations.variables, [2 * c1, c1**2, 2 * c3, c1 * c3])
-    simplified = GradedIdeal(pres.relations.variables, pres.simplified)
-    ok = ok and equal_up_to(simplified, literal, 10)
-    _report(6, "orthogonal-type rings: series division, zero twist, rank-4 twist-1", t0, 60, ok)
-
-
-def test_criterion_7_rank3_elimination():
-    t0 = time.perf_counter()
-    family = alpha_family(3)
-    ok = family.polys[1] == H * family.polys[0]
-    for k in range(6):
-        ideal = GradedIdeal(("c1", "c2", "c3"), [family.polys[0].substitute("H", k * c1)])
-        image = family.polys[1].substitute("H", k * c1)
-        if image:
-            ok = ok and ideal.contains(image)
-    _report(7, "rank-3 second generator eliminates (identity + containments)", t0, 1, ok)
-
-
-def test_criterion_8_rank4_twist3_adjudication():
-    t0 = time.perf_counter()
-    vs = ("c1", "c2", "c3", "c4")
-    raw = GradedIdeal(vs, alpha_family(4).substituted(3))
-    quoted = GradedIdeal(
-        vs,
-        [10 * c1, 5 * c1**2, c1**3 + 6 * c1 * c2 - 2 * c3, c1**2 * c2 - c1 * c3],
-    )
-    cmp = compare_up_to(raw, quoted, 10)
-    # informational criterion: the verdict is recorded; the frozen outcome
-    # (documented in the README) is a mismatch first appearing in degree 4
-    recorded = {"equal": cmp.equal, "first_mismatch": cmp.first_mismatch}
-    ok = recorded == {"equal": False, "first_mismatch": 4}
-    _report(
-        8,
-        "rank-4 twist-3 quoted ideal adjudicated",
-        t0,
-        10,
-        ok,
-        note=f"verdict recorded: equal={cmp.equal}, first_mismatch={cmp.first_mismatch}",
-    )
-
-
-def test_criterion_9_property_suites():
-    t0 = time.perf_counter()
-    counts = {}
-    for name, fn in properties.ALL_SUITES.items():
-        counts[name] = fn()
-    ok = all(
-        c >= (50 if name == "simplify-preserves-ideal" else 200)
-        for name, c in counts.items()
-    )
-    _report(9, f"property suites ({sum(counts.values())} cases total)", t0, 120, ok)
+test_criterion_1_theorem_reproduction = _criterion(1)
+test_criterion_2_displayed_pushforwards = _criterion(2)
+test_criterion_3_hyperplane_factorization = _criterion(3)
+test_criterion_4_localization_vs_interpolation = _criterion(4)
+test_criterion_5_reduced_quadrics = _criterion(5)
+test_criterion_6_orthogonal_presentations = _criterion(6)
+test_criterion_7_rank3_elimination = _criterion(7)
+test_criterion_8_rank4_twist3_adjudication = _criterion(8)
+test_criterion_9_property_suites = _criterion(9)

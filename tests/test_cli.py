@@ -22,8 +22,15 @@ class TestExitCodes:
         assert code == 1 and "usage" in err
 
     def test_usage_error_on_low_max_degree(self, capsys):
-        code, _, err = capture(capsys, ["quadrics", "--n", "2", "--k", "5", "--max-degree", "2"])
-        assert code == 1 and "max-degree" in err
+        for n, k, bound in (("2", "5", "1"), ("4", "1", "8")):
+            argv = ["quadrics", "--n", n, "--k", k, "--max-degree", bound]
+            code, _, err = capture(capsys, argv)
+            assert code == 1 and "max-degree" in err and "usage" in err
+
+    def test_max_degree_floor_is_maximal_generator_degree(self, capsys):
+        # quadrics n=4, k=1 has generators up to degree C(4,2) + 4 - 1 = 9
+        code, out, _ = capture(capsys, ["quadrics", "--n", "4", "--k", "1", "--max-degree", "9"])
+        assert code == 0 and "certified up to degree 9" in out
 
     def test_usage_error_on_small_rank(self, capsys):
         code, _, err = capture(capsys, ["orthogonal", "--n", "1", "--k", "0"])

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from eqchow.ideal import (
+    DegreeBoundTooLow,
     GradedIdeal,
     IntegerLattice,
     NotHomogeneous,
@@ -184,7 +185,7 @@ class TestSimplify:
         assert list(GradedIdeal(CV3, rels).simplified_generators(12)) == THEOREM_IDEAL
 
     def test_bound_below_generators_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DegreeBoundTooLow, match="bound 3 .* generator degree 5"):
             GradedIdeal(CV3, THEOREM_IDEAL).simplified_generators(3)
 
     def test_preserves_ideal_random(self):

@@ -2,11 +2,11 @@
 replay."""
 
 import json
-from math import comb
 
 import pytest
 
-from eqchow.ideal import GradedIdeal, compare_up_to, equal_up_to
+from eqchow import pipeline
+from eqchow.ideal import DegreeBoundTooLow, GradedIdeal, compare_up_to, equal_up_to
 from eqchow.pipeline import (
     AlphaFamily,
     alpha_family,
@@ -302,13 +302,18 @@ class TestOrthogonal:
 class TestDegreeBounds:
     def test_default_bounds(self):
         assert default_degree_bound("m01", 3) == 12
-        assert default_degree_bound("quadrics", 5) == 2 * comb(5, 2) + 5
+        assert default_degree_bound("quadrics", 5) == 25
         assert default_degree_bound("orthogonal", 4) == 10
 
     def test_bounds_visible_in_presentations(self):
         assert m01().max_degree == 12
         assert reduced_quadrics(3, 1).max_degree == 9
         assert orthogonal(4, 1).max_degree == 10
+
+    def test_low_bound_rejected_before_checks(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "compare_up_to", None)  # must not be reached
+        with pytest.raises(DegreeBoundTooLow, match="bound 2 .* generator degree 3"):
+            orthogonal(4, 0, max_degree=2)
 
 
 class TestLatexAndJson:

@@ -1,40 +1,90 @@
-"""The aggregated verify-all report: content, schema, and CLI wiring."""
+"""The aggregated verify-all report: content, schema, CLI wiring, and failure
+reporting."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import jsonschema
 import pytest
 
-from eqchow.verify import run_verify_all
+import eqchow
+from eqchow.verify import CLAIMS, Claim, run_claim
+
+# Two broken multiplications, each installed before the CLI runs as
+# ``python -m eqchow.cli verify-all --format json`` would.  Dropping the
+# smallest term of every product with two or more terms keeps leading terms;
+# a zero product also collapses both sides of many comparisons and stalls the
+# symmetric rewrite unless it notices.  Each maps to claims that must fail.
+SABOTAGES = {
+    "drop-smallest-term": (
+        """
+def wrong_mul(self, other):
+    p = mul(self, other)
+    if p is NotImplemented or len(p.terms) < 2:
+        return p
+    last = min(p.terms, key=term_key)
+    return Polynomial({m: c for m, c in p.terms.items() if m != last})
+""",
+        ["m01-theorem-presentation", "property-ring-axioms"],
+    ),
+    "zero-product": (
+        """
+def wrong_mul(self, other):
+    return Polynomial({})
+""",
+        [
+            "m01-theorem-presentation",
+            "property-ring-axioms",
+            "property-symmetric-rewrite-roundtrip",
+            "hyperplane-relation-factorization-rank3",
+            "pushforward-interpolation-oracle",
+            "property-fixed-point-restriction-consistency",
+            "property-bundle-relation-membership",
+            "property-fraction-sum-permutation-invariance",
+        ],
+    ),
+}
+SABOTAGED_RUN = """
+import runpy, sys
+from eqchow.poly import Polynomial, term_key
+mul = Polynomial.__mul__
+{wrong_mul}
+Polynomial.__mul__ = wrong_mul
+sys.argv = ["eqchow", "verify-all", "--format", "json"]
+runpy.run_module("eqchow.cli", run_name="__main__")
+"""
 
 
-@pytest.fixture(scope="module")
-def report():
-    return run_verify_all()
+def _schema():
+    return json.loads(
+        resources.files("eqchow").joinpath("report_schema.json").read_text()
+    )
 
 
-def test_all_gating_checks_pass(report):
-    assert report["all_passed"]
-    failing = [c for c in report["checks"] if c["status"] == "fail"]
+def test_all_gating_checks_pass(verify_report):
+    assert verify_report["all_passed"]
+    failing = [c for c in verify_report["checks"] if c["status"] == "fail"]
     assert failing == []
 
 
-def test_checks_sorted_by_name(report):
-    names = [c["name"] for c in report["checks"]]
+def test_checks_sorted_by_name(verify_report):
+    names = [c["name"] for c in verify_report["checks"]]
     assert names == sorted(names)
+    assert sorted(c.name for c in CLAIMS) == names
 
 
-def test_schema_validation(report):
-    schema = json.loads(
-        resources.files("eqchow").joinpath("report_schema.json").read_text()
-    )
-    jsonschema.validate(report, schema)
+def test_schema_validation(verify_report):
+    jsonschema.validate(verify_report, _schema())
 
 
-def test_remark_adjudication_is_informational(report):
+def test_remark_adjudication_is_informational(verify_report):
     entry = next(
-        c for c in report["checks"] if c["name"] == "rank4-twist3-remark-adjudication"
+        c
+        for c in verify_report["checks"]
+        if c["name"] == "rank4-twist3-remark-adjudication"
     )
     assert entry["status"] == "info"
     assert entry["detail"]["equal"] is False
@@ -42,35 +92,64 @@ def test_remark_adjudication_is_informational(report):
     assert entry["detail"]["mismatch"]["degree"] == 4
 
 
-def test_property_checks_present(report):
-    names = {c["name"] for c in report["checks"]}
+def test_property_checks_present(verify_report):
+    names = {c["name"] for c in verify_report["checks"]}
     assert "property-ring-axioms" in names
     assert "property-hnf-idempotence-order-invariance" in names
 
 
-def test_cli_verify_all_exit_and_schema(report, capsys):
+def test_cli_verify_all_exit_and_schema(verify_report, capsys):
     from eqchow.cli import run
 
     code = run(["verify-all", "--format", "json"])
     out = capsys.readouterr().out
     assert code == 0
     emitted = json.loads(out)
-    schema = json.loads(
-        resources.files("eqchow").joinpath("report_schema.json").read_text()
-    )
-    jsonschema.validate(emitted, schema)
+    jsonschema.validate(emitted, _schema())
     # deterministic apart from timings
     strip = lambda rep: [
         {k: v for k, v in c.items() if k != "seconds"} for c in rep["checks"]
     ]
-    assert strip(emitted) == strip(report)
+    assert strip(emitted) == strip(verify_report)
 
 
-def test_cli_verify_all_text_table(capsys):
-    from eqchow.cli import run
+def test_cli_verify_all_text_table(verify_report, capsys, monkeypatch):
+    import eqchow.cli as cli
 
-    code = run(["verify-all"])
+    monkeypatch.setattr(cli, "run_verify_all", lambda: verify_report)
+    code = cli.run(["verify-all"])
     out = capsys.readouterr().out
     assert code == 0
     assert out.splitlines()[0].startswith("verify-all: PASS")
     assert any(line.startswith("INFO") for line in out.splitlines())
+
+
+def test_runner_fails_short_or_raising_claims():
+    short = run_claim(Claim("short", 0, lambda: (True, {"cases": 3}), min_cases=5))
+    assert short["status"] == "fail"
+    assert short["detail"]["error"] == "ran 3 cases, fewer than the minimum 5"
+    boom = run_claim(Claim("boom", 0, lambda: 1 // 0))
+    assert boom["status"] == "fail"
+    assert boom["detail"]["error"].startswith("ZeroDivisionError")
+
+
+@pytest.mark.parametrize("sabotage", sorted(SABOTAGES))
+def test_sabotaged_kernel_fails_under_optimize(sabotage):
+    wrong_mul, must_fail = SABOTAGES[sabotage]
+    src = os.path.dirname(os.path.dirname(eqchow.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", SABOTAGED_RUN.format(wrong_mul=wrong_mul)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 2, proc.stderr
+    report = json.loads(proc.stdout)
+    jsonschema.validate(report, _schema())
+    status = {c["name"]: c["status"] for c in report["checks"]}
+    assert {name: status[name] for name in must_fail} == dict.fromkeys(
+        must_fail, "fail"
+    )
+    assert not report["all_passed"]
