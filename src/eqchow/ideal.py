@@ -9,14 +9,15 @@ pieces is equality of HNF matrices and membership is an exact integer
 triangular solve.
 
 Ideal equality is certified up to a stated degree bound; the bound is part of
-every report.
+every report.  Monomials, their order and ``monomials_of_degree`` (re-exported
+here) follow the conventions stated once in ``eqchow.poly``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from .poly import Mono, Polynomial, mono_str, term_key, var_key, var_weight
+
+from .poly import Mono, Polynomial, mono_str, monomials_of_degree, var_key
 
 
 class NotHomogeneous(ValueError):
@@ -27,26 +28,9 @@ class DegreeBoundTooLow(ValueError):
     """A degree bound is below the maximal generator degree of the ideal."""
 
 
-@lru_cache(maxsize=None)
-def monomials_of_degree(variables: tuple[str, ...], degree: int) -> tuple[Mono, ...]:
-    """All monomials of exact weighted degree, in canonical monomial order.
-
-    ``variables`` must be sorted by the fixed variable order.
-    """
-    if degree < 0:
-        return ()
-    if degree == 0:
-        return ((),)
-    if not variables:
-        return ()
-    first, rest = variables[0], variables[1:]
-    w = var_weight(first)
-    out: list[Mono] = []
-    for e in range(degree // w, -1, -1):
-        for tail in monomials_of_degree(rest, degree - e * w):
-            out.append((((first, e),) + tail) if e else tail)
-    out.sort(key=term_key)
-    return tuple(out)
+def _basis_index(basis: tuple[Mono, ...]) -> dict[Mono, int]:
+    """Position of each monomial in a graded piece's basis."""
+    return {m: i for i, m in enumerate(basis)}
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -223,27 +207,25 @@ class GradedIdeal:
                 f"degree {needed}"
             )
 
-    def _basis_index(self, degree: int) -> dict[Mono, int]:
-        basis = monomials_of_degree(self.variables, degree)
-        return {m: i for i, m in enumerate(basis)}
-
     def _vector(self, p: Polynomial, index: dict[Mono, int]) -> list[int]:
         vec = [0] * len(index)
         for m, c in p.terms.items():
             vec[index[m]] = c
         return vec
 
+    def _span(self, lat: IntegerLattice, gens, degree: int, index) -> None:
+        """Insert every degree-``degree`` multiple (generator x monomial) of
+        ``gens`` into ``lat``: generators in order, monomials in canonical
+        order, which fixes the echelon rows."""
+        for g in gens:
+            for m in monomials_of_degree(self.variables, degree - g.weighted_degree()):
+                lat.insert(self._vector(g.mono_shift(m), index))
+
     def lattice(self, degree: int) -> IntegerLattice:
         if degree not in self._lattices:
-            basis = monomials_of_degree(self.variables, degree)
-            index = {m: i for i, m in enumerate(basis)}
-            lat = IntegerLattice(len(basis))
-            for g in self.generators:
-                e = g.weighted_degree()
-                if e > degree:
-                    continue
-                for m in monomials_of_degree(self.variables, degree - e):
-                    lat.insert(self._vector(g.mono_shift(m), index))
+            index = _basis_index(monomials_of_degree(self.variables, degree))
+            lat = IntegerLattice(len(index))
+            self._span(lat, self.generators, degree, index)
             self._lattices[degree] = lat
         return self._lattices[degree]
 
@@ -262,7 +244,7 @@ class GradedIdeal:
         if set(p.variables()) - set(self.variables):
             return False
         degree = p.weighted_degree()
-        index = self._basis_index(degree)
+        index = _basis_index(monomials_of_degree(self.variables, degree))
         return self.lattice(degree).contains(self._vector(p, index))
 
     def simplified_generators(self, max_degree: int | None = None) -> tuple[Polynomial, ...]:
@@ -282,12 +264,9 @@ class GradedIdeal:
             if not piece.hnf:
                 continue
             basis = piece.basis
-            index = {m: i for i, m in enumerate(basis)}
+            index = _basis_index(basis)
             partial = IntegerLattice(len(basis))
-            for g in kept:
-                e = g.weighted_degree()
-                for m in monomials_of_degree(self.variables, d - e):
-                    partial.insert(self._vector(g.mono_shift(m), index))
+            self._span(partial, kept, d, index)
             for row in piece.hnf:
                 row = list(row)
                 if not partial.contains(row):

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 
 from .poly import (
     ONE,
@@ -55,12 +56,18 @@ class FixedPoint:
     tangent_weights: tuple[Polynomial, ...]
 
 
-def fixed_points(roots: RepRoots) -> list[FixedPoint]:
-    """One fixed point per root; requires pairwise distinct roots."""
+def _distinct_roots(roots: RepRoots) -> tuple[Polynomial, ...]:
+    """The roots, after checking they are pairwise distinct."""
     rs = roots.roots
     for i, j in itertools.combinations(range(len(rs)), 2):
         if rs[i] == rs[j]:
             raise RepeatedRoots(f"roots {i} and {j} coincide: {rs[i]}")
+    return rs
+
+
+def fixed_points(roots: RepRoots) -> list[FixedPoint]:
+    """One fixed point per root; requires pairwise distinct roots."""
+    rs = _distinct_roots(roots)
     points = []
     for j, m in enumerate(rs):
         weights = tuple(rs[i] - m for i in range(len(rs)) if i != j)
@@ -71,18 +78,11 @@ def fixed_points(roots: RepRoots) -> list[FixedPoint]:
 def fundamental_class(roots: RepRoots, index: int, hyperplane: str = "H") -> Polynomial:
     """Equivariant class of the fixed point as a complete intersection of the
     coordinate hyperplanes: prod over the other roots m of (H + m)."""
-    rs = roots.roots
-    for i, j in itertools.combinations(range(len(rs)), 2):
-        if rs[i] == rs[j]:
-            raise RepeatedRoots(f"roots {i} and {j} coincide: {rs[i]}")
+    rs = _distinct_roots(roots)
     if not 0 <= index < len(rs):
         raise IndexError(f"fixed point index {index} out of range")
     x = var(hyperplane)
-    result = ONE
-    for i, m in enumerate(rs):
-        if i != index:
-            result = result * (x + m)
-    return result
+    return prod((x + m for i, m in enumerate(rs) if i != index), start=ONE)
 
 
 @dataclass(frozen=True)
@@ -120,6 +120,27 @@ def _wedge_total_chern_classes(n: int, hyperplane: str = "H") -> Polynomial:
     return symmetric_to_chern(_wedge_total_chern(n, hyperplane), n)
 
 
+def _localize(n: int, r: int, point_class, factor: Polynomial = ONE) -> Polynomial:
+    """The localization sum for the pushforward of K^r: over the source fixed
+    points P, point_class(P, points) (-l_P)^r / (tangent weights at P).  The
+    sum must clear to a polynomial, which times ``factor`` is rewritten into
+    Chern classes; a kept denominator or an asymmetric sum is an
+    InternalInconsistency."""
+    points = fixed_points(veronese_correspondence(n).source)
+    total = sum_fractions(
+        StructuredFraction.make(
+            point_class(p, points) * p.hyperplane_restriction**r, p.tangent_weights
+        )
+        for p in points
+    )
+    if not total.is_polynomial():
+        raise InternalInconsistency(f"localization sum kept a denominator: {total}")
+    try:
+        return symmetric_to_chern(total.as_polynomial() * factor, n)
+    except NotSymmetric as exc:
+        raise InternalInconsistency(f"localization sum is not symmetric: {exc}")
+
+
 @lru_cache(maxsize=None)
 def veronese_pushforward(n: int, r: int, hyperplane: str = "H") -> Polynomial:
     """Pushforward of K^r to P(Sym2 E*), by explicit localization.
@@ -133,27 +154,12 @@ def veronese_pushforward(n: int, r: int, hyperplane: str = "H") -> Polynomial:
     """
     if n < 2 or not 0 <= r <= n - 1:
         raise ValueError("need n >= 2 and 0 <= r <= n-1")
-    corr = veronese_correspondence(n)
-    points = fixed_points(corr.source)
     x = var(hyperplane)
-    fractions = []
-    for p in points:
-        numerator = Polynomial.constant(1)
-        for q in points:
-            if q.index != p.index:
-                numerator = numerator * (x + 2 * q.root)
-        numerator = numerator * p.hyperplane_restriction**r
-        fractions.append(StructuredFraction.make(numerator, p.tangent_weights))
-    total = sum_fractions(fractions)
-    if not total.is_polynomial():
-        raise InternalInconsistency(
-            f"localization sum kept a denominator: {total}"
-        )
-    full = total.as_polynomial() * _wedge_total_chern(n, hyperplane)
-    try:
-        return symmetric_to_chern(full, n)
-    except NotSymmetric as exc:
-        raise InternalInconsistency(f"localization sum is not symmetric: {exc}")
+
+    def point_class(p, points):
+        return prod((x + 2 * q.root for q in points if q.index != p.index), start=ONE)
+
+    return _localize(n, r, point_class, _wedge_total_chern(n, hyperplane))
 
 
 @lru_cache(maxsize=None)
@@ -167,22 +173,11 @@ def pushforward_via_fixed_point_classes(
     if n < 2 or not 0 <= r <= n - 1:
         raise ValueError("need n >= 2 and 0 <= r <= n-1")
     corr = veronese_correspondence(n)
-    points = fixed_points(corr.source)
-    fractions = []
-    for p in points:
-        target_index = corr.point_map[p.index]
-        numerator = fundamental_class(corr.target, target_index, hyperplane)
-        numerator = numerator * p.hyperplane_restriction**r
-        fractions.append(StructuredFraction.make(numerator, p.tangent_weights))
-    total = sum_fractions(fractions)
-    if not total.is_polynomial():
-        raise InternalInconsistency(
-            f"localization sum kept a denominator: {total}"
-        )
-    try:
-        return symmetric_to_chern(total.as_polynomial(), n)
-    except NotSymmetric as exc:
-        raise InternalInconsistency(f"localization sum is not symmetric: {exc}")
+
+    def point_class(p, points):
+        return fundamental_class(corr.target, corr.point_map[p.index], hyperplane)
+
+    return _localize(n, r, point_class)
 
 
 @lru_cache(maxsize=None)

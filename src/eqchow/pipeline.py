@@ -26,8 +26,8 @@ from math import comb
 
 from .ideal import GradedIdeal, IdealComparison, compare_up_to
 from .localization import closed_form_pushforward, veronese_pushforward
-from .poly import ONE, Polynomial, ZERO, parse_polynomial, var
-from .symfunc import build_roots, e_top, symmetric_to_chern, total_chern_poly
+from .poly import ONE, Polynomial, ZERO, parse_polynomial, var, var_weight
+from .symfunc import build_roots, c_vars, e_top, symmetric_to_chern, total_chern_poly
 
 
 class VerificationFailure(Exception):
@@ -65,9 +65,7 @@ class RingPresentation:
         return f"Z[{vars_part}] / ({rels})"
 
     def to_latex(self) -> str:
-        vars_part = ", ".join(
-            _latex_name(name) for name, _ in self.variables
-        )
+        vars_part = ", ".join(var(name).to_latex() for name, _ in self.variables)
         rels = ",\\, ".join(g.to_latex() for g in self.display_generators())
         return f"\\mathbb{{Z}}[{vars_part}]/\\left({rels}\\right)"
 
@@ -86,12 +84,13 @@ class RingPresentation:
         }
 
 
-def _latex_name(name: str) -> str:
-    return var(name).to_latex()
+def _weighted(names) -> tuple[tuple[str, int], ...]:
+    return tuple((v, var_weight(v)) for v in names)
 
 
-def _chern_variables(n: int) -> tuple[tuple[str, int], ...]:
-    return tuple((f"c{i}", i) for i in range(1, n + 1))
+def torsor_substitute(p: Polynomial, k: int, hyperplane: str = "H") -> Polynomial:
+    """The torsor substitution H -> k*c1."""
+    return p.substitute(hyperplane, k * var("c1"))
 
 
 def _require(name: str, cmp: IdealComparison) -> dict:
@@ -141,7 +140,7 @@ def projective_bundle(roots, hyperplane: str = "H") -> RingPresentation:
     """Presentation of the equivariant ring of P(V): the Chern variables plus
     the hyperplane class, modulo the total Chern relation of V."""
     relation = symmetric_to_chern(total_chern_poly(roots, hyperplane), roots.rank)
-    variables = _chern_variables(roots.rank) + ((hyperplane, 1),)
+    variables = _weighted(c_vars(roots.rank) + (hyperplane,))
     return _after(
         None,
         "projective_bundle",
@@ -179,8 +178,7 @@ def torsor_quotient(pres: RingPresentation, k: int) -> RingPresentation:
     """Pass to the multiplicative-group torsor: substitute H -> k*c1 in every
     relation, drop relations that become zero, and remove H from the ring."""
     h = _hyperplane(pres)
-    c1 = var("c1")
-    new_rels = [g.substitute(h, k * c1) for g in pres.relations.generators]
+    new_rels = [torsor_substitute(g, k, h) for g in pres.relations.generators]
     variables = tuple((v, w) for v, w in pres.variables if v != h)
     return _after(
         pres,
@@ -244,7 +242,7 @@ def _simplify_generators(
 
 def _alpha_relations(pres, rank: int, k: int) -> RingPresentation:
     """The orthogonal-type relations: the alpha family at H = k*c1."""
-    variables = _chern_variables(rank)
+    variables = _weighted(c_vars(rank))
     return _after(
         None,
         "alpha_relations",
@@ -340,7 +338,7 @@ def reduced_quadrics(
     if n < 2 or k < 0:
         raise ValueError("need n >= 2 and k >= 0")
     pres = projective_bundle(build_roots(n, "Sym2(E*)"), "H")
-    bundle_image = pres.relations.generators[0].substitute("H", k * var("c1"))
+    bundle_image = torsor_substitute(pres.relations.generators[0], k)
     pres = excise_veronese(pres, n, method="closed_form")
     pres = torsor_quotient(pres, k)
     gens = pres.relations.generators
@@ -378,8 +376,12 @@ class AlphaFamily:
                 raise ValueError(f"alpha_{i} is not homogeneous of degree {i}")
 
     def substituted(self, k: int) -> list[Polynomial]:
-        c1 = var("c1")
-        return [a.substitute("H", k * c1) for a in self.polys]
+        return [torsor_substitute(a, k) for a in self.polys]
+
+
+def _chern_classes(n: int) -> list[Polynomial]:
+    """[c0, c1, ..., cn] with c0 = 1."""
+    return [ONE] + [var(v) for v in c_vars(n)]
 
 
 @lru_cache(maxsize=None)
@@ -389,7 +391,7 @@ def alpha_family(n: int, hyperplane: str = "H") -> AlphaFamily:
     if n < 2:
         raise ValueError("need n >= 2")
     H = var(hyperplane)
-    cs = [ONE] + [var(f"c{j}") for j in range(1, n + 1)]
+    cs = _chern_classes(n)
     polys = []
     for i in range(1, n + 1):
         a = ZERO
@@ -412,7 +414,7 @@ def chern_series_divide(n: int, hyperplane: str = "H") -> tuple[Polynomial, ...]
     if n < 2:
         raise ValueError("need n >= 2")
     H = var(hyperplane)
-    cs = [ONE] + [var(f"c{j}") for j in range(1, n + 1)]
+    cs = _chern_classes(n)
     P = ZERO
     for j in range(n + 1):
         P = P + (-1) ** j * cs[j] * (1 + H) ** (n - j)
@@ -461,7 +463,7 @@ def orthogonal(
             )
         )
     if k == 0:
-        odd = [2 * var(f"c{i}") for i in range(1, n + 1, 2)]
+        odd = [2 * var(v) for v in c_vars(n)[::2]]
         checks.append(
             _require(
                 "zero-twist-odd-chern-presentation",

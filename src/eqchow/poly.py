@@ -1,12 +1,17 @@
 """Exact sparse multivariate polynomials over the integers, with a weighted grading.
 
-A monomial is a tuple of (variable, exponent) pairs sorted by the fixed variable
-order; a polynomial maps monomials to nonzero int coefficients.  All arithmetic
-is exact; there is no rounding anywhere.
+This module alone knows how variable names are read and monomials laid out:
 
-The grading is determined by variable names: ``c<i>`` has weight i, every other
-variable (H, K, xi, l1..ln, t1..tn, ...) has weight 1.  The fixed variable order
-is c1 < c2 < ... < H < K < xi < l1 < l2 < ... < t1 < ... < other names.
+* A variable name is a stem with an optional decimal index (``c3``, ``l10``,
+  ``H``, ``xi``).  ``c<i>`` has weight i, every other variable (H, K, xi,
+  l1..ln, t1..tn, ...) weight 1.  The fixed variable order is
+  c1 < c2 < ... < H < K < xi < l1 < l2 < ... < t1 < ... < other names, indices
+  compared as integers.  Each name is parsed once, on first use, into the name
+  table read by ``var_key``, ``var_weight``, ``var_index`` and the LaTeX form.
+* A monomial is a tuple of (variable, exponent) pairs, distinct variables and
+  positive exponents, in the variable order: ``make_mono`` builds one,
+  ``split_mono`` and ``mono_exponents`` take one apart.  A polynomial maps
+  monomials to nonzero int coefficients; all arithmetic is exact.
 
 On top of plain polynomials sits a small structured-fraction layer whose
 denominators are products of linear forms, the only denominators torus
@@ -23,35 +28,102 @@ import heapq
 import json
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from functools import lru_cache
+from math import prod
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 Mono = tuple[tuple[str, int], ...]
 
 _EMPTY_MONO: Mono = ()
 
+# -- the name table ---------------------------------------------------------------
+
 _STEM_ORDER = {"c": 0, "H": 1, "K": 2, "xi": 3, "l": 4, "t": 5}
 _NAME_RE = re.compile(r"([A-Za-z_]+?)(\d*)\Z")
 
 
+class _Var(NamedTuple):
+    """What a name says; ``index`` is None for a name without digits."""
+
+    key: tuple[int, int, str]
+    weight: int
+    stem: str
+    index: int | None
+    latex: str
+
+
+class _NameTable(dict):
+    """name -> _Var, each name parsed on its first lookup."""
+
+    def __missing__(self, name: str) -> _Var:
+        m = _NAME_RE.match(name)
+        if m is None:
+            entry = _Var((9, 0, name), 1, name, None, name)
+        else:
+            stem, digits = m.groups()
+            index = int(digits) if digits else None
+            entry = _Var(
+                (_STEM_ORDER.get(stem, 8), index or 0, stem),
+                index if stem == "c" and digits else 1,
+                stem,
+                index,
+                f"{stem}_{{{digits}}}" if digits else name,
+            )
+        self[name] = entry
+        return entry
+
+
+_VARS = _NameTable()
+
+
 def var_key(name: str) -> tuple[int, int, str]:
     """Sort key realizing the fixed variable order."""
-    m = _NAME_RE.match(name)
-    if m is None:
-        return (9, 0, name)
-    stem, idx = m.groups()
-    return (_STEM_ORDER.get(stem, 8), int(idx) if idx else 0, stem)
+    return _VARS[name].key
 
 
 def var_weight(name: str) -> int:
     """Weighted degree of a variable: c_i has weight i, everything else 1."""
-    m = _NAME_RE.match(name)
-    if m is not None and m.group(1) == "c" and m.group(2):
-        return int(m.group(2))
-    return 1
+    return _VARS[name].weight
+
+
+def var_index(name: str, stem: str) -> int | None:
+    """i if ``name`` is ``<stem><i>``, else None."""
+    entry = _VARS[name]
+    return entry.index if entry.stem == stem else None
+
+
+# -- monomials ------------------------------------------------------------------------
+
+
+def _pair_key(pair: tuple[str, int]) -> tuple[int, int, str]:
+    return _VARS[pair[0]].key
+
+
+_exponent = itemgetter(1)
+
+
+def make_mono(pairs: Iterable[tuple[str, int]]) -> Mono:
+    """The canonical monomial of (variable, exponent) pairs with distinct
+    variables: zero exponents dropped, sorted by the variable order."""
+    return tuple(sorted(filter(_exponent, pairs), key=_pair_key))
+
+
+def split_mono(mono: Mono, names) -> tuple[Mono, Mono]:
+    """(the part of ``mono`` in the variables ``names``, the rest)."""
+    inside = tuple(ve for ve in mono if ve[0] in names)
+    rest = tuple(ve for ve in mono if ve[0] not in names)
+    return inside, rest
+
+
+def mono_exponents(mono: Mono, names) -> list[int]:
+    """Exponents of ``mono`` in the variables ``names``, in that order."""
+    exps = dict(mono)
+    return [exps.get(v, 0) for v in names]
 
 
 def mono_weight(mono: Mono) -> int:
-    return sum(e * var_weight(v) for v, e in mono)
+    return sum(e * _VARS[v].weight for v, e in mono)
 
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
@@ -62,20 +134,42 @@ def mono_mul(a: Mono, b: Mono) -> Mono:
     exps: dict[str, int] = dict(a)
     for v, e in b:
         exps[v] = exps.get(v, 0) + e
-    return tuple(sorted(exps.items(), key=lambda ve: var_key(ve[0])))
+    return make_mono(exps.items())
 
 
 def term_key(mono: Mono) -> tuple[int, tuple]:
     """Canonical total order on monomials: weighted degree, then lexicographic
     with earlier variables dominant (bigger exponent on an earlier variable
     compares larger, hence smaller in this key's tie-break component)."""
-    return (mono_weight(mono), tuple((var_key(v), -e) for v, e in mono))
+    return (mono_weight(mono), tuple((_VARS[v].key, -e) for v, e in mono))
 
 
 def mono_str(mono: Mono) -> str:
     if not mono:
         return "1"
     return "*".join(v if e == 1 else f"{v}^{e}" for v, e in mono)
+
+
+@lru_cache(maxsize=None)
+def monomials_of_degree(variables: tuple[str, ...], degree: int) -> tuple[Mono, ...]:
+    """All monomials of exact weighted degree, in canonical monomial order.
+
+    ``variables`` must be sorted by the fixed variable order.
+    """
+    if degree < 0:
+        return ()
+    if degree == 0:
+        return ((),)
+    if not variables:
+        return ()
+    first, rest = variables[0], variables[1:]
+    w = var_weight(first)
+    out: list[Mono] = []
+    for e in range(degree // w, -1, -1):
+        for tail in monomials_of_degree(rest, degree - e * w):
+            out.append((((first, e),) + tail) if e else tail)
+    out.sort(key=term_key)
+    return tuple(out)
 
 
 class NotDivisible(ArithmeticError):
@@ -179,18 +273,12 @@ class Polynomial:
                 out[m] = s
             else:
                 out.pop(m, None)
-        p = Polynomial.__new__(Polynomial)
-        p._terms = out
-        p._hash = None
-        return p
+        return _trusted(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> Polynomial:
-        p = Polynomial.__new__(Polynomial)
-        p._terms = {m: -c for m, c in self._terms.items()}
-        p._hash = None
-        return p
+        return _trusted({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: Polynomial | int) -> Polynomial:
         return self + (-_coerce(other))
@@ -202,10 +290,7 @@ class Polynomial:
         if isinstance(other, int):
             if other == 0:
                 return ZERO
-            p = Polynomial.__new__(Polynomial)
-            p._terms = {m: c * other for m, c in self._terms.items()}
-            p._hash = None
-            return p
+            return _trusted({m: c * other for m, c in self._terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
         a, b = self._terms, other._terms
@@ -222,10 +307,7 @@ class Polynomial:
                     out[m] = s
                 else:
                     del out[m]
-        p = Polynomial.__new__(Polynomial)
-        p._terms = out
-        p._hash = None
-        return p
+        return _trusted(out)
 
     __rmul__ = __mul__
 
@@ -246,10 +328,7 @@ class Polynomial:
         """Multiply by a single term coeff*mono (cheap key remap)."""
         if coeff == 0:
             return ZERO
-        p = Polynomial.__new__(Polynomial)
-        p._terms = {mono_mul(m, mono): c * coeff for m, c in self._terms.items()}
-        p._hash = None
-        return p
+        return _trusted({mono_mul(m, mono): c * coeff for m, c in self._terms.items()})
 
     # -- substitution and evaluation -----------------------------------------
 
@@ -258,25 +337,16 @@ class Polynomial:
         replacement = _coerce(replacement)
         untouched: dict[Mono, int] = {}
         grouped: dict[int, dict[Mono, int]] = {}
+        names = (name,)
         for m, c in self._terms.items():
-            e = 0
-            rest = []
-            for v, k in m:
-                if v == name:
-                    e = k
-                else:
-                    rest.append((v, k))
-            if e == 0:
-                untouched[m] = c
+            inside, rest = split_mono(m, names)
+            if inside:
+                grouped.setdefault(inside[0][1], {})[rest] = c
             else:
-                grouped.setdefault(e, {})[tuple(rest)] = c
+                untouched[m] = c
         result = Polynomial(untouched)
-        if grouped:
-            powers: dict[int, Polynomial] = {}
-            for e, terms in grouped.items():
-                powers[e] = replacement**e
-            for e, terms in grouped.items():
-                result = result + Polynomial(terms) * powers[e]
+        for e, terms in grouped.items():
+            result = result + Polynomial(terms) * replacement**e
         return result
 
     def evaluate(self, assignment: Mapping[str, int]) -> int:
@@ -293,12 +363,7 @@ class Polynomial:
         """Rename variables (used for symmetry checks); result re-canonicalized."""
         out: dict[Mono, int] = {}
         for m, c in self._terms.items():
-            nm = tuple(
-                sorted(
-                    ((mapping.get(v, v), e) for v, e in m),
-                    key=lambda ve: var_key(ve[0]),
-                )
-            )
+            nm = make_mono((mapping.get(v, v), e) for v, e in m)
             out[nm] = out.get(nm, 0) + c
         return Polynomial(out)
 
@@ -309,43 +374,32 @@ class Polynomial:
 
     def to_text(self) -> str:
         """Canonical text form, e.g. ``4*c3 + 2*c1*c3``."""
-        if not self._terms:
-            return "0"
-        parts: list[str] = []
-        for mono, coeff in self.sorted_terms():
-            mag = abs(coeff)
-            if not mono:
-                body = str(mag)
-            elif mag == 1:
-                body = mono_str(mono)
-            else:
-                body = f"{mag}*{mono_str(mono)}"
-            if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
-        return " ".join(parts)
+        return self._render(lambda v, e: v if e == 1 else f"{v}^{e}", "*")
 
     def to_latex(self) -> str:
+        def factor(v: str, e: int) -> str:
+            base = _VARS[v].latex
+            return base if e == 1 else f"{base}^{{{e}}}"
+
+        return self._render(factor, "")
+
+    def _render(self, factor, sep: str) -> str:
+        """The signed sum of the sorted terms; a term is its magnitude and its
+        ``factor(variable, exponent)`` strings, joined by ``sep``."""
         if not self._terms:
             return "0"
         parts: list[str] = []
         for mono, coeff in self.sorted_terms():
-            factors = []
-            for v, e in mono:
-                m = _NAME_RE.match(v)
-                base = f"{m.group(1)}_{{{m.group(2)}}}" if m and m.group(2) else v
-                factors.append(base if e == 1 else f"{base}^{{{e}}}")
-            body = "".join(factors)
             mag = abs(coeff)
+            body = sep.join(factor(v, e) for v, e in mono)
             if not body:
                 body = str(mag)
             elif mag != 1:
-                body = f"{mag}{body}"
-            if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
-            else:
+                body = f"{mag}{sep}{body}"
+            if parts:
                 parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
+            else:
+                parts.append(body if coeff > 0 else f"-{body}")
         return " ".join(parts)
 
     def to_json_obj(self) -> list[dict]:
@@ -358,12 +412,7 @@ class Polynomial:
     def from_json_obj(obj: Iterable[Mapping]) -> Polynomial:
         terms: dict[Mono, int] = {}
         for entry in obj:
-            mono = tuple(
-                sorted(
-                    ((v, int(e)) for v, e in entry["exps"].items() if int(e)),
-                    key=lambda ve: var_key(ve[0]),
-                )
-            )
+            mono = make_mono((v, int(e)) for v, e in entry["exps"].items())
             terms[mono] = terms.get(mono, 0) + int(entry["coeff"])
         return Polynomial(terms)
 
@@ -379,6 +428,14 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.to_text()!r})"
+
+
+def _trusted(terms: dict[Mono, int]) -> Polynomial:
+    """A polynomial on a canonical term map that holds no zero coefficient."""
+    p = Polynomial.__new__(Polynomial)
+    p._terms = terms
+    p._hash = None
+    return p
 
 
 def _coerce(x: Polynomial | int) -> Polynomial:
@@ -520,11 +577,10 @@ def _try_exact_divide(p: Polynomial, q: Polynomial) -> Polynomial | None:
             d = e - lead_exps.get(v, 0)
             if d < 0:
                 return None
-            if d:
-                qm.append((v, d))
+            qm.append((v, d))
         if any(v not in exps for v in lead_exps):
             return None
-        qmono = tuple(sorted(qm, key=lambda ve: var_key(ve[0])))
+        qmono = make_mono(qm)
         qcoeff = coeff // lead_coeff
         quotient[qmono] = qcoeff
         del rem[mono]
@@ -602,10 +658,13 @@ class LinearFormProduct:
             if s < 0 and mult % 2:
                 sign = -sign
             counts[g] = counts.get(g, 0) + mult
-        ordered = tuple(
-            sorted(counts.items(), key=lambda fm: poly_sort_key(fm[0]))
+        return LinearFormProduct._ordered(counts), sign
+
+    @staticmethod
+    def _ordered(counts: dict[Polynomial, int]) -> LinearFormProduct:
+        return LinearFormProduct(
+            tuple(sorted(counts.items(), key=lambda fm: poly_sort_key(fm[0])))
         )
-        return LinearFormProduct(ordered), sign
 
     @staticmethod
     def empty() -> LinearFormProduct:
@@ -617,29 +676,17 @@ class LinearFormProduct:
     def __iter__(self) -> Iterator[tuple[Polynomial, int]]:
         return iter(self.factors)
 
-    def multiplicity(self, factor: Polynomial) -> int:
-        for f, m in self.factors:
-            if f == factor:
-                return m
-        return 0
-
     def degree(self) -> int:
         return sum(m for _, m in self.factors)
 
     def expand(self) -> Polynomial:
-        result = ONE
-        for f, m in self.factors:
-            result = result * f**m
-        return result
+        return prod((f**m for f, m in self.factors), start=ONE)
 
     def lcm(self, other: LinearFormProduct) -> LinearFormProduct:
         counts = dict(self.factors)
         for f, m in other.factors:
             counts[f] = max(counts.get(f, 0), m)
-        ordered = tuple(
-            sorted(counts.items(), key=lambda fm: poly_sort_key(fm[0]))
-        )
-        return LinearFormProduct(ordered)
+        return LinearFormProduct._ordered(counts)
 
     def complement_to(self, lcm: LinearFormProduct) -> Polynomial:
         """Expanded product lcm / self (self must divide lcm factor-wise)."""

@@ -28,8 +28,15 @@ from .poly import (
     sum_fractions,
     var,
 )
-from .pipeline import quadric_family
-from .symfunc import build_roots, chern_to_roots, symmetric_to_chern, total_chern_poly
+from .pipeline import quadric_family, torsor_substitute
+from .symfunc import (
+    build_roots,
+    c_vars,
+    chern_to_roots,
+    l_vars,
+    symmetric_to_chern,
+    total_chern_poly,
+)
 
 
 class PropertyViolation(AssertionError):
@@ -101,7 +108,7 @@ def sum_fractions_permutation_invariance(cases: int = 200, seed: int = 3) -> int
     """The fraction sum does not depend on the order of its inputs, and its
     numerator is homogeneous whenever all inputs are."""
     rng = random.Random(seed)
-    ls = [var(f"l{i}") for i in range(1, 4)]
+    ls = [var(v) for v in l_vars(3)]
     forms = [ls[0] - ls[1], ls[1] - ls[2], ls[0] - ls[2], ls[0] + ls[1], ls[1] + ls[2]]
     nonzero = 0
     for _ in range(cases):
@@ -110,7 +117,7 @@ def sum_fractions_permutation_invariance(cases: int = 200, seed: int = 3) -> int
         for _ in range(rng.randint(2, 4)):
             dens = [rng.choice(forms) for _ in range(rng.randint(0, 2))]
             num = ZERO
-            for m in monomials_of_degree(("l1", "l2", "l3"), total + len(dens)):
+            for m in monomials_of_degree(l_vars(3), total + len(dens)):
                 num = num + Polynomial({m: rng.randint(-4, 4)})
             fractions.append(StructuredFraction.make(num, dens))
         base = sum_fractions(fractions)
@@ -133,7 +140,7 @@ def symmetric_roundtrip(cases: int = 200, seed: int = 4) -> int:
     rng = random.Random(seed)
     for _ in range(cases):
         n = rng.randint(2, 5)
-        q = _random_poly(rng, [f"c{i}" for i in range(1, n + 1)], max_terms=5, max_exp=2)
+        q = _random_poly(rng, c_vars(n), max_terms=5, max_exp=2)
         _check(
             symmetric_to_chern(chern_to_roots(q, n), n) == q, "rewrite round trip fails"
         )
@@ -145,12 +152,8 @@ def symmetric_homomorphism(cases: int = 200, seed: int = 5) -> int:
     rng = random.Random(seed)
     for _ in range(cases):
         n = rng.randint(2, 4)
-        a = chern_to_roots(
-            _random_poly(rng, [f"c{i}" for i in range(1, n + 1)], max_terms=3, max_exp=2), n
-        )
-        b = chern_to_roots(
-            _random_poly(rng, [f"c{i}" for i in range(1, n + 1)], max_terms=3, max_exp=2), n
-        )
+        a = chern_to_roots(_random_poly(rng, c_vars(n), max_terms=3, max_exp=2), n)
+        b = chern_to_roots(_random_poly(rng, c_vars(n), max_terms=3, max_exp=2), n)
         f = lambda p: symmetric_to_chern(p, n)
         _check(f(a + b) == f(a) + f(b), "rewrite is not additive")
         _check(f(a * b) == f(a) * f(b), "rewrite is not multiplicative")
@@ -250,9 +253,10 @@ def simplify_preserves_ideal(cases: int = 60, seed: int = 9) -> int:
     """simplified_generators produces the same graded pieces up to the bound,
     for random homogeneous ideals with n <= 4 and generator degree <= 6."""
     rng = random.Random(seed)
-    for _ in range(cases):
+    done = 0
+    while done < cases:
         n = rng.randint(2, 4)
-        vs = tuple(f"c{i}" for i in range(1, n + 1))
+        vs = c_vars(n)
         gens = []
         for _ in range(rng.randint(1, 4)):
             d = rng.randint(1, 6)
@@ -268,7 +272,8 @@ def simplify_preserves_ideal(cases: int = 60, seed: int = 9) -> int:
         bound = min(8, 2 * ideal.max_generator_degree())
         small = GradedIdeal(vs, ideal.simplified_generators(bound))
         _check(equal_up_to(ideal, small, bound), "simplification changes the ideal")
-    return cases
+        done += 1
+    return done
 
 
 def pr_ideal_membership(cases: int = 200, seed: int = 10) -> int:
@@ -276,28 +281,28 @@ def pr_ideal_membership(cases: int = 200, seed: int = 10) -> int:
     pushforward classes, before and after the torsor substitution; random
     monomial multiples stay inside (n <= 5, k <= 3)."""
     rng = random.Random(seed)
-    c1 = var("c1")
+    relations = {
+        n: symmetric_to_chern(total_chern_poly(build_roots(n, "Sym2(E*)"), "H"), n)
+        for n in range(2, 6)
+    }
     checked = 0
-    for n in range(2, 6):
-        hvars = tuple(f"c{i}" for i in range(1, n + 1)) + ("H",)
-        pr = symmetric_to_chern(total_chern_poly(build_roots(n, "Sym2(E*)"), "H"), n)
+    for n, pr in relations.items():
+        hvars = c_vars(n) + ("H",)
         _check(pr, "bundle relation is zero")
         pushed = GradedIdeal(hvars, [closed_form_pushforward(n, r) for r in range(n)])
         _check(pushed.contains(pr), "bundle relation is outside the pushforward ideal")
         checked += 1
         for k in range(4):
             family = GradedIdeal(hvars[:-1], quadric_family(n, k))
-            image = pr.substitute("H", k * c1)
+            image = torsor_substitute(pr, k)
             _check(family.contains(image), "bundle relation is outside the family")
             checked += 1
     while checked < cases:
         n = rng.randint(2, 4)
         k = rng.randint(0, 3)
-        cvars = tuple(f"c{i}" for i in range(1, n + 1))
+        cvars = c_vars(n)
         family = GradedIdeal(cvars, quadric_family(n, k))
-        pr = symmetric_to_chern(
-            total_chern_poly(build_roots(n, "Sym2(E*)"), "H"), n
-        ).substitute("H", k * c1)
+        pr = torsor_substitute(relations[n], k)
         d = rng.randint(0, 3)
         mons = monomials_of_degree(cvars, d)
         multiplier = Polynomial({rng.choice(mons): rng.randint(1, 5)})

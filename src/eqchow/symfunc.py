@@ -8,7 +8,9 @@ fixed once, here, and everything downstream relies on it.
 ``symmetric_to_chern`` implements the classical leading-term elimination
 against elementary symmetric polynomials; it works over the integers with no
 division and terminates by strict descent in the monomial order.  The symmetry
-precondition is always checked, never assumed.
+precondition is always checked, never assumed.  Variable names, their order
+and the monomial layout follow the conventions stated once in ``eqchow.poly``;
+``l_vars`` and ``c_vars`` name the root and Chern variables.
 """
 
 from __future__ import annotations
@@ -17,16 +19,21 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 
 from .poly import (
     Mono,
     ONE,
     Polynomial,
     ZERO,
-    mono_mul,
+    make_mono,
+    mono_exponents,
+    mono_weight,
     poly_sort_key,
+    split_mono,
     term_key,
     var,
+    var_index,
 )
 
 
@@ -38,23 +45,19 @@ class UnsupportedModule(ValueError):
     """Module descriptor outside the supported list."""
 
 
-def l_vars(n: int) -> list[str]:
-    return [f"l{i}" for i in range(1, n + 1)]
+def l_vars(n: int) -> tuple[str, ...]:
+    """The root variables l1..ln."""
+    return tuple(f"l{i}" for i in range(1, n + 1))
 
 
-def _l_index(name: str) -> int | None:
-    m = re.fullmatch(r"l(\d+)", name)
-    return int(m.group(1)) if m else None
+def c_vars(n: int) -> tuple[str, ...]:
+    """The Chern variables c1..cn."""
+    return tuple(f"c{i}" for i in range(1, n + 1))
 
 
 def infer_rank(p: Polynomial) -> int:
     """Largest l-index occurring in p (0 if none)."""
-    best = 0
-    for v in p.variables():
-        i = _l_index(v)
-        if i is not None and i > best:
-            best = i
-    return best
+    return max((var_index(v, "l") or 0 for v in p.variables()), default=0)
 
 
 # -- representation roots ----------------------------------------------------------
@@ -85,18 +88,13 @@ class RepRoots:
         """Tensor by the k-th power of the determinant character."""
         if k == 0:
             return self
-        det = minus_e1(self.rank) * k
+        det = -elementary_symmetric(self.rank, 1) * k
         roots = tuple(r + det for r in self.roots)
         return RepRoots(self.rank, _sorted_roots(roots), f"det^{k}*{self.label}")
 
 
 def _sorted_roots(roots: tuple[Polynomial, ...]) -> tuple[Polynomial, ...]:
     return tuple(sorted(roots, key=poly_sort_key))
-
-
-def minus_e1(n: int) -> Polynomial:
-    """-(l1+...+ln), the first Chern class of the standard rep in root form."""
-    return Polynomial({((f"l{i}", 1),): -1 for i in range(1, n + 1)})
 
 
 _DESCRIPTOR_RE = re.compile(r"\A(?:det\^(-?\d+)\*)?(E\*?|Sym2\(E\*\)|Wedge2\(E\*\))\Z")
@@ -139,15 +137,15 @@ def is_symmetric(p: Polynomial, n: int | None = None) -> bool:
     group.  Raises ValueError if p involves anything but l-variables.
     """
     for v in p.variables():
-        if _l_index(v) is None:
+        if var_index(v, "l") is None:
             raise ValueError(f"is_symmetric expects only l-variables, found {v}")
     if n is None:
         n = infer_rank(p)
     if n > 0 and infer_rank(p) > n:
         return False
-    for i in range(1, n):
-        swap = {f"l{i}": f"l{i + 1}", f"l{i + 1}": f"l{i}"}
-        if p.rename(swap) != p:
+    ls = l_vars(n)
+    for a, b in zip(ls, ls[1:]):
+        if p.rename({a: b, b: a}) != p:
             return False
     return True
 
@@ -162,11 +160,12 @@ def elementary_symmetric(n: int, i: int) -> Polynomial:
         return ONE
     if i > n:
         return ZERO
-    terms = {}
-    for combo in itertools.combinations(range(1, n + 1), i):
-        mono = tuple((f"l{j}", 1) for j in combo)
-        terms[mono] = 1
-    return Polynomial(terms)
+    return Polynomial(
+        {
+            make_mono((v, 1) for v in combo): 1
+            for combo in itertools.combinations(l_vars(n), i)
+        }
+    )
 
 
 @lru_cache(maxsize=None)
@@ -180,13 +179,6 @@ def _e_product(n: int, powers: tuple[int, ...]) -> Polynomial:
     return ONE
 
 
-def _mono_to_c(powers: tuple[int, ...]) -> tuple[Mono, int]:
-    """Map prod e_i^{k_i} to its Chern monomial with the sign (-1)^{sum i*k_i}."""
-    mono = tuple((f"c{i}", k) for i, k in enumerate(powers, start=1) if k)
-    degree = sum(i * k for i, k in enumerate(powers, start=1))
-    return mono, (-1) ** degree
-
-
 def _eliminate_symmetric(q: Polynomial, n: int) -> Polynomial:
     """Rewrite a symmetric polynomial in l1..ln as a polynomial in c1..cn.
 
@@ -196,6 +188,7 @@ def _eliminate_symmetric(q: Polynomial, n: int) -> Polynomial:
     is broken), ArithmeticError is raised instead of looping.
     """
     out: dict[Mono, int] = {}
+    ls, cs = l_vars(n), c_vars(n)
     previous = None
     while q:
         mono, coeff = q.leading_item()
@@ -203,8 +196,7 @@ def _eliminate_symmetric(q: Polynomial, n: int) -> Polynomial:
         if previous is not None and key >= previous:
             raise ArithmeticError(f"leading term {mono} did not cancel")
         previous = key
-        exps = {v: e for v, e in mono}
-        evec = [exps.get(f"l{j}", 0) for j in range(1, n + 1)]
+        evec = mono_exponents(mono, ls)
         # Leading monomial of a symmetric polynomial has ascending exponents
         # in this order; descending anywhere means the input was asymmetric.
         if any(evec[j] > evec[j + 1] for j in range(n - 1)):
@@ -212,8 +204,9 @@ def _eliminate_symmetric(q: Polynomial, n: int) -> Polynomial:
         powers = tuple(
             evec[n - i] - (evec[n - i - 1] if i < n else 0) for i in range(1, n + 1)
         )
-        cmono, sign = _mono_to_c(powers)
-        out[cmono] = coeff * sign
+        # prod e_i^k_i is (-1)^(sum i*k_i) prod c_i^k_i, the sign of its degree
+        cmono = make_mono(zip(cs, powers))
+        out[cmono] = coeff * (-1) ** mono_weight(cmono)
         q = q - _e_product(n, powers) * coeff
     return Polynomial(out)
 
@@ -224,24 +217,19 @@ def symmetric_to_chern(p: Polynomial, n: int | None = None) -> Polynomial:
     Non-l variables (H, K, ...) pass through: each coefficient with respect to
     them must itself be symmetric.  Raises NotSymmetric otherwise.
     """
+    rank = infer_rank(p)
     if n is None:
-        n = infer_rank(p)
+        n = rank
     if n == 0:
         return p
+    if rank > n:
+        raise NotSymmetric(f"variable l{rank} exceeds rank {n}")
+    ls = frozenset(l_vars(n))
     groups: dict[Mono, dict[Mono, int]] = {}
     for m, c in p.terms.items():
-        lpart = []
-        rest = []
-        for v, e in m:
-            i = _l_index(v)
-            if i is None:
-                rest.append((v, e))
-            elif i > n:
-                raise NotSymmetric(f"variable {v} exceeds rank {n}")
-            else:
-                lpart.append((v, e))
-        groups.setdefault(tuple(rest), {})[tuple(lpart)] = c
-    result: dict[Mono, int] = {}
+        lpart, rest = split_mono(m, ls)
+        groups.setdefault(rest, {})[lpart] = c
+    result = ZERO
     for rest, lterms in groups.items():
         lpoly = Polynomial(lterms)
         if not is_symmetric(lpoly, n):
@@ -249,31 +237,17 @@ def symmetric_to_chern(p: Polynomial, n: int | None = None) -> Polynomial:
                 f"coefficient of {rest or '1'} is not symmetric in l1..l{n}"
             )
         for component in lpoly.homogeneous_components().values():
-            converted = _eliminate_symmetric(component, n)
-            for m, c in converted.terms.items():
-                key = mono_mul(m, rest)
-                s = result.get(key, 0) + c
-                if s:
-                    result[key] = s
-                else:
-                    del result[key]
-    return Polynomial(result)
+            result = result + _eliminate_symmetric(component, n).mono_shift(rest)
+    return result
 
 
 def chern_to_roots(p: Polynomial, n: int) -> Polynomial:
     """Expand c_i as (-1)^i e_i(l1..ln); inverse of symmetric_to_chern."""
-    result = ZERO
-    for m, c in p.terms.items():
-        factor = Polynomial.constant(c)
-        for v, e in m:
-            cm = re.fullmatch(r"c(\d+)", v)
-            if cm:
-                i = int(cm.group(1))
-                factor = factor * (elementary_symmetric(n, i) * (-1) ** i) ** e
-            else:
-                factor = factor * var(v) ** e
-        result = result + factor
-    return result
+    for v in p.variables():
+        i = var_index(v, "c")
+        if i is not None:
+            p = p.substitute(v, elementary_symmetric(n, i) * (-1) ** i)
+    return p
 
 
 # -- total Chern polynomials ---------------------------------------------------------
@@ -285,11 +259,8 @@ def total_chern_poly(roots: RepRoots | tuple[Polynomial, ...], variable: str) ->
         if variable in l_vars(roots.rank):
             raise ValueError(f"{variable} clashes with a root variable")
         roots = roots.roots
-    result = ONE
     x = var(variable)
-    for r in roots:
-        result = result * (x + r)
-    return result
+    return prod((x + r for r in roots), start=ONE)
 
 
 @lru_cache(maxsize=None)
@@ -298,7 +269,4 @@ def e_top(n: int, k: int) -> Polynomial:
     if n < 2 or k < 0:
         raise ValueError("need n >= 2 and k >= 0")
     roots = build_roots(n, f"det^{k}*Wedge2(E*)" if k else "Wedge2(E*)")
-    product = ONE
-    for r in roots.roots:
-        product = product * r
-    return symmetric_to_chern(product, n)
+    return symmetric_to_chern(prod(roots.roots, start=ONE), n)

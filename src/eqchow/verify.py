@@ -25,9 +25,10 @@ from .pipeline import (
     m01,
     orthogonal,
     reduced_quadrics,
+    torsor_substitute,
 )
 from .poly import var
-from .symfunc import build_roots, symmetric_to_chern, total_chern_poly
+from .symfunc import build_roots, c_vars, symmetric_to_chern, total_chern_poly
 
 REPORT_SCHEMA_ID = "eqchow-verify-report/1"
 
@@ -99,7 +100,7 @@ def _orthogonal():
     ok = True
     for n in range(2, 9):
         pres = orthogonal(n, 0)
-        expected = tuple(-2 * var(f"c{i}") for i in range(1, n + 1, 2))
+        expected = tuple(-2 * var(v) for v in c_vars(n)[::2])
         names = ["zero-twist-odd-chern-presentation"]
         if n <= 5:
             names.append("alpha-vs-series-division")
@@ -116,13 +117,12 @@ def _orthogonal():
 
 
 def _alpha_elimination():
-    H, c1 = var("H"), var("c1")
     family = alpha_family(3)
     a1, a2 = family.polys[0], family.polys[1]
-    ok = a2 == H * a1
+    ok = a2 == var("H") * a1
     for k in range(6):
-        ideal = GradedIdeal(("c1", "c2", "c3"), [a1.substitute("H", k * c1)])
-        image = a2.substitute("H", k * c1)
+        ideal = GradedIdeal(c_vars(3), [torsor_substitute(a1, k)])
+        image = torsor_substitute(a2, k)
         if image:
             ok = ok and ideal.contains(image)
     return ok, {"cases": 7}
@@ -132,7 +132,7 @@ def _rank4_twist3_remark():
     """Compare the raw alpha ideal at rank 4, twist 3 with the quoted
     simplified ideal; the verdict is recorded, not gated."""
     c1, c2, c3 = var("c1"), var("c2"), var("c3")
-    vs = ("c1", "c2", "c3", "c4")
+    vs = c_vars(4)
     raw = GradedIdeal(vs, alpha_family(4).substituted(3))
     quoted = GradedIdeal(
         vs,

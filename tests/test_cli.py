@@ -1,8 +1,12 @@
 """Command-line interface: exit codes, formats, determinism, report schema."""
 
+import hashlib
 import json
+from pathlib import Path
 
 from eqchow.cli import run
+
+BENCH_EXPECTED = Path(__file__).resolve().parents[1] / "bench" / "expected.json"
 
 
 def capture(capsys, argv):
@@ -144,3 +148,19 @@ class TestPresentationContent:
             ["orthogonal", "--n", "3", "--k", "1", "--max-degree", "9", "--format", "json"],
         )
         assert json.loads(out)["presentation"]["max_degree"] == 9
+
+
+def test_outputs_match_recorded_digests(capsys):
+    """The benchmark's recorded sha256 of each quick CLI output (neither
+    ``--force`` nor ``quadrics``) still matches, byte for byte."""
+    expected = json.loads(BENCH_EXPECTED.read_text(encoding="utf-8"))
+    quick = {
+        job: digest
+        for job, digest in expected.items()
+        if "--force" not in job.split() and job.split()[0] != "quadrics"
+    }
+    assert len(quick) == 8
+    for job, digest in quick.items():
+        code, out, _ = capture(capsys, job.split())
+        assert code == 0, job
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, job

@@ -14,9 +14,15 @@ from eqchow.poly import (
     ZERO,
     const,
     exact_divide,
+    make_mono,
+    mono_exponents,
     parse_polynomial,
+    split_mono,
     sum_fractions,
     var,
+    var_index,
+    var_key,
+    var_weight,
 )
 
 H, K = var("H"), var("K")
@@ -204,3 +210,54 @@ class TestCanonicalForm:
     def test_big_coefficients_stay_exact(self):
         p = (const(2**64) * c1 + ONE) ** 3
         assert p.coefficient((("c1", 3),)) == 2**192
+
+
+class TestNameTable:
+    # (sort key, weight, LaTeX form) of each name; every monomial order and
+    # rendered output depends on these values
+    PINNED = {
+        "c1": ((0, 1, "c"), 1, "c_{1}"),
+        "c12": ((0, 12, "c"), 12, "c_{12}"),
+        "l9": ((4, 9, "l"), 1, "l_{9}"),
+        "l10": ((4, 10, "l"), 1, "l_{10}"),
+        "H": ((1, 0, "H"), 1, "H"),
+        "K": ((2, 0, "K"), 1, "K"),
+        "xi": ((3, 0, "xi"), 1, "xi"),
+        "t3": ((5, 3, "t"), 1, "t_{3}"),
+        "foo_bar": ((8, 0, "foo_bar"), 1, "foo_bar"),
+        "x1y": ((9, 0, "x1y"), 1, "x1y"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_pinned_key_weight_latex(self, name):
+        key, weight, latex = self.PINNED[name]
+        assert var_key(name) == key
+        assert var_weight(name) == weight
+        assert var(name).to_latex() == latex
+
+    def test_indices_compare_as_integers(self):
+        assert var_key("l9") < var_key("l10")
+        assert var("l10").variables() == ("l10",)
+        assert (var("l10") + var("l9")).variables() == ("l9", "l10")
+
+    def test_var_index_reads_the_stem(self):
+        assert var_index("l10", "l") == 10
+        assert var_index("c3", "c") == 3
+        assert var_index("c3", "l") is None
+        assert var_index("H", "H") is None
+        assert var_index("x1y", "x") is None
+
+
+class TestMonomialHelpers:
+    def test_make_mono_sorts_and_drops_zero_exponents(self):
+        mono = make_mono([("l2", 1), ("H", 0), ("c12", 2), ("c3", 4)])
+        assert mono == (("c3", 4), ("c12", 2), ("l2", 1))
+        assert make_mono([]) == ()
+
+    def test_split_and_exponents_agree_with_the_monomial(self):
+        mono = make_mono([("l1", 2), ("H", 1), ("l3", 1), ("c2", 1)])
+        inside, rest = split_mono(mono, {"l1", "l2", "l3"})
+        assert inside == (("l1", 2), ("l3", 1))
+        assert rest == (("c2", 1), ("H", 1))
+        assert mono_exponents(mono, ("l1", "l2", "l3")) == [2, 0, 1]
+        assert make_mono(inside + rest) == mono
