@@ -15,6 +15,7 @@ here) follow the conventions stated once in ``eqchow.poly``.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .poly import Mono, Polynomial, mono_str, monomials_of_degree, var_key
@@ -34,30 +35,30 @@ def _basis_index(basis: tuple[Mono, ...]) -> dict[Mono, int]:
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(x, y, g) with x*a + y*b = g = gcd(a, b) >= 0."""
     x, nx, y, ny, g, ng = 1, 0, 0, 1, a, b
     while ng:
         q = g // ng
         x, nx = nx, x - q * nx
         y, ny = ny, y - q * ny
         g, ng = ng, g - q * ng
-    return x, y, g
+    return (x, y, g) if g >= 0 else (-x, -y, -g)
 
 
 class IntegerLattice:
     """Sublattice of Z^dim spanned by inserted integer vectors.
 
-    Rows are kept in integer echelon form (one pivot per column, rows ordered
-    by pivot column); ``hnf`` canonicalizes to positive pivots with entries
-    above each pivot reduced into [0, pivot), which is unique for the lattice.
+    Rows are kept in integer echelon form, one positive pivot per column and
+    rows ordered by pivot column; ``hnf`` reduces the entries above each pivot
+    into [0, pivot), which is unique for the lattice.
     """
 
-    __slots__ = ("dim", "rows", "pivot_cols", "_col_to_row", "_hnf")
+    __slots__ = ("dim", "rows", "pivot_cols", "_hnf")
 
     def __init__(self, dim: int):
         self.dim = dim
         self.rows: list[list[int]] = []
         self.pivot_cols: list[int] = []
-        self._col_to_row: dict[int, int] = {}
         self._hnf: tuple[tuple[int, ...], ...] | None = None
 
     @property
@@ -76,17 +77,10 @@ class IntegerLattice:
                 j += 1
             if j >= self.dim:
                 break
-            i = self._col_to_row.get(j)
-            if i is None:
-                where = 0
-                while where < len(self.rows) and self.pivot_cols[where] < j:
-                    where += 1
-                self.rows.insert(where, vec)
-                self.pivot_cols.insert(where, j)
-                for col, row_idx in self._col_to_row.items():
-                    if row_idx >= where:
-                        self._col_to_row[col] = row_idx + 1
-                self._col_to_row[j] = where
+            i = bisect_left(self.pivot_cols, j)
+            if i == len(self.pivot_cols) or self.pivot_cols[i] != j:
+                self.rows.insert(i, vec if vec[j] > 0 else [-u for u in vec])
+                self.pivot_cols.insert(i, j)
                 changed = True
                 break
             row = self.rows[i]
@@ -132,9 +126,6 @@ class IntegerLattice:
     def hnf(self) -> tuple[tuple[int, ...], ...]:
         if self._hnf is None:
             rows = [list(r) for r in self.rows]
-            for i, j in enumerate(self.pivot_cols):
-                if rows[i][j] < 0:
-                    rows[i] = [-u for u in rows[i]]
             for i, j in enumerate(self.pivot_cols):
                 p = rows[i][j]
                 for a in range(i):

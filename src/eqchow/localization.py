@@ -32,6 +32,7 @@ from .symfunc import (
     NotSymmetric,
     RepRoots,
     build_roots,
+    chern_polynomial,
     symmetric_to_chern,
     total_chern_poly,
 )
@@ -115,11 +116,6 @@ def _wedge_total_chern(n: int, hyperplane: str = "H") -> Polynomial:
     return total_chern_poly(build_roots(n, "Wedge2(E*)"), hyperplane)
 
 
-@lru_cache(maxsize=None)
-def _wedge_total_chern_classes(n: int, hyperplane: str = "H") -> Polynomial:
-    return symmetric_to_chern(_wedge_total_chern(n, hyperplane), n)
-
-
 def _localize(n: int, r: int, point_class, factor: Polynomial = ONE) -> Polynomial:
     """The localization sum for the pushforward of K^r: over the source fixed
     points P, point_class(P, points) (-l_P)^r / (tangent weights at P).  The
@@ -182,9 +178,10 @@ def pushforward_via_fixed_point_classes(
 
 @lru_cache(maxsize=None)
 def closed_form_pushforward(n: int, r: int, hyperplane: str = "H") -> Polynomial:
-    """Interpolation shortcut: 2^(n-1-r) * H^r * (Chern image of the pair-sum
-    product), bypassing the localization sum entirely."""
+    """Interpolation shortcut: 2^(n-1-r) * H^r * c_H(Wedge2(E*)), bypassing
+    the localization sum entirely."""
     if n < 2 or not 0 <= r <= n - 1:
         raise ValueError("need n >= 2 and 0 <= r <= n-1")
     x = var(hyperplane)
-    return 2 ** (n - 1 - r) * x**r * _wedge_total_chern_classes(n, hyperplane)
+    pairs = chern_polynomial(build_roots(n, "Wedge2(E*)"), hyperplane)
+    return 2 ** (n - 1 - r) * x**r * pairs

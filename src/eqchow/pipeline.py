@@ -27,7 +27,8 @@ from math import comb
 from .ideal import GradedIdeal, IdealComparison, compare_up_to
 from .localization import closed_form_pushforward, veronese_pushforward
 from .poly import ONE, Polynomial, ZERO, parse_polynomial, var, var_weight
-from .symfunc import build_roots, c_vars, e_top, symmetric_to_chern, total_chern_poly
+from .symfunc import build_roots, c_vars, chern_polynomial, e_top
+from .symfunc import symmetric_to_chern  # noqa: F401, read by bench/test_bench.py
 
 
 class VerificationFailure(Exception):
@@ -139,7 +140,7 @@ def _hyperplane(pres: RingPresentation, logged: str | None = None) -> str:
 def projective_bundle(roots, hyperplane: str = "H") -> RingPresentation:
     """Presentation of the equivariant ring of P(V): the Chern variables plus
     the hyperplane class, modulo the total Chern relation of V."""
-    relation = symmetric_to_chern(total_chern_poly(roots, hyperplane), roots.rank)
+    relation = chern_polynomial(roots, hyperplane)
     variables = _weighted(c_vars(roots.rank) + (hyperplane,))
     return _after(
         None,
@@ -430,29 +431,26 @@ def chern_series_divide(n: int, hyperplane: str = "H") -> tuple[Polynomial, ...]
     return tuple(betas[i] for i in range(1, n + 1))
 
 
-def orthogonal(
-    n: int,
-    k: int,
-    max_degree: int | None = None,
-    cross_check: bool | None = None,
-) -> RingPresentation:
+# Largest rank at which ``orthogonal`` checks alpha against the series division
+SERIES_CROSS_CHECK_MAX_RANK = 5
+
+
+def orthogonal(n: int, k: int, max_degree: int | None = None) -> RingPresentation:
     """Chow ring of the classifying stack of the twisted orthogonal group.
 
-    Relations are the alpha_i evaluated at H = k*c1.  With ``cross_check``
-    (default for n <= 5) the alpha generators are verified to generate the
-    same ideal as the series-division generators before substituting; for
+    Relations are the alpha_i evaluated at H = k*c1.  Up to rank
+    SERIES_CROSS_CHECK_MAX_RANK the alpha generators are verified to generate
+    the same ideal as the series-division generators before substituting; for
     k = 0 the presentation is certified against (2c1, 2c3, 2c5, ...).
     """
     if n < 2 or k < 0:
         raise ValueError("need n >= 2 and k >= 0")
-    if cross_check is None:
-        cross_check = n <= 5
 
     pres = _alpha_relations(None, n, k)
     bound = _degree_bound(pres, "orthogonal", n, max_degree)
     variables = pres.relations.variables
     checks = []
-    if cross_check:
+    if n <= SERIES_CROSS_CHECK_MAX_RANK:
         hvars = variables + ("H",)
         alpha_ideal = GradedIdeal(hvars, alpha_family(n).polys)
         beta_ideal = GradedIdeal(hvars, chern_series_divide(n))

@@ -3,11 +3,13 @@
 This module alone knows how variable names are read and monomials laid out:
 
 * A variable name is a stem with an optional decimal index (``c3``, ``l10``,
-  ``H``, ``xi``).  ``c<i>`` has weight i, every other variable (H, K, xi,
-  l1..ln, t1..tn, ...) weight 1.  The fixed variable order is
-  c1 < c2 < ... < H < K < xi < l1 < l2 < ... < t1 < ... < other names, indices
-  compared as integers.  Each name is parsed once, on first use, into the name
-  table read by ``var_key``, ``var_weight``, ``var_index`` and the LaTeX form.
+  ``H``, ``xi``); an index with a leading zero (``l01``, ``l0``) would tie
+  with another spelling in the order and is rejected.  ``c<i>`` has weight i,
+  every other variable (H, K, xi, l1..ln, t1..tn, ...) weight 1.  The fixed
+  variable order is c1 < c2 < ... < H < K < xi < l1 < l2 < ... < t1 < ...
+  < other names, indices compared as integers.  Each name is parsed once, on
+  first use, into the name table read by ``var_key``, ``var_weight``,
+  ``var_index`` and the LaTeX form.
 * A monomial is a tuple of (variable, exponent) pairs, distinct variables and
   positive exponents, in the variable order: ``make_mono`` builds one,
   ``split_mono`` and ``mono_exponents`` take one apart.  A polynomial maps
@@ -62,6 +64,8 @@ class _NameTable(dict):
             entry = _Var((9, 0, name), 1, name, None, name)
         else:
             stem, digits = m.groups()
+            if digits.startswith("0"):
+                raise ValueError(f"variable index with a leading zero: {name!r}")
             index = int(digits) if digits else None
             entry = _Var(
                 (_STEM_ORDER.get(stem, 8), index or 0, stem),
@@ -195,6 +199,7 @@ class Polynomial:
 
     @staticmethod
     def variable(name: str) -> Polynomial:
+        _VARS[name]  # a name the variable order cannot place raises here
         return Polynomial({((name, 1),): 1})
 
     @staticmethod

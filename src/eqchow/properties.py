@@ -32,10 +32,10 @@ from .pipeline import quadric_family, torsor_substitute
 from .symfunc import (
     build_roots,
     c_vars,
+    chern_polynomial,
     chern_to_roots,
     l_vars,
     symmetric_to_chern,
-    total_chern_poly,
 )
 
 
@@ -282,7 +282,7 @@ def pr_ideal_membership(cases: int = 200, seed: int = 10) -> int:
     monomial multiples stay inside (n <= 5, k <= 3)."""
     rng = random.Random(seed)
     relations = {
-        n: symmetric_to_chern(total_chern_poly(build_roots(n, "Sym2(E*)"), "H"), n)
+        n: chern_polynomial(build_roots(n, "Sym2(E*)"), "H")
         for n in range(2, 6)
     }
     checked = 0

@@ -8,9 +8,12 @@ fixed once, here, and everything downstream relies on it.
 ``symmetric_to_chern`` implements the classical leading-term elimination
 against elementary symmetric polynomials; it works over the integers with no
 division and terminates by strict descent in the monomial order.  The symmetry
-precondition is always checked, never assumed.  Variable names, their order
-and the monomial layout follow the conventions stated once in ``eqchow.poly``;
-``l_vars`` and ``c_vars`` name the root and Chern variables.
+precondition is always checked, never assumed, by the elimination itself.
+``chern_polynomial`` is the one place that expands prod (x + m) over a
+module's roots m and rewrites it into c1..cn.  A det^k twist shifts every root
+by k*c1 (c1 = -e1), so ``e_top`` is c_x(Wedge2(E*)) at x = k*c1.  Variable
+names and the monomial layout follow the conventions stated once in
+``eqchow.poly``; ``l_vars`` and ``c_vars`` name the root and Chern variables.
 """
 
 from __future__ import annotations
@@ -197,8 +200,9 @@ def _eliminate_symmetric(q: Polynomial, n: int) -> Polynomial:
             raise ArithmeticError(f"leading term {mono} did not cancel")
         previous = key
         evec = mono_exponents(mono, ls)
-        # Leading monomial of a symmetric polynomial has ascending exponents
-        # in this order; descending anywhere means the input was asymmetric.
+        # Leading monomial of a symmetric polynomial has ascending exponents in
+        # this order.  An asymmetric input stays nonzero while its leading
+        # monomial descends, so it meets a non-ascending one: a complete check.
         if any(evec[j] > evec[j + 1] for j in range(n - 1)):
             raise NotSymmetric(f"not symmetric in l1..l{n}: leading term {mono}")
         powers = tuple(
@@ -231,12 +235,7 @@ def symmetric_to_chern(p: Polynomial, n: int | None = None) -> Polynomial:
         groups.setdefault(rest, {})[lpart] = c
     result = ZERO
     for rest, lterms in groups.items():
-        lpoly = Polynomial(lterms)
-        if not is_symmetric(lpoly, n):
-            raise NotSymmetric(
-                f"coefficient of {rest or '1'} is not symmetric in l1..l{n}"
-            )
-        for component in lpoly.homogeneous_components().values():
+        for component in Polynomial(lterms).homogeneous_components().values():
             result = result + _eliminate_symmetric(component, n).mono_shift(rest)
     return result
 
@@ -264,9 +263,15 @@ def total_chern_poly(roots: RepRoots | tuple[Polynomial, ...], variable: str) ->
 
 
 @lru_cache(maxsize=None)
+def chern_polynomial(roots: RepRoots, variable: str) -> Polynomial:
+    """c_variable(V) = prod over the roots m of (variable + m), in c1..cn."""
+    return symmetric_to_chern(total_chern_poly(roots, variable), roots.rank)
+
+
+@lru_cache(maxsize=None)
 def e_top(n: int, k: int) -> Polynomial:
-    """Top Chern class of det^k (x) Wedge2(E*), as a polynomial in c1..cn."""
+    """Top Chern class of det^k (x) Wedge2(E*): c_H(Wedge2(E*)) at H = k*c1."""
     if n < 2 or k < 0:
         raise ValueError("need n >= 2 and k >= 0")
-    roots = build_roots(n, f"det^{k}*Wedge2(E*)" if k else "Wedge2(E*)")
-    return symmetric_to_chern(prod(roots.roots, start=ONE), n)
+    pairs = chern_polynomial(build_roots(n, "Wedge2(E*)"), "H")
+    return pairs.substitute("H", k * var("c1"))

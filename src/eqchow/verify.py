@@ -20,6 +20,7 @@ from .ideal import GradedIdeal, compare_up_to, equal_up_to
 from .localization import veronese_pushforward
 from .pipeline import (
     M01_RELATIONS,
+    SERIES_CROSS_CHECK_MAX_RANK,
     VerificationFailure,
     alpha_family,
     m01,
@@ -28,7 +29,7 @@ from .pipeline import (
     torsor_substitute,
 )
 from .poly import var
-from .symfunc import build_roots, c_vars, symmetric_to_chern, total_chern_poly
+from .symfunc import build_roots, c_vars, chern_polynomial
 
 REPORT_SCHEMA_ID = "eqchow-verify-report/1"
 
@@ -74,7 +75,7 @@ def _pushforward_displays():
 
 def _factorization():
     H, c1, c2, c3 = var("H"), var("c1"), var("c2"), var("c3")
-    image = symmetric_to_chern(total_chern_poly(build_roots(3, "Sym2(E*)"), "H"), 3)
+    image = chern_polynomial(build_roots(3, "Sym2(E*)"), "H")
     first = H**3 - 2 * c1 * H**2 + 4 * c2 * H - 8 * c3
     return bool(image) and image == first * _rhat(), {}
 
@@ -102,7 +103,7 @@ def _orthogonal():
         pres = orthogonal(n, 0)
         expected = tuple(-2 * var(v) for v in c_vars(n)[::2])
         names = ["zero-twist-odd-chern-presentation"]
-        if n <= 5:
+        if n <= SERIES_CROSS_CHECK_MAX_RANK:
             names.append("alpha-vs-series-division")
         ok = ok and pres.relations.generators == expected and _verified(pres, *names)
     pres = orthogonal(4, 1)

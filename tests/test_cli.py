@@ -151,15 +151,13 @@ class TestPresentationContent:
 
 
 def test_outputs_match_recorded_digests(capsys):
-    """The benchmark's recorded sha256 of each quick CLI output (neither
-    ``--force`` nor ``quadrics``) still matches, byte for byte."""
+    """The benchmark's recorded sha256 of each CLI output without ``--force``
+    still matches, byte for byte."""
     expected = json.loads(BENCH_EXPECTED.read_text(encoding="utf-8"))
     quick = {
-        job: digest
-        for job, digest in expected.items()
-        if "--force" not in job.split() and job.split()[0] != "quadrics"
+        job: digest for job, digest in expected.items() if "--force" not in job.split()
     }
-    assert len(quick) == 8
+    assert len(quick) == 12
     for job, digest in quick.items():
         code, out, _ = capture(capsys, job.split())
         assert code == 0, job

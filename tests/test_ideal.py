@@ -244,6 +244,18 @@ class TestLatticeInvariants:
         lat.insert([0, 0, 1])
         assert lat.hnf() == ((2, 4, 0), (0, 6, 0), (0, 0, 1))
 
+    def test_pivots_stay_positive(self):
+        # the extended gcd of 6 and -4 is -2; the rewritten row is negated
+        lat = IntegerLattice(2)
+        lat.insert([6, 0])
+        lat.insert([-4, 1])
+        assert lat.rows == [[2, -2], [0, 3]]
+        assert lat.reduce([1, 0]) == [1, 0]
+        assert lat.reduce([-5, 7]) == [1, 1]
+        lat = IntegerLattice(2)
+        lat.insert([-3, 5])
+        assert lat.rows == [[3, -5]]
+
     def test_generator_shuffle_preserves_pieces(self):
         rng = random.Random(43)
         gens = THEOREM_IDEAL + [c1 * c2 * c3, 6 * c2**2]

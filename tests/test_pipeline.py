@@ -291,6 +291,12 @@ class TestOrthogonal:
         names = [c["name"] for c in pres.verification]
         assert "alpha-vs-series-division" in names
 
+    def test_cross_check_stops_above_its_rank(self):
+        top = pipeline.SERIES_CROSS_CHECK_MAX_RANK
+        for n, expected in ((top, True), (top + 1, False)):
+            names = [c["name"] for c in orthogonal(n, 0).verification]
+            assert ("alpha-vs-series-division" in names) == expected
+
     def test_replay(self):
         for n, k in ((3, 0), (4, 1), (2, 1)):
             pres = orthogonal(n, k)

@@ -240,6 +240,15 @@ class TestNameTable:
         assert var("l10").variables() == ("l10",)
         assert (var("l10") + var("l9")).variables() == ("l9", "l10")
 
+    @pytest.mark.parametrize("name", ["l01", "l0", "c0", "t007"])
+    def test_index_with_leading_zero_rejected(self, name):
+        # l01 would tie with l1 (and l0 with l), so one monomial would have
+        # two tuples: l01*l1 != l1*l01
+        with pytest.raises(ValueError, match="leading zero"):
+            var(name)
+        with pytest.raises(ValueError, match="leading zero"):
+            parse_polynomial(f"{name}*l1")
+
     def test_var_index_reads_the_stem(self):
         assert var_index("l10", "l") == 10
         assert var_index("c3", "c") == 3

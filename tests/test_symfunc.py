@@ -141,6 +141,17 @@ class TestSymmetricToChern:
         with pytest.raises(NotSymmetric):
             symmetric_to_chern(l1 + 2 * l2, 2)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_incomplete_orbit_is_not_symmetric(self, n):
+        # a symmetric polynomial plus one monomial without the rest of its
+        # S_n-orbit, alone and as the coefficient of a power of H
+        sym = chern_to_roots(c1 * c2 + 3 * var(f"c{n}"), n)
+        for extra in (l1**2 * var(f"l{n}"), var(f"l{n}") ** 3, l1 * l2**2):
+            for shift in (ONE, H, H**2):
+                assert symmetric_to_chern(sym * shift, n)
+                with pytest.raises(NotSymmetric):
+                    symmetric_to_chern((sym + extra) * shift, n)
+
     def test_mixed_variable_grouping(self):
         p = (H + l1 + l2) * (K + l1 * l2)
         image = symmetric_to_chern(p, 2)
@@ -220,13 +231,14 @@ class TestETop:
     def test_rank2_single_root(self):
         assert e_top(2, 0) == -c1
 
-    def test_agrees_with_substitution_route(self):
+    def test_agrees_with_twisted_product(self):
+        # e_top substitutes H = k*c1 into c_H(Wedge2(E*)); the second route
+        # rewrites the product of the twisted roots directly
         for n in (2, 3, 4):
             for k in (0, 1, 2, 3):
-                pairs = symmetric_to_chern(
-                    total_chern_poly(build_roots(n, "Wedge2(E*)"), "H"), n
-                )
-                assert e_top(n, k) == pairs.substitute("H", k * var("c1"))
+                roots = build_roots(n, f"det^{k}*Wedge2(E*)").roots
+                direct = symmetric_to_chern(_prod(roots), n)
+                assert e_top(n, k) == direct
 
     def test_numeric_oracle(self):
         rng = random.Random(24)
