@@ -11,8 +11,8 @@ Subcommands::
 Each takes ``--format text|json|latex`` (default from EQCHOW_FORMAT, else
 text), ``--max-degree`` to override the certification horizon (at least the
 presentation's maximal generator degree), and ``--out`` to write to a file
-instead of stdout.  Exit codes: 0 success, 1 usage error, 2 a verification
-check failed (the report is still emitted).
+instead of stdout.  Exit codes: 0 success, 1 usage error or an unwritable
+``--out`` path, 2 a verification check failed (the report is still emitted).
 
 Identical invocations produce byte-identical output, except for the timing
 fields of verify-all reports.
@@ -104,14 +104,6 @@ def _latex_document(body: str) -> str:
             "",
         ]
     )
-
-
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _render_presentation(pres, command: str, params: dict, fmt: str) -> str:
@@ -211,26 +203,19 @@ def run(argv=None) -> int:
         sys.stderr.write(f"eqchow: error: unknown format {fmt!r} from {ENV_FORMAT}\n")
         return 1
 
+    code = 0
     try:
         if args.command == "m01":
             pres = m01(max_degree=args.max_degree)
-            _emit(_render_presentation(pres, "m01", {}, fmt), args.out)
+            text = _render_presentation(pres, "m01", {}, fmt)
         elif args.command == "quadrics":
             pres = reduced_quadrics(args.n, args.k, max_degree=args.max_degree)
-            _emit(
-                _render_presentation(
-                    pres, "quadrics", {"n": args.n, "k": args.k}, fmt
-                ),
-                args.out,
-            )
+            params = {"n": args.n, "k": args.k}
+            text = _render_presentation(pres, "quadrics", params, fmt)
         elif args.command == "orthogonal":
             pres = orthogonal(args.n, args.k, max_degree=args.max_degree)
-            _emit(
-                _render_presentation(
-                    pres, "orthogonal", {"n": args.n, "k": args.k}, fmt
-                ),
-                args.out,
-            )
+            params = {"n": args.n, "k": args.k}
+            text = _render_presentation(pres, "orthogonal", params, fmt)
         elif args.command == "pushforward":
             poly = veronese_pushforward(args.n, args.r)
             if poly != closed_form_pushforward(args.n, args.r):
@@ -238,22 +223,26 @@ def run(argv=None) -> int:
                     "localization and interpolation disagree",
                     {"n": args.n, "r": args.r},
                 )
-            _emit(
-                _render_polynomial(
-                    poly, "pushforward", {"n": args.n, "r": args.r}, fmt
-                ),
-                args.out,
-            )
+            params = {"n": args.n, "r": args.r}
+            text = _render_polynomial(poly, "pushforward", params, fmt)
         else:  # verify-all
             report = run_verify_all()
-            _emit(_render_report(report, fmt), args.out)
-            return 0 if report["all_passed"] else 2
+            text = _render_report(report, fmt)
+            code = 0 if report["all_passed"] else 2
     except DegreeBoundTooLow as exc:
         return _usage_error(f"--max-degree: {exc}")
     except VerificationFailure as exc:
-        _emit(_render_failure(exc, fmt), args.out)
-        return 2
-    return 0
+        text, code = _render_failure(exc, fmt), 2
+    if not args.out:
+        sys.stdout.write(text)
+        return code
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        sys.stderr.write(f"eqchow: error: cannot write {args.out}: {exc.strerror}\n")
+        return 1
+    return code
 
 
 def main() -> None:

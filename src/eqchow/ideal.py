@@ -238,7 +238,7 @@ class GradedIdeal:
         index = _basis_index(monomials_of_degree(self.variables, degree))
         return self.lattice(degree).contains(self._vector(p, index))
 
-    def simplified_generators(self, max_degree: int | None = None) -> tuple[Polynomial, ...]:
+    def simplified_generators(self, max_degree: int) -> tuple[Polynomial, ...]:
         """Small generating set reproducing every graded piece up to the bound.
 
         Walks degrees upward; in each degree keeps only the HNF basis vectors
@@ -246,8 +246,6 @@ class GradedIdeal:
         lattice of the previously kept ones.  Ties inside a degree follow the
         canonical basis order.
         """
-        if max_degree is None:
-            max_degree = 2 * self.max_generator_degree()
         self.require_degree_bound(max_degree)
         kept: list[Polynomial] = []
         for d in range(max_degree + 1):

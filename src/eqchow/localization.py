@@ -11,7 +11,8 @@ never an assumption.
 
 The sum is evaluated in the l-variable ring and converted to Chern classes only
 after the denominators clear; the intermediate sum is not expressible in the
-c-variables, symmetry only emerges after summation.
+c-variables, symmetry only emerges after summation.  Every class here is a
+polynomial in H (``symfunc.HYPERPLANE``), the one hyperplane variable.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .poly import (
     var,
 )
 from .symfunc import (
+    HYPERPLANE,
     NotSymmetric,
     RepRoots,
     build_roots,
@@ -76,13 +78,13 @@ def fixed_points(roots: RepRoots) -> list[FixedPoint]:
     return points
 
 
-def fundamental_class(roots: RepRoots, index: int, hyperplane: str = "H") -> Polynomial:
+def fundamental_class(roots: RepRoots, index: int) -> Polynomial:
     """Equivariant class of the fixed point as a complete intersection of the
     coordinate hyperplanes: prod over the other roots m of (H + m)."""
     rs = _distinct_roots(roots)
     if not 0 <= index < len(rs):
         raise IndexError(f"fixed point index {index} out of range")
-    x = var(hyperplane)
+    x = var(HYPERPLANE)
     return prod((x + m for i, m in enumerate(rs) if i != index), start=ONE)
 
 
@@ -111,9 +113,9 @@ def veronese_correspondence(n: int) -> VeroneseCorrespondence:
 
 
 @lru_cache(maxsize=None)
-def _wedge_total_chern(n: int, hyperplane: str = "H") -> Polynomial:
+def _wedge_total_chern(n: int) -> Polynomial:
     """prod over pairs i<j of (H + l_i + l_j), in l-variables."""
-    return total_chern_poly(build_roots(n, "Wedge2(E*)"), hyperplane)
+    return total_chern_poly(build_roots(n, "Wedge2(E*)"))
 
 
 def _localize(n: int, r: int, point_class, factor: Polynomial = ONE) -> Polynomial:
@@ -138,7 +140,7 @@ def _localize(n: int, r: int, point_class, factor: Polynomial = ONE) -> Polynomi
 
 
 @lru_cache(maxsize=None)
-def veronese_pushforward(n: int, r: int, hyperplane: str = "H") -> Polynomial:
+def veronese_pushforward(n: int, r: int) -> Polynomial:
     """Pushforward of K^r to P(Sym2 E*), by explicit localization.
 
     Sums over the source fixed points P_j the class restriction (-l_j)^r times
@@ -150,18 +152,16 @@ def veronese_pushforward(n: int, r: int, hyperplane: str = "H") -> Polynomial:
     """
     if n < 2 or not 0 <= r <= n - 1:
         raise ValueError("need n >= 2 and 0 <= r <= n-1")
-    x = var(hyperplane)
+    x = var(HYPERPLANE)
 
     def point_class(p, points):
         return prod((x + 2 * q.root for q in points if q.index != p.index), start=ONE)
 
-    return _localize(n, r, point_class, _wedge_total_chern(n, hyperplane))
+    return _localize(n, r, point_class, _wedge_total_chern(n))
 
 
 @lru_cache(maxsize=None)
-def pushforward_via_fixed_point_classes(
-    n: int, r: int, hyperplane: str = "H"
-) -> Polynomial:
+def pushforward_via_fixed_point_classes(n: int, r: int) -> Polynomial:
     """Unfactored localization sum, using the target fixed-point classes as
     plain fundamental_class products.  Quadratically more expensive than
     ``veronese_pushforward``; used as an independent cross-check at small n.
@@ -171,17 +171,16 @@ def pushforward_via_fixed_point_classes(
     corr = veronese_correspondence(n)
 
     def point_class(p, points):
-        return fundamental_class(corr.target, corr.point_map[p.index], hyperplane)
+        return fundamental_class(corr.target, corr.point_map[p.index])
 
     return _localize(n, r, point_class)
 
 
 @lru_cache(maxsize=None)
-def closed_form_pushforward(n: int, r: int, hyperplane: str = "H") -> Polynomial:
+def closed_form_pushforward(n: int, r: int) -> Polynomial:
     """Interpolation shortcut: 2^(n-1-r) * H^r * c_H(Wedge2(E*)), bypassing
     the localization sum entirely."""
     if n < 2 or not 0 <= r <= n - 1:
         raise ValueError("need n >= 2 and 0 <= r <= n-1")
-    x = var(hyperplane)
-    pairs = chern_polynomial(build_roots(n, "Wedge2(E*)"), hyperplane)
-    return 2 ** (n - 1 - r) * x**r * pairs
+    pairs = chern_polynomial(build_roots(n, "Wedge2(E*)"))
+    return 2 ** (n - 1 - r) * var(HYPERPLANE) ** r * pairs

@@ -10,12 +10,15 @@ Three assemblies over the lower layers:
                          via the closed-form alpha generators and,
                          independently, a total-Chern-series division.
 
+The hyperplane class is always H (``symfunc.HYPERPLANE``), the one hyperplane
+variable; the bundle, excision and torsor steps log it as ``"hyperplane": "H"``.
 Every pipeline records a replayable provenance log (step name + parameters).
 ``STEPS`` maps each step name to the one function that performs it, for the
 pipelines and for ``replay_provenance``, which rebuilds the presentation
-bit-exactly.  Every pipeline runs its verification checks as it goes.  A failed
-check raises VerificationFailure carrying the full per-degree lattice report;
-mismatches are data, not crashes.
+bit-exactly and checks each step against its own log entry.  Every pipeline
+runs its verification checks as it goes.  A failed check raises
+VerificationFailure carrying the full per-degree lattice report; mismatches
+are data, not crashes.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from math import comb
 from .ideal import GradedIdeal, IdealComparison, compare_up_to
 from .localization import closed_form_pushforward, veronese_pushforward
 from .poly import ONE, Polynomial, ZERO, parse_polynomial, var, var_weight
-from .symfunc import build_roots, c_vars, chern_polynomial, e_top
+from .symfunc import HYPERPLANE, build_roots, c_vars, chern_polynomial, e_top
 from .symfunc import symmetric_to_chern  # noqa: F401, read by bench/test_bench.py
 
 
@@ -52,7 +55,6 @@ class RingPresentation:
     variables: tuple[tuple[str, int], ...]
     relations: GradedIdeal
     provenance: tuple[dict, ...]
-    hyperplane: str | None = None
     max_degree: int | None = None
     verification: tuple[dict, ...] = ()
     simplified: tuple[Polynomial, ...] | None = None
@@ -89,9 +91,9 @@ def _weighted(names) -> tuple[tuple[str, int], ...]:
     return tuple((v, var_weight(v)) for v in names)
 
 
-def torsor_substitute(p: Polynomial, k: int, hyperplane: str = "H") -> Polynomial:
+def torsor_substitute(p: Polynomial, k: int) -> Polynomial:
     """The torsor substitution H -> k*c1."""
-    return p.substitute(hyperplane, k * var("c1"))
+    return p.substitute(HYPERPLANE, k * var("c1"))
 
 
 def _require(name: str, cmp: IdealComparison) -> dict:
@@ -118,59 +120,51 @@ def _require(name: str, cmp: IdealComparison) -> dict:
 
 def _after(pres, step: str, params: dict, relations: GradedIdeal, **fields):
     """The presentation after one step: new relations, the step appended to
-    the provenance log, variables and hyperplane carried over unless given."""
+    the provenance log, variables carried over unless given."""
     provenance = ({"step": step, **params},)
     if pres is not None:
         provenance = pres.provenance + provenance
-        fields = {"variables": pres.variables, "hyperplane": pres.hyperplane, **fields}
+        fields = {"variables": pres.variables, **fields}
     return RingPresentation(relations=relations, provenance=provenance, **fields)
 
 
-def _hyperplane(pres: RingPresentation, logged: str | None = None) -> str:
-    """The presentation's hyperplane variable; a logged name must match it."""
-    if pres.hyperplane is None:
-        raise ValueError("presentation has no hyperplane variable")
-    if logged not in (None, pres.hyperplane):
-        raise ValueError(
-            f"step logged hyperplane {logged!r}, presentation has {pres.hyperplane!r}"
-        )
-    return pres.hyperplane
+def _require_hyperplane(pres: RingPresentation) -> None:
+    if HYPERPLANE not in pres.relations.variables:
+        raise ValueError(f"presentation has no hyperplane variable {HYPERPLANE}")
 
 
-def projective_bundle(roots, hyperplane: str = "H") -> RingPresentation:
+def projective_bundle(roots) -> RingPresentation:
     """Presentation of the equivariant ring of P(V): the Chern variables plus
-    the hyperplane class, modulo the total Chern relation of V."""
-    relation = chern_polynomial(roots, hyperplane)
-    variables = _weighted(c_vars(roots.rank) + (hyperplane,))
+    the hyperplane class H, modulo the total Chern relation of V."""
+    variables = _weighted(c_vars(roots.rank) + (HYPERPLANE,))
     return _after(
         None,
         "projective_bundle",
-        {"module": roots.label, "rank": roots.rank, "hyperplane": hyperplane},
-        GradedIdeal([v for v, _ in variables], [relation]),
+        {"module": roots.label, "rank": roots.rank, "hyperplane": HYPERPLANE},
+        GradedIdeal([v for v, _ in variables], [chern_polynomial(roots)]),
         variables=variables,
-        hyperplane=hyperplane,
     )
 
 
-def _projective_bundle_step(pres, module: str, rank: int, hyperplane: str):
+def _projective_bundle_step(pres, module: str, rank: int):
     """``projective_bundle`` from its logged parameters (a log's first step)."""
-    return projective_bundle(build_roots(rank, module), hyperplane)
+    return projective_bundle(build_roots(rank, module))
 
 
 def excise_veronese(
-    pres: RingPresentation, n: int, method: str = "localization"
+    pres: RingPresentation, rank: int, method: str = "localization"
 ) -> RingPresentation:
-    """Append the pushforwards of 1, K, ..., K^(n-1) along the squaring
+    """Append the pushforwards of 1, K, ..., K^(rank-1) along the squaring
     embedding as new relations (excision of the rank-one locus)."""
     if method not in ("localization", "closed_form"):
         raise ValueError(f"unknown excision method {method!r}")
-    h = _hyperplane(pres)
+    _require_hyperplane(pres)
     push = veronese_pushforward if method == "localization" else closed_form_pushforward
-    extra = [push(n, r, h) for r in range(n)]
+    extra = [push(rank, r) for r in range(rank)]
     return _after(
         pres,
         "excise_veronese",
-        {"rank": n, "method": method, "hyperplane": h},
+        {"rank": rank, "method": method, "hyperplane": HYPERPLANE},
         GradedIdeal(pres.relations.variables, list(pres.relations.generators) + extra),
     )
 
@@ -178,29 +172,16 @@ def excise_veronese(
 def torsor_quotient(pres: RingPresentation, k: int) -> RingPresentation:
     """Pass to the multiplicative-group torsor: substitute H -> k*c1 in every
     relation, drop relations that become zero, and remove H from the ring."""
-    h = _hyperplane(pres)
-    new_rels = [torsor_substitute(g, k, h) for g in pres.relations.generators]
-    variables = tuple((v, w) for v, w in pres.variables if v != h)
+    _require_hyperplane(pres)
+    new_rels = [torsor_substitute(g, k) for g in pres.relations.generators]
+    variables = tuple((v, w) for v, w in pres.variables if v != HYPERPLANE)
     return _after(
         pres,
         "torsor_quotient",
-        {"k": k, "hyperplane": h},
+        {"k": k, "hyperplane": HYPERPLANE},
         GradedIdeal([v for v, _ in variables], new_rels),
         variables=variables,
-        hyperplane=None,
     )
-
-
-def _excise_veronese_step(pres, rank: int, method: str, hyperplane: str):
-    """``excise_veronese`` from its logged parameters."""
-    _hyperplane(pres, hyperplane)
-    return excise_veronese(pres, rank, method)
-
-
-def _torsor_quotient_step(pres, k: int, hyperplane: str):
-    """``torsor_quotient`` from its logged parameters."""
-    _hyperplane(pres, hyperplane)
-    return torsor_quotient(pres, k)
 
 
 def _drop_redundant_bundle_relation(
@@ -301,7 +282,7 @@ def m01(max_degree: int | None = None) -> RingPresentation:
     Runs the honest localization pipeline at rank 3 and twist 1, simplifies,
     and certifies the result against the ideal (4c3, 2c1c3, c1^2 c3).
     """
-    pres = projective_bundle(build_roots(3, "Sym2(E*)"), "H")
+    pres = projective_bundle(build_roots(3, "Sym2(E*)"))
     pres = excise_veronese(pres, 3, method="localization")
     pres = torsor_quotient(pres, 1)
     bound = _degree_bound(pres, "m01", 3, max_degree)
@@ -338,7 +319,7 @@ def reduced_quadrics(
     """
     if n < 2 or k < 0:
         raise ValueError("need n >= 2 and k >= 0")
-    pres = projective_bundle(build_roots(n, "Sym2(E*)"), "H")
+    pres = projective_bundle(build_roots(n, "Sym2(E*)"))
     bundle_image = torsor_substitute(pres.relations.generators[0], k)
     pres = excise_veronese(pres, n, method="closed_form")
     pres = torsor_quotient(pres, k)
@@ -386,12 +367,12 @@ def _chern_classes(n: int) -> list[Polynomial]:
 
 
 @lru_cache(maxsize=None)
-def alpha_family(n: int, hyperplane: str = "H") -> AlphaFamily:
+def alpha_family(n: int) -> AlphaFamily:
     """alpha_i(H) = sum_{j<i} binom(n-j, i-j) (-1)^j c_j H^(i-j), minus 2c_i
     for odd i (c_0 = 1)."""
     if n < 2:
         raise ValueError("need n >= 2")
-    H = var(hyperplane)
+    H = var(HYPERPLANE)
     cs = _chern_classes(n)
     polys = []
     for i in range(1, n + 1):
@@ -404,7 +385,7 @@ def alpha_family(n: int, hyperplane: str = "H") -> AlphaFamily:
     return AlphaFamily(n, tuple(polys))
 
 
-def chern_series_divide(n: int, hyperplane: str = "H") -> tuple[Polynomial, ...]:
+def chern_series_divide(n: int) -> tuple[Polynomial, ...]:
     """First n graded components of the formal series P/R, where P is the
     total Chern class of the twisted dual bundle and R that of the standard
     bundle (c_0 = 1).
@@ -414,7 +395,7 @@ def chern_series_divide(n: int, hyperplane: str = "H") -> tuple[Polynomial, ...]
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    H = var(hyperplane)
+    H = var(HYPERPLANE)
     cs = _chern_classes(n)
     P = ZERO
     for j in range(n + 1):
@@ -451,7 +432,7 @@ def orthogonal(n: int, k: int, max_degree: int | None = None) -> RingPresentatio
     variables = pres.relations.variables
     checks = []
     if n <= SERIES_CROSS_CHECK_MAX_RANK:
-        hvars = variables + ("H",)
+        hvars = variables + (HYPERPLANE,)
         alpha_ideal = GradedIdeal(hvars, alpha_family(n).polys)
         beta_ideal = GradedIdeal(hvars, chern_series_divide(n))
         checks.append(
@@ -475,8 +456,8 @@ def orthogonal(n: int, k: int, max_degree: int | None = None) -> RingPresentatio
 
 STEPS = {
     "projective_bundle": _projective_bundle_step,
-    "excise_veronese": _excise_veronese_step,
-    "torsor_quotient": _torsor_quotient_step,
+    "excise_veronese": excise_veronese,
+    "torsor_quotient": torsor_quotient,
     "drop_redundant_bundle_relation": _drop_redundant_bundle_relation,
     "simplify_generators": _simplify_generators,
     "alpha_relations": _alpha_relations,
@@ -487,17 +468,24 @@ def replay_provenance(steps) -> RingPresentation:
     """Rebuild a presentation from its provenance log by running each logged
     step again, the redundancy containment check included.
 
-    Only construction steps participate; verification summaries are not part
-    of provenance.  The result's relations are bit-exact equal to the original
-    presentation's.
+    The logged hyperplane is not a parameter: each step must log exactly the
+    entry it was replayed from, so a missing or foreign hyperplane is
+    rejected.  Only construction steps participate; verification summaries
+    are not part of provenance.  The result's relations are bit-exact equal
+    to the original presentation's.
     """
     pres: RingPresentation | None = None
     for step in steps:
         params = dict(step)
         name = params.pop("step")
+        params.pop("hyperplane", None)
         if name not in STEPS:
             raise ValueError(f"unknown provenance step {name!r}")
         pres = STEPS[name](pres, **params)
+        if pres.provenance[-1] != step:
+            raise ValueError(
+                f"step {name!r} logs {pres.provenance[-1]}, not its entry {step}"
+            )
     if pres is None:
         raise ValueError("empty provenance log")
     return pres

@@ -9,11 +9,13 @@ fixed once, here, and everything downstream relies on it.
 against elementary symmetric polynomials; it works over the integers with no
 division and terminates by strict descent in the monomial order.  The symmetry
 precondition is always checked, never assumed, by the elimination itself.
-``chern_polynomial`` is the one place that expands prod (x + m) over a
+``chern_polynomial`` is the one place that expands prod (H + m) over a
 module's roots m and rewrites it into c1..cn.  A det^k twist shifts every root
-by k*c1 (c1 = -e1), so ``e_top`` is c_x(Wedge2(E*)) at x = k*c1.  Variable
+by k*c1 (c1 = -e1), so ``e_top`` is c_H(Wedge2(E*)) at H = k*c1.  Variable
 names and the monomial layout follow the conventions stated once in
-``eqchow.poly``; ``l_vars`` and ``c_vars`` name the root and Chern variables.
+``eqchow.poly``; ``l_vars`` and ``c_vars`` name the root and Chern variables,
+and ``HYPERPLANE`` is H, the one hyperplane variable: the hyperplane class of
+every projective bundle the package builds.
 """
 
 from __future__ import annotations
@@ -56,6 +58,10 @@ def l_vars(n: int) -> tuple[str, ...]:
 def c_vars(n: int) -> tuple[str, ...]:
     """The Chern variables c1..cn."""
     return tuple(f"c{i}" for i in range(1, n + 1))
+
+
+# The hyperplane class H of P(V), the variable of every total Chern polynomial
+HYPERPLANE = "H"
 
 
 def infer_rank(p: Polynomial) -> int:
@@ -144,7 +150,7 @@ def is_symmetric(p: Polynomial, n: int | None = None) -> bool:
             raise ValueError(f"is_symmetric expects only l-variables, found {v}")
     if n is None:
         n = infer_rank(p)
-    if n > 0 and infer_rank(p) > n:
+    if infer_rank(p) > n:
         return False
     ls = l_vars(n)
     for a, b in zip(ls, ls[1:]):
@@ -224,10 +230,10 @@ def symmetric_to_chern(p: Polynomial, n: int | None = None) -> Polynomial:
     rank = infer_rank(p)
     if n is None:
         n = rank
-    if n == 0:
-        return p
     if rank > n:
         raise NotSymmetric(f"variable l{rank} exceeds rank {n}")
+    if n == 0:
+        return p
     ls = frozenset(l_vars(n))
     groups: dict[Mono, dict[Mono, int]] = {}
     for m, c in p.terms.items():
@@ -252,20 +258,16 @@ def chern_to_roots(p: Polynomial, n: int) -> Polynomial:
 # -- total Chern polynomials ---------------------------------------------------------
 
 
-def total_chern_poly(roots: RepRoots | tuple[Polynomial, ...], variable: str) -> Polynomial:
-    """prod over the roots m of (variable + m), expanded in l-variables."""
-    if isinstance(roots, RepRoots):
-        if variable in l_vars(roots.rank):
-            raise ValueError(f"{variable} clashes with a root variable")
-        roots = roots.roots
-    x = var(variable)
-    return prod((x + r for r in roots), start=ONE)
+def total_chern_poly(roots: RepRoots) -> Polynomial:
+    """prod over the roots m of (H + m), expanded in l-variables."""
+    x = var(HYPERPLANE)
+    return prod((x + r for r in roots.roots), start=ONE)
 
 
 @lru_cache(maxsize=None)
-def chern_polynomial(roots: RepRoots, variable: str) -> Polynomial:
-    """c_variable(V) = prod over the roots m of (variable + m), in c1..cn."""
-    return symmetric_to_chern(total_chern_poly(roots, variable), roots.rank)
+def chern_polynomial(roots: RepRoots) -> Polynomial:
+    """c_H(V) = prod over the roots m of (H + m), in c1..cn."""
+    return symmetric_to_chern(total_chern_poly(roots), roots.rank)
 
 
 @lru_cache(maxsize=None)
@@ -273,5 +275,5 @@ def e_top(n: int, k: int) -> Polynomial:
     """Top Chern class of det^k (x) Wedge2(E*): c_H(Wedge2(E*)) at H = k*c1."""
     if n < 2 or k < 0:
         raise ValueError("need n >= 2 and k >= 0")
-    pairs = chern_polynomial(build_roots(n, "Wedge2(E*)"), "H")
-    return pairs.substitute("H", k * var("c1"))
+    pairs = chern_polynomial(build_roots(n, "Wedge2(E*)"))
+    return pairs.substitute(HYPERPLANE, k * var("c1"))

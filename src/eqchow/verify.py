@@ -29,7 +29,7 @@ from .pipeline import (
     torsor_substitute,
 )
 from .poly import var
-from .symfunc import build_roots, c_vars, chern_polynomial
+from .symfunc import HYPERPLANE, build_roots, c_vars, chern_polynomial
 
 REPORT_SCHEMA_ID = "eqchow-verify-report/1"
 
@@ -50,7 +50,7 @@ class Claim:
 
 def _rhat():
     """The second cubic factor of the rank-3 bundle relation."""
-    H, c1, c2, c3 = var("H"), var("c1"), var("c2"), var("c3")
+    H, c1, c2, c3 = var(HYPERPLANE), var("c1"), var("c2"), var("c3")
     return H**3 - 2 * c1 * H**2 + (c1**2 + c2) * H + (c3 - c1 * c2)
 
 
@@ -67,21 +67,21 @@ def _m01_theorem():
 
 
 def _pushforward_displays():
-    H, rhat = var("H"), _rhat()
+    H, rhat = var(HYPERPLANE), _rhat()
     expected = [4 * rhat, 2 * H * rhat, H**2 * rhat]
     ok = all(veronese_pushforward(3, r) == expected[r] for r in range(3))
     return ok, {"cases": len(expected)}
 
 
 def _factorization():
-    H, c1, c2, c3 = var("H"), var("c1"), var("c2"), var("c3")
-    image = chern_polynomial(build_roots(3, "Sym2(E*)"), "H")
+    H, c1, c2, c3 = var(HYPERPLANE), var("c1"), var("c2"), var("c3")
+    image = chern_polynomial(build_roots(3, "Sym2(E*)"))
     first = H**3 - 2 * c1 * H**2 + 4 * c2 * H - 8 * c3
     return bool(image) and image == first * _rhat(), {}
 
 
 def _oracle():
-    return True, {"cases": properties.oracle_equivalence(6)}
+    return True, {"cases": properties.oracle_equivalence()}
 
 
 def _quadrics():
@@ -120,7 +120,7 @@ def _orthogonal():
 def _alpha_elimination():
     family = alpha_family(3)
     a1, a2 = family.polys[0], family.polys[1]
-    ok = a2 == var("H") * a1
+    ok = a2 == var(HYPERPLANE) * a1
     for k in range(6):
         ideal = GradedIdeal(c_vars(3), [torsor_substitute(a1, k)])
         image = torsor_substitute(a2, k)

@@ -48,6 +48,13 @@ class TestExitCodes:
         code, out, _ = capture(capsys, ["orthogonal", "--n", "7", "--k", "0", "--force"])
         assert code == 0
 
+    def test_unwritable_out_is_an_error(self, capsys, tmp_path):
+        for path in (tmp_path / "missing" / "x", tmp_path):
+            code, out, err = capture(capsys, ["m01", "--out", str(path)])
+            assert code == 1 and out == ""
+            assert err.startswith(f"eqchow: error: cannot write {path}: ")
+            assert err.count("\n") == 1
+
     def test_unknown_command(self, capsys):
         code, _, _ = capture(capsys, ["frobnicate"])
         assert code == 1

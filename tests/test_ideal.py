@@ -120,7 +120,7 @@ class TestContains:
         hvars = CV3 + ("H",)
         pushed = GradedIdeal(hvars, [veronese_pushforward(3, r) for r in range(3)])
         bundle = symmetric_to_chern(
-            total_chern_poly(build_roots(3, "Sym2(E*)"), "H"), 3
+            total_chern_poly(build_roots(3, "Sym2(E*)")), 3
         )
         assert pushed.contains(bundle)
 

@@ -58,7 +58,7 @@ class TestFundamentalClass:
     def test_sym2_rank3_doubled_root_point(self):
         roots = build_roots(3, "Sym2(E*)")
         j = roots.roots.index(2 * l1)
-        cls = fundamental_class(roots, j, "H")
+        cls = fundamental_class(roots, j)
         expected = (
             (H + 2 * l2)
             * (H + 2 * l3)
@@ -71,14 +71,14 @@ class TestFundamentalClass:
     def test_rank2_line(self):
         roots = build_roots(2, "E*")
         j = roots.roots.index(var("l1"))
-        assert fundamental_class(roots, j, "K") == var("K") + var("l2")
+        assert fundamental_class(roots, j) == H + var("l2")
 
     def test_restriction_gives_tangent_product(self):
         # substituting the point's restriction recovers the tangent weights
         for desc in ("E*", "Sym2(E*)", "Wedge2(E*)"):
             roots = build_roots(3, desc)
             for p in fixed_points(roots):
-                cls = fundamental_class(roots, p.index, "H")
+                cls = fundamental_class(roots, p.index)
                 value = cls.substitute("H", p.hyperplane_restriction)
                 expected = ONE
                 for w in p.tangent_weights:
@@ -91,9 +91,9 @@ class TestFundamentalClass:
 
         for n in range(2, 7):
             corr = veronese_correspondence(n)
-            pairs = _wedge_total_chern(n, "H")
+            pairs = _wedge_total_chern(n)
             for j, tj in enumerate(corr.point_map):
-                cls = fundamental_class(corr.target, tj, "H")
+                cls = fundamental_class(corr.target, tj)
                 partial = ONE
                 for i, r in enumerate(corr.source.roots):
                     if i != j:

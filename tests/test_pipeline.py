@@ -23,44 +23,44 @@ from eqchow.pipeline import (
 from eqchow.poly import ONE, ZERO, var
 from eqchow.symfunc import build_roots, e_top
 
-H, K = var("H"), var("K")
+H = var("H")
 c1, c2, c3 = var("c1"), var("c2"), var("c3")
 
 
 class TestProjectiveBundle:
     def test_sym2_rank3(self):
-        pres = projective_bundle(build_roots(3, "Sym2(E*)"), "H")
+        pres = projective_bundle(build_roots(3, "Sym2(E*)"))
         assert [v for v, _ in pres.variables] == ["c1", "c2", "c3", "H"]
         lhs = H**3 - 2 * c1 * H**2 + 4 * c2 * H - 8 * c3
         rhs = H**3 - 2 * c1 * H**2 + (c1**2 + c2) * H + (c3 - c1 * c2)
         assert pres.relations.generators == (lhs * rhs,)
 
     def test_dual_standard_rank3(self):
-        pres = projective_bundle(build_roots(3, "E*"), "K")
-        assert pres.relations.generators == (K**3 - c1 * K**2 + c2 * K - c3,)
+        pres = projective_bundle(build_roots(3, "E*"))
+        assert pres.relations.generators == (H**3 - c1 * H**2 + c2 * H - c3,)
 
     def test_dual_standard_rank2(self):
-        pres = projective_bundle(build_roots(2, "E*"), "K")
-        assert pres.relations.generators == (K**2 - c1 * K + c2,)
+        pres = projective_bundle(build_roots(2, "E*"))
+        assert pres.relations.generators == (H**2 - c1 * H + c2,)
 
 
 class TestExciseAndQuotient:
     def test_rank2_appended_classes(self):
-        pres = projective_bundle(build_roots(2, "Sym2(E*)"), "H")
+        pres = projective_bundle(build_roots(2, "Sym2(E*)"))
         pres = excise_veronese(pres, 2, method="localization")
         gens = pres.relations.generators
         assert gens[1] == 2 * (H - c1)
         assert gens[2] == H * (H - c1)
 
     def test_excision_idempotent_on_graded_pieces(self):
-        pres = projective_bundle(build_roots(2, "Sym2(E*)"), "H")
+        pres = projective_bundle(build_roots(2, "Sym2(E*)"))
         once = excise_veronese(pres, 2, method="closed_form")
         twice = excise_veronese(once, 2, method="closed_form")
         for d in range(8):
             assert once.relations.graded_piece(d).hnf == twice.relations.graded_piece(d).hnf
 
     def test_torsor_relations_rank3_twist1(self):
-        pres = projective_bundle(build_roots(3, "Sym2(E*)"), "H")
+        pres = projective_bundle(build_roots(3, "Sym2(E*)"))
         pres = excise_veronese(pres, 3, method="localization")
         pres = torsor_quotient(pres, 1)
         gens = set(pres.relations.generators)
@@ -68,7 +68,7 @@ class TestExciseAndQuotient:
         assert [v for v, _ in pres.variables] == ["c1", "c2", "c3"]
 
     def test_zero_twist_takes_constant_terms(self):
-        pres = projective_bundle(build_roots(2, "Sym2(E*)"), "H")
+        pres = projective_bundle(build_roots(2, "Sym2(E*)"))
         pres = excise_veronese(pres, 2, method="closed_form")
         pres = torsor_quotient(pres, 0)
         assert -2 * c1 in pres.relations.generators
@@ -76,10 +76,10 @@ class TestExciseAndQuotient:
     def test_methods_agree(self):
         for n in (2, 3, 4):
             a = excise_veronese(
-                projective_bundle(build_roots(n, "Sym2(E*)"), "H"), n, "localization"
+                projective_bundle(build_roots(n, "Sym2(E*)")), n, "localization"
             )
             b = excise_veronese(
-                projective_bundle(build_roots(n, "Sym2(E*)"), "H"), n, "closed_form"
+                projective_bundle(build_roots(n, "Sym2(E*)")), n, "closed_form"
             )
             assert a.relations.generators == b.relations.generators
 
@@ -116,6 +116,37 @@ class TestM01:
         pres = m01()
         piece = pres.relations.graded_piece(3)
         assert piece.hnf == ((0, 0, 4),)
+
+
+class TestReplayValidation:
+    """Replay re-runs each logged step and requires the entry it logs to equal
+    the one it was replayed from."""
+
+    def test_hyperplane_logged_on_the_three_bundle_steps(self):
+        logged = {s["step"]: s.get("hyperplane") for s in m01().provenance}
+        assert logged == {
+            "projective_bundle": "H",
+            "excise_veronese": "H",
+            "torsor_quotient": "H",
+            "simplify_generators": None,
+        }
+
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    @pytest.mark.parametrize("hyperplane", ["K", None])
+    def test_foreign_or_missing_hyperplane_rejected(self, index, hyperplane):
+        log = [dict(s) for s in m01().provenance]
+        if hyperplane is None:
+            del log[index]["hyperplane"]
+        else:
+            log[index]["hyperplane"] = hyperplane
+        with pytest.raises(ValueError, match=log[index]["step"]):
+            replay_provenance(log)
+
+    def test_excision_after_torsor_quotient_rejected(self):
+        log = list(m01().provenance)
+        log[1], log[2] = log[2], log[1]
+        with pytest.raises(ValueError, match="no hyperplane variable"):
+            replay_provenance(log)
 
 
 class TestReducedQuadrics:
@@ -173,6 +204,15 @@ class TestReducedQuadrics:
             reduced_quadrics(1, 0)
         with pytest.raises(ValueError):
             reduced_quadrics(3, -1)
+
+    def test_one_cache_entry_per_pushforward(self):
+        # the pipeline and a direct caller share one entry per (n, r)
+        push = pipeline.closed_form_pushforward
+        push.cache_clear()
+        reduced_quadrics(4, 1)
+        for r in range(4):
+            push(4, r)
+        assert push.cache_info().currsize == 4
 
 
 class TestAlphaFamily:

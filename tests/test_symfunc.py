@@ -8,6 +8,7 @@ import pytest
 from eqchow.poly import ONE, ZERO, var
 from eqchow.symfunc import (
     NotSymmetric,
+    RepRoots,
     UnsupportedModule,
     build_roots,
     chern_to_roots,
@@ -97,7 +98,7 @@ class TestIsSymmetric:
         assert not is_symmetric(l1, 3)
 
     def test_pair_product_coefficients(self):
-        p = total_chern_poly(build_roots(3, "Wedge2(E*)"), "H")
+        p = total_chern_poly(build_roots(3, "Wedge2(E*)"))
         for component in p.homogeneous_components().values():
             for rest, group in _h_groups(component).items():
                 assert is_symmetric(group, 3)
@@ -105,6 +106,14 @@ class TestIsSymmetric:
     def test_rejects_non_l_variables(self):
         with pytest.raises(ValueError):
             is_symmetric(c1, 3)
+
+    def test_rank_zero_admits_only_constants(self):
+        # rank 0 has no l-variables, so an input that has one is not symmetric
+        assert not is_symmetric(l1 * l2**2, 0)
+        assert is_symmetric(ONE * 5, 0)
+        with pytest.raises(NotSymmetric):
+            symmetric_to_chern(l1, 0)
+        assert symmetric_to_chern(H + 3, 0) == H + 3
 
 
 def _h_groups(p):
@@ -193,18 +202,18 @@ class TestSymmetricToChern:
 
 class TestTotalChernPoly:
     def test_dual_standard_rank3(self):
-        p = total_chern_poly(build_roots(3, "E*"), "K")
-        assert symmetric_to_chern(p, 3) == K**3 - c1 * K**2 + c2 * K - c3
+        p = total_chern_poly(build_roots(3, "E*"))
+        assert symmetric_to_chern(p, 3) == H**3 - c1 * H**2 + c2 * H - c3
 
     def test_rank2_quadratic(self):
-        p = total_chern_poly(build_roots(2, "E*"), "K")
-        assert symmetric_to_chern(p, 2) == K**2 - var("c1") * K + var("c2")
+        p = total_chern_poly(build_roots(2, "E*"))
+        assert symmetric_to_chern(p, 2) == H**2 - var("c1") * H + var("c2")
 
     def test_empty_product(self):
-        assert total_chern_poly((), "H") == ONE
+        assert total_chern_poly(RepRoots(2, (), "0")) == ONE
 
     def test_sym2_factorization_rank3(self):
-        image = symmetric_to_chern(total_chern_poly(build_roots(3, "Sym2(E*)"), "H"), 3)
+        image = symmetric_to_chern(total_chern_poly(build_roots(3, "Sym2(E*)")), 3)
         lhs = H**3 - 2 * c1 * H**2 + 4 * c2 * H - 8 * c3
         rhs = H**3 - 2 * c1 * H**2 + (c1**2 + c2) * H + (c3 - c1 * c2)
         assert image == lhs * rhs
@@ -212,16 +221,12 @@ class TestTotalChernPoly:
     def test_sym2_splits_as_doubled_times_pairs(self):
         # the splitting of the quadric bundle relation used throughout
         for n in range(2, 7):
-            sym2 = total_chern_poly(build_roots(n, "Sym2(E*)"), "H")
+            sym2 = total_chern_poly(build_roots(n, "Sym2(E*)"))
             doubled = ONE
             for i in range(1, n + 1):
                 doubled = doubled * (H + 2 * var(f"l{i}"))
-            pairs = total_chern_poly(build_roots(n, "Wedge2(E*)"), "H")
+            pairs = total_chern_poly(build_roots(n, "Wedge2(E*)"))
             assert sym2 == doubled * pairs
-
-    def test_variable_clash_rejected(self):
-        with pytest.raises(ValueError):
-            total_chern_poly(build_roots(3, "E*"), "l1")
 
 
 class TestETop:

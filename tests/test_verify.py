@@ -57,6 +57,66 @@ sys.argv = ["eqchow", "verify-all", "--format", "json"]
 runpy.run_module("eqchow.cli", run_name="__main__")
 """
 
+# Two broken kernels below the multiplication, each checked under ``python -O``
+# by running only the claims that must notice it: a whole verify-all would
+# also run rows that still pass, the oracle's included.  The broken insert
+# drops a vector whenever merging it would need the extended gcd; the broken
+# division drops the smallest term of every quotient with two or more terms.
+KERNEL_SABOTAGES = {
+    "insert-drops-gcd-merges": (
+        """
+class Dropped(Exception):
+    pass
+
+def xgcd(a, b):
+    raise Dropped
+
+insert = ideal.IntegerLattice.insert
+
+def wrong_insert(self, vec):
+    try:
+        return insert(self, vec)
+    except Dropped:  # raised before any row changed
+        return False
+
+ideal._xgcd = xgcd
+ideal.IntegerLattice.insert = wrong_insert
+""",
+        [
+            "m01-theorem-presentation",
+            "quadrics-presentations",
+            "orthogonal-presentations",
+            "property-hnf-idempotence-order-invariance",
+            "property-contains-vs-bruteforce",
+            "property-simplify-preserves-ideal",
+            "property-bundle-relation-membership",
+        ],
+    ),
+    "divide-drops-smallest-term": (
+        """
+divide = poly._try_exact_divide
+
+def wrong_divide(p, q):
+    r = divide(p, q)
+    if r is None or len(r.terms) < 2:
+        return r
+    last = min(r.terms, key=poly.term_key)
+    return poly.Polynomial({m: c for m, c in r.terms.items() if m != last})
+
+poly._try_exact_divide = wrong_divide
+""",
+        ["property-exact-divide-roundtrip"],
+    ),
+}
+SABOTAGED_CLAIMS = """
+import json, sys
+from eqchow import ideal, poly
+from eqchow.verify import CLAIMS, run_claim
+{patch}
+names = sys.argv[1:]
+print(json.dumps({{c.name: run_claim(c)["status"] for c in CLAIMS if c.name in names}}))
+"""
+
 
 def _schema():
     return json.loads(
@@ -153,3 +213,19 @@ def test_sabotaged_kernel_fails_under_optimize(sabotage):
         must_fail, "fail"
     )
     assert not report["all_passed"]
+
+
+@pytest.mark.parametrize("sabotage", sorted(KERNEL_SABOTAGES))
+def test_sabotaged_lattice_or_division_fails_its_claims(sabotage):
+    patch, must_fail = KERNEL_SABOTAGES[sabotage]
+    src = os.path.dirname(os.path.dirname(eqchow.__file__))
+    script = SABOTAGED_CLAIMS.format(patch=patch)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, *must_fail],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == dict.fromkeys(must_fail, "fail")
