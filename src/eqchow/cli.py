@@ -12,7 +12,8 @@ Each takes ``--format text|json|latex`` (default from EQCHOW_FORMAT, else
 text), ``--max-degree`` to override the certification horizon (at least the
 presentation's maximal generator degree), and ``--out`` to write to a file
 instead of stdout.  Exit codes: 0 success, 1 usage error or an unwritable
-``--out`` path, 2 a verification check failed (the report is still emitted).
+``--out`` path (checked before computing), 2 a verification check failed (the
+report is still emitted).
 
 Identical invocations produce byte-identical output, except for the timing
 fields of verify-all reports.
@@ -21,6 +22,7 @@ fields of verify-all reports.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -188,6 +190,28 @@ def _usage_error(message: str) -> int:
     return 1
 
 
+def _cannot_write(path: str, reason: str) -> int:
+    sys.stderr.write(f"eqchow: error: cannot write {path}: {reason}\n")
+    return 1
+
+
+def _unwritable(path: str) -> str | None:
+    """Why ``path`` cannot be written, found without creating it, or None.
+    Checked before any computation, so a long run cannot end unwritten."""
+    parent = os.path.dirname(path) or os.curdir
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.exists(parent):
+        code = errno.ENOENT
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return None
+    return os.strerror(code)
+
+
 def run(argv=None) -> int:
     parser = build_parser()
     try:
@@ -202,6 +226,9 @@ def run(argv=None) -> int:
     if fmt not in FORMATS:
         sys.stderr.write(f"eqchow: error: unknown format {fmt!r} from {ENV_FORMAT}\n")
         return 1
+    reason = args.out and _unwritable(args.out)
+    if reason:
+        return _cannot_write(args.out, reason)
 
     code = 0
     try:
@@ -240,8 +267,7 @@ def run(argv=None) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        sys.stderr.write(f"eqchow: error: cannot write {args.out}: {exc.strerror}\n")
-        return 1
+        return _cannot_write(args.out, exc.strerror)
     return code
 
 

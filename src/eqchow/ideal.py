@@ -8,9 +8,13 @@ canonicalized to the (unique) Hermite normal form, so equality of graded
 pieces is equality of HNF matrices and membership is an exact integer
 triangular solve.
 
-Ideal equality is certified up to a stated degree bound; the bound is part of
-every report.  Monomials, their order and ``monomials_of_degree`` (re-exported
-here) follow the conventions stated once in ``eqchow.poly``.
+Ideal equality is certified by generator containment: two homogeneous ideals
+have the same graded pieces up to D exactly when each side's generators of
+degree <= D lie in the other ideal, so only the generator degrees need
+lattices.  The per-degree HNF comparison (``compare_pieces``) is the second,
+independent route; it locates and documents every mismatch.  The bound D is
+part of every report.  Monomials, their order and ``monomials_of_degree``
+(re-exported here) follow the conventions stated once in ``eqchow.poly``.
 """
 
 from __future__ import annotations
@@ -27,6 +31,10 @@ class NotHomogeneous(ValueError):
 
 class DegreeBoundTooLow(ValueError):
     """A degree bound is below the maximal generator degree of the ideal."""
+
+
+class RoutesDisagree(RuntimeError):
+    """Generator containment and the per-degree HNF comparison disagree."""
 
 
 def _basis_index(basis: tuple[Mono, ...]) -> dict[Mono, int]:
@@ -244,11 +252,13 @@ class GradedIdeal:
         Walks degrees upward; in each degree keeps only the HNF basis vectors
         not already generated by the output so far, each reduced modulo the
         lattice of the previously kept ones.  Ties inside a degree follow the
-        canonical basis order.
+        canonical basis order.  The walk stops at the maximal generator
+        degree: by then the kept set reproduces the piece of every generator,
+        so it generates the whole ideal and no higher degree keeps anything.
         """
         self.require_degree_bound(max_degree)
         kept: list[Polynomial] = []
-        for d in range(max_degree + 1):
+        for d in range(min(max_degree, self.max_generator_degree()) + 1):
             piece = self.graded_piece(d)
             if not piece.hnf:
                 continue
@@ -269,7 +279,13 @@ class GradedIdeal:
 
 @dataclass
 class IdealComparison:
-    """Per-degree equality report between two ideals up to a degree bound."""
+    """Equality report between two ideals up to a degree bound.
+
+    ``per_degree`` is empty when the ideals are equal (certified by generator
+    containment); otherwise it holds one entry per degree up to the bound,
+    and each mismatching entry carries the monomial basis and both HNF
+    matrices as the audit trail.
+    """
 
     equal: bool
     max_degree: int
@@ -285,9 +301,45 @@ class IdealComparison:
         }
 
 
+def _generated_within(lhs: GradedIdeal, rhs: GradedIdeal, max_degree: int) -> bool:
+    """Whether every generator of ``lhs`` of degree <= max_degree lies in rhs."""
+    return all(
+        rhs.contains(g)
+        for g in lhs.generators
+        if g.weighted_degree() <= max_degree
+    )
+
+
 def compare_up_to(lhs: GradedIdeal, rhs: GradedIdeal, max_degree: int) -> IdealComparison:
-    """Compare graded pieces degree by degree; mismatching degrees carry the
-    two HNF matrices and the monomial basis as the audit trail."""
+    """Compare two ideals' graded pieces up to ``max_degree``.
+
+    Equality is certified by mutual generator containment, which builds
+    lattices only in the generator degrees.  When containment fails,
+    ``compare_pieces`` walks every degree to find the first mismatch and the
+    HNF audit trail; if that walk finds every piece equal, the two routes
+    disagree and RoutesDisagree is raised rather than a report returned.
+    """
+    if lhs.variables != rhs.variables:
+        raise ValueError("ideals live in different ambient rings")
+    if _generated_within(lhs, rhs, max_degree) and _generated_within(
+        rhs, lhs, max_degree
+    ):
+        return IdealComparison(
+            equal=True, max_degree=max_degree, first_mismatch=None, per_degree=[]
+        )
+    cmp = compare_pieces(lhs, rhs, max_degree)
+    if cmp.equal:
+        raise RoutesDisagree(
+            f"a generator lies outside the other ideal, yet every graded piece "
+            f"up to degree {max_degree} is equal"
+        )
+    return cmp
+
+
+def compare_pieces(lhs: GradedIdeal, rhs: GradedIdeal, max_degree: int) -> IdealComparison:
+    """Compare graded pieces degree by degree by their HNF matrices;
+    mismatching degrees carry the two HNF matrices and the monomial basis as
+    the audit trail."""
     if lhs.variables != rhs.variables:
         raise ValueError("ideals live in different ambient rings")
     per_degree: list[dict] = []

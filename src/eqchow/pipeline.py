@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from inspect import signature
 from math import comb
 
 from .ideal import GradedIdeal, IdealComparison, compare_up_to
@@ -462,25 +463,36 @@ STEPS = {
     "simplify_generators": _simplify_generators,
     "alpha_relations": _alpha_relations,
 }
+# The steps that start a log; every other step transforms the one before it.
+FIRST_STEPS = frozenset({"projective_bundle", "alpha_relations"})
 
 
 def replay_provenance(steps) -> RingPresentation:
     """Rebuild a presentation from its provenance log by running each logged
     step again, the redundancy containment check included.
 
-    The logged hyperplane is not a parameter: each step must log exactly the
-    entry it was replayed from, so a missing or foreign hyperplane is
-    rejected.  Only construction steps participate; verification summaries
-    are not part of provenance.  The result's relations are bit-exact equal
-    to the original presentation's.
+    The log must open with one of ``FIRST_STEPS`` and contain no other; each
+    entry names a known step and exactly that step's parameters.  The logged
+    hyperplane is not a parameter: each step must log exactly the entry it
+    was replayed from, so a missing or foreign hyperplane is rejected.  Any
+    malformed log raises ValueError.  Only construction steps participate;
+    verification summaries are not part of provenance.  The result's
+    relations are bit-exact equal to the original presentation's.
     """
     pres: RingPresentation | None = None
     for step in steps:
         params = dict(step)
-        name = params.pop("step")
+        name = params.pop("step", None)
         params.pop("hyperplane", None)
         if name not in STEPS:
-            raise ValueError(f"unknown provenance step {name!r}")
+            raise ValueError(f"unknown provenance step {name!r} in {step}")
+        if (pres is None) != (name in FIRST_STEPS):
+            where = "start" if pres is None else "follow another step"
+            raise ValueError(f"step {name!r} cannot {where} a provenance log")
+        try:
+            signature(STEPS[name]).bind(pres, **params)
+        except TypeError as exc:
+            raise ValueError(f"step {name!r} has wrong parameters: {exc}") from None
         pres = STEPS[name](pres, **params)
         if pres.provenance[-1] != step:
             raise ValueError(

@@ -12,7 +12,13 @@ from __future__ import annotations
 import itertools
 import random
 
-from .ideal import GradedIdeal, IntegerLattice, equal_up_to, monomials_of_degree
+from .ideal import (
+    GradedIdeal,
+    IntegerLattice,
+    compare_pieces,
+    compare_up_to,
+    monomials_of_degree,
+)
 from .localization import (
     closed_form_pushforward,
     fixed_points,
@@ -252,9 +258,13 @@ def contains_vs_bruteforce() -> int:
 
 def simplify_preserves_ideal() -> int:
     """simplified_generators produces the same graded pieces up to the bound,
-    for random homogeneous ideals with n <= 4 and generator degree <= 6."""
+    for random homogeneous ideals with n <= 4 and generator degree <= 6, by
+    both routes: generator containment (``compare_up_to``) and the per-degree
+    HNF walk (``compare_pieces``).  Each ideal is also compared with itself
+    with its first generator doubled; both routes must agree on that pair,
+    and some such pair must differ, so neither route passes vacuously."""
     rng, cases = random.Random(9), 60
-    done = 0
+    done = unequal = 0
     while done < cases:
         n = rng.randint(2, 4)
         vs = c_vars(n)
@@ -272,8 +282,23 @@ def simplify_preserves_ideal() -> int:
         ideal = GradedIdeal(vs, gens)
         bound = min(8, 2 * ideal.max_generator_degree())
         small = GradedIdeal(vs, ideal.simplified_generators(bound))
-        _check(equal_up_to(ideal, small, bound), "simplification changes the ideal")
+        _check(
+            compare_up_to(ideal, small, bound).equal,
+            "simplification changes the ideal",
+        )
+        _check(
+            compare_pieces(ideal, small, bound).equal,
+            "simplification changes a graded piece",
+        )
+        doubled = GradedIdeal(vs, [2 * gens[0]] + gens[1:])
+        verdict = compare_up_to(ideal, doubled, bound).equal
+        _check(
+            verdict == compare_pieces(ideal, doubled, bound).equal,
+            "containment and the per-degree walk disagree",
+        )
+        unequal += not verdict
         done += 1
+    _check(unequal, "every ideal equals its perturbation")
     return done
 
 

@@ -55,6 +55,24 @@ class TestExitCodes:
             assert err.startswith(f"eqchow: error: cannot write {path}: ")
             assert err.count("\n") == 1
 
+    def test_out_checked_before_computing(self, capsys, tmp_path, monkeypatch):
+        import eqchow.cli as cli
+
+        def boom():
+            raise AssertionError("verify-all ran before --out was checked")
+
+        monkeypatch.setattr(cli, "run_verify_all", boom)
+        path = tmp_path / "missing" / "x"
+        code, out, err = capture(capsys, ["verify-all", "--out", str(path)])
+        assert code == 1 and out == ""
+        assert err == f"eqchow: error: cannot write {path}: No such file or directory\n"
+
+    def test_usage_error_creates_no_file(self, capsys, tmp_path):
+        path = tmp_path / "x"
+        argv = ["quadrics", "--n", "4", "--k", "1", "--max-degree", "8"]
+        code, _, _ = capture(capsys, argv + ["--out", str(path)])
+        assert code == 1 and not path.exists()
+
     def test_unknown_command(self, capsys):
         code, _, _ = capture(capsys, ["frobnicate"])
         assert code == 1

@@ -1,17 +1,21 @@
 """Graded pieces, lattice membership, ideal comparison, and generator
 simplification."""
 
+import hashlib
 import itertools
 import json
 import random
 
 import pytest
 
+from eqchow.cli import run
 from eqchow.ideal import (
     DegreeBoundTooLow,
     GradedIdeal,
     IntegerLattice,
     NotHomogeneous,
+    RoutesDisagree,
+    compare_pieces,
     compare_up_to,
     equal_up_to,
     monomials_of_degree,
@@ -163,6 +167,82 @@ class TestEqualUpTo:
             equal_up_to(GradedIdeal(CV3, []), GradedIdeal(("c1",), []), 2)
 
 
+def _random_gens(rng, vs, count):
+    gens = []
+    for _ in range(count):
+        p = ZERO
+        for m in monomials_of_degree(vs, rng.randint(1, 5)):
+            if rng.random() < 0.5:
+                p = p + Polynomial({m: rng.randint(-6, 6)})
+        if p:
+            gens.append(p)
+    return gens
+
+
+def _added_members(rng, vs, gens):
+    """The generators plus integer combinations of monomial multiples of
+    them, shuffled: the same ideal with a different generating set."""
+    out = list(gens)
+    top = max(g.weighted_degree() for g in gens)
+    for _ in range(rng.randint(1, 3)):
+        d = top + rng.randint(0, 2)
+        member = ZERO
+        for g in gens:
+            shifts = monomials_of_degree(vs, d - g.weighted_degree())
+            member = member + rng.randint(-3, 3) * g.mono_shift(rng.choice(shifts))
+        if member:
+            out.append(member)
+    rng.shuffle(out)
+    return out
+
+
+class TestContainmentVsPieces:
+    """``compare_up_to`` certifies equality by generator containment; the
+    per-degree HNF walk ``compare_pieces`` is the independent second route."""
+
+    def test_routes_agree_on_random_pairs(self):
+        rng = random.Random(45)
+        verdicts = []
+        for _ in range(80):
+            vs = tuple(f"c{i}" for i in range(1, rng.randint(2, 4) + 1))
+            gens = _random_gens(rng, vs, rng.randint(1, 3))
+            if not gens:
+                continue
+            lhs = GradedIdeal(vs, gens)
+            bound = 2 * lhs.max_generator_degree()
+            same = GradedIdeal(vs, _added_members(rng, vs, gens))
+            assert compare_up_to(lhs, same, bound).equal
+            assert compare_pieces(lhs, same, bound).equal
+            for other in (_random_gens(rng, vs, 3), [3 * gens[0]] + gens[1:]):
+                rhs = GradedIdeal(vs, other)
+                fast = compare_up_to(lhs, rhs, bound)
+                walk = compare_pieces(lhs, rhs, bound)
+                assert fast.equal == walk.equal
+                if fast.equal:
+                    assert fast.per_degree == [] and fast.first_mismatch is None
+                else:
+                    assert fast.first_mismatch == walk.first_mismatch
+                    assert fast.per_degree == walk.per_degree
+                verdicts.append(fast.equal)
+        assert True in verdicts and False in verdicts
+
+    def test_disagreeing_routes_raise(self, monkeypatch):
+        monkeypatch.setattr(GradedIdeal, "contains", lambda self, p: False)
+        ideal = GradedIdeal(CV3, THEOREM_IDEAL)
+        with pytest.raises(RoutesDisagree):
+            compare_up_to(ideal, GradedIdeal(CV3, THEOREM_IDEAL[::-1]), 8)
+
+    def test_golden_orthogonal_rank8(self, capsys):
+        # certified by containment in a fraction of a second; the per-degree
+        # walk to the default bound 18 took about a minute
+        argv = ["orthogonal", "--n", "8", "--k", "1", "--force", "--format", "json"]
+        assert run(argv) == 0
+        out = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(out).hexdigest() == (
+            "ace6a170ff7934cb5dd52ec5a8ef55c3bd8be571961e615eb447344ec2384e04"
+        )
+
+
 class TestSimplify:
     def test_drops_redundant_multiple(self):
         ideal = GradedIdeal(CV3, THEOREM_IDEAL + [8 * c3])
@@ -183,6 +263,19 @@ class TestSimplify:
             (2 ** (2 - r) * H**r * rhat).substitute("H", c1) for r in range(3)
         ]
         assert list(GradedIdeal(CV3, rels).simplified_generators(12)) == THEOREM_IDEAL
+
+    def test_output_stops_at_the_top_generator_degree(self):
+        rng = random.Random(47)
+        for _ in range(20):
+            gens = _random_gens(rng, CV3, 3)
+            if not gens:
+                continue
+            ideal = GradedIdeal(CV3, gens)
+            top = ideal.max_generator_degree()
+            outputs = {
+                ideal.simplified_generators(d) for d in range(top, 2 * top + 1)
+            }
+            assert len(outputs) == 1
 
     def test_bound_below_generators_rejected(self):
         with pytest.raises(DegreeBoundTooLow, match="bound 3 .* generator degree 5"):

@@ -142,6 +142,23 @@ class TestReplayValidation:
         with pytest.raises(ValueError, match=log[index]["step"]):
             replay_provenance(log)
 
+    @pytest.mark.parametrize(
+        "malform",
+        ["excision-first", "unknown-key", "missing-step", "second-start"],
+    )
+    def test_malformed_log_is_a_value_error(self, malform):
+        log = [dict(s) for s in m01().provenance]
+        if malform == "excision-first":
+            log = log[1:]
+        elif malform == "unknown-key":
+            log[0]["extra"] = 1
+        elif malform == "missing-step":
+            del log[1]["step"]
+        else:
+            log.insert(1, log[0])
+        with pytest.raises(ValueError):
+            replay_provenance(log)
+
     def test_excision_after_torsor_quotient_rejected(self):
         log = list(m01().provenance)
         log[1], log[2] = log[2], log[1]

@@ -57,12 +57,20 @@ sys.argv = ["eqchow", "verify-all", "--format", "json"]
 runpy.run_module("eqchow.cli", run_name="__main__")
 """
 
-# Two broken kernels below the multiplication, each checked under ``python -O``
-# by running only the claims that must notice it: a whole verify-all would
-# also run rows that still pass, the oracle's included.  The broken insert
-# drops a vector whenever merging it would need the extended gcd; the broken
-# division drops the smallest term of every quotient with two or more terms.
+# Three broken kernels below the multiplication, each checked under
+# ``python -O`` by running only the claims that must notice it: a whole
+# verify-all would also run rows that still pass, the oracle's included.  The
+# broken insert drops a vector whenever merging it would need the extended
+# gcd; the broken membership test accepts every vector, so generator
+# containment alone would certify any two ideals equal; the broken division
+# drops the smallest term of every quotient with two or more terms.
 KERNEL_SABOTAGES = {
+    "contains-accepts-everything": (
+        """
+ideal.IntegerLattice.contains = lambda self, vec: True
+""",
+        ["m01-theorem-presentation", "property-simplify-preserves-ideal"],
+    ),
     "insert-drops-gcd-merges": (
         """
 class Dropped(Exception):
