@@ -1,21 +1,32 @@
-"""Torus character decompositions and rewriting of symmetric root polynomials.
+"""Torus character decompositions, Chern polynomials of modules, and the
+rewriting of symmetric root polynomials.
 
 The weight variables l1..ln are the Chern roots of the dual standard
 representation (l_i = -t_i), and c_i always means the i-th Chern class of the
 standard representation, so c_k = (-1)^k e_k(l1..ln).  That sign convention is
 fixed once, here, and everything downstream relies on it.
 
-``symmetric_to_chern`` implements the classical leading-term elimination
-against elementary symmetric polynomials; it works over the integers with no
-division and terminates by strict descent in the monomial order.  The symmetry
-precondition is always checked, never assumed, by the elimination itself.
-``chern_polynomial`` is the one place that expands prod (H + m) over a
-module's roots m and rewrites it into c1..cn.  A det^k twist shifts every root
-by k*c1 (c1 = -e1), so ``e_top`` is c_H(Wedge2(E*)) at H = k*c1.  Variable
-names and the monomial layout follow the conventions stated once in
-``eqchow.poly``; ``l_vars`` and ``c_vars`` name the root and Chern variables,
-and ``HYPERPLANE`` is H, the one hyperplane variable: the hyperplane class of
-every projective bundle the package builds.
+``chern_polynomial`` is the one owner of a module's total Chern polynomial
+c_H(V) = prod (H + m) over its roots m, in c1..cn.  It never leaves
+Z[c1..cn, H]: the power sums of E* follow from c by Newton's identities, those
+of Sym2(E*) and Wedge2(E*) by the plethysm (sum_a C(m,a) P_a P_(m-a) +-
+2^m P_m)/2, and Newton's identities, with checked exact division, give back
+the elementary symmetric functions of the roots (Macdonald, *Symmetric
+Functions and Hall Polynomials*, I.2 and I.8).  A det^k twist shifts every
+root by k*c1 (c1 = -e1), so it is H -> H + k*c1, and ``e_top`` is
+c_H(Wedge2(E*)) at H = k*c1.
+
+The independent route is in l1..ln: ``total_chern_poly`` expands the product
+over the roots, and ``symmetric_to_chern`` rewrites it by the classical
+leading-term elimination against elementary symmetric polynomials; it works
+over the integers with no division, terminates by strict descent in the
+monomial order, and checks the symmetry precondition, never assuming it.
+That route, and the localization sums built on it, are the oracles the
+Chern-ring route is checked against.  Variable names and the monomial layout
+follow the conventions stated once in ``eqchow.poly``; ``l_vars`` and
+``c_vars`` name the root and Chern variables, and ``HYPERPLANE`` is H, the one
+hyperplane variable: the hyperplane class of every projective bundle the
+package builds.
 """
 
 from __future__ import annotations
@@ -24,13 +35,15 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from math import prod
+from math import comb, prod
 
 from .poly import (
     Mono,
     ONE,
     Polynomial,
     ZERO,
+    const,
+    exact_divide,
     make_mono,
     mono_exponents,
     mono_weight,
@@ -109,19 +122,24 @@ def _sorted_roots(roots: tuple[Polynomial, ...]) -> tuple[Polynomial, ...]:
 _DESCRIPTOR_RE = re.compile(r"\A(?:det\^(-?\d+)\*)?(E\*?|Sym2\(E\*\)|Wedge2\(E\*\))\Z")
 
 
+def _parse_descriptor(descriptor: str) -> tuple[int, str]:
+    """(k, base) of a descriptor ``det^k*base``; k is 0 without the prefix."""
+    m = _DESCRIPTOR_RE.match(descriptor.replace(" ", ""))
+    if m is None:
+        raise UnsupportedModule(f"unsupported module descriptor: {descriptor!r}")
+    return int(m.group(1) or 0), m.group(2)
+
+
 def build_roots(n: int, descriptor: str) -> RepRoots:
     """Root multiset of a supported module descriptor.
 
     Grammar: ``E``, ``E*``, ``Sym2(E*)``, ``Wedge2(E*)``, optionally prefixed
-    with ``det^k*``.  A det^k twist adds k*(-l1-...-ln) to every root.
+    with ``det^k*``.  A det^k twist adds k*(-l1-...-ln) to every root.  The
+    label is ``det^k*base``, or ``base`` when k is 0.
     """
     if n < 2:
         raise UnsupportedModule(f"rank must be at least 2, got {n}")
-    m = _DESCRIPTOR_RE.match(descriptor.replace(" ", ""))
-    if m is None:
-        raise UnsupportedModule(f"unsupported module descriptor: {descriptor!r}")
-    k = int(m.group(1)) if m.group(1) else 0
-    base = m.group(2)
+    k, base = _parse_descriptor(descriptor)
     ls = [var(v) for v in l_vars(n)]
     if base == "E":
         roots = tuple(-l for l in ls)
@@ -133,7 +151,7 @@ def build_roots(n: int, descriptor: str) -> RepRoots:
         )
     else:  # Wedge2(E*)
         roots = tuple(ls[i] + ls[j] for i, j in itertools.combinations(range(n), 2))
-    return RepRoots(n, _sorted_roots(roots), descriptor.replace(" ", "")).twisted(k)
+    return RepRoots(n, _sorted_roots(roots), base).twisted(k)
 
 
 # -- symmetry ---------------------------------------------------------------------
@@ -264,10 +282,78 @@ def total_chern_poly(roots: RepRoots) -> Polynomial:
     return prod((x + r for r in roots.roots), start=ONE)
 
 
+def _power_sums(e: list[Polynomial], top: int) -> list[Polynomial]:
+    """p_0..p_top of the roots whose elementary symmetric functions are
+    ``e`` (e[0] = 1, one more entry than roots), by Newton's identities."""
+    p = [const(len(e) - 1)]
+    for m in range(1, top + 1):
+        s = e[m] * ((-1) ** (m - 1) * m) if m < len(e) else ZERO
+        for j in range(1, min(m, len(e))):
+            s = s + e[j] * p[m - j] * (-1) ** (j - 1)
+        p.append(s)
+    return p
+
+
+def _square_power_sums(P: list[Polynomial], sign: int) -> list[Polynomial]:
+    """p_0..p_d of Sym2 (sign 1) or Wedge2 (sign -1) of the roots x_i with
+    power sums P = P_0..P_d, d the dimension of the square:
+    p_m = (sum_a C(m,a) P_a P_(m-a) + sign 2^m P_m)/2, the sum over ordered
+    pairs of (x_i + x_j)^m with the diagonal (2 x_i)^m added or taken away,
+    halved by a checked exact division."""
+    p = []
+    for m in range(len(P)):
+        s = P[m] * (sign * 2**m)
+        for a in range(m // 2 + 1):  # the terms a and m - a are equal
+            s = s + P[a] * P[m - a] * (comb(m, a) * (1 if 2 * a == m else 2))
+        p.append(exact_divide(s, 2))
+    return p
+
+
+def _elementary(p: list[Polynomial]) -> list[Polynomial]:
+    """e_0..e_d of d roots from their power sums p_0..p_d, by Newton's
+    identities; each division by i is a checked exact division."""
+    e = [ONE]
+    for i in range(1, len(p)):
+        s = ZERO
+        for j in range(1, i + 1):
+            s = s + e[i - j] * p[j] * (-1) ** (j - 1)
+        e.append(exact_divide(s, i))
+    return e
+
+
 @lru_cache(maxsize=None)
 def chern_polynomial(roots: RepRoots) -> Polynomial:
-    """c_H(V) = prod over the roots m of (H + m), in c1..cn."""
-    return symmetric_to_chern(total_chern_poly(roots), roots.rank)
+    """c_H(V) = prod over the roots m of (H + m), in c1..cn, for the module V
+    named by ``roots.label``.
+
+    Computed in Z[c1..cn, H] as sum_i e_i(V) H^(d-i).  For E and E* the e_i
+    are read off c (e_i(l1..ln) = (-1)^i c_i); for Sym2(E*) and Wedge2(E*)
+    the power sums of E* give those of V (``_square_power_sums``), and
+    Newton's identities give back the e_i.  A det^k twist is H -> H + k*c1.
+    ``total_chern_poly`` with ``symmetric_to_chern`` is the independent route
+    through l1..ln.  Raises UnsupportedModule unless ``roots`` is
+    ``build_roots(roots.rank, roots.label)``.
+    """
+    n = roots.rank
+    if build_roots(n, roots.label) != roots:
+        raise UnsupportedModule(f"roots do not match their label {roots.label!r}")
+    k, base = _parse_descriptor(roots.label)
+    x = var(HYPERPLANE)
+    if k:
+        untwisted = chern_polynomial(build_roots(n, base))
+        return untwisted.substitute(HYPERPLANE, x + var("c1") * k)
+    c = [ONE] + [var(v) for v in c_vars(n)]
+    dual = [c[i] * (-1) ** i for i in range(n + 1)]
+    if base == "E":
+        e = c
+    elif base == "E*":
+        e = dual
+    else:
+        sign = 1 if base == "Sym2(E*)" else -1
+        P = _power_sums(dual, roots.dimension)
+        e = _elementary(_square_power_sums(P, sign))
+    d = len(e) - 1
+    return sum((e[i] * x ** (d - i) for i in range(d + 1)), start=ZERO)
 
 
 @lru_cache(maxsize=None)

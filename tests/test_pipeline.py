@@ -1,11 +1,13 @@
 """The three ring-presentation pipelines, their cross-checks, and provenance
 replay."""
 
+import hashlib
 import json
 
 import pytest
 
 from eqchow import pipeline
+from eqchow.cli import run
 from eqchow.ideal import DegreeBoundTooLow, GradedIdeal, compare_up_to, equal_up_to
 from eqchow.pipeline import (
     AlphaFamily,
@@ -230,6 +232,16 @@ class TestReducedQuadrics:
         for r in range(4):
             push(4, r)
         assert push.cache_info().currsize == 4
+
+    def test_golden_quadrics_rank6(self, capsys):
+        # the Chern-ring route makes the rank-6 bundle relation a fraction of
+        # a second; the rewrite from l1..l6 took about half a minute
+        argv = ["quadrics", "--n", "6", "--k", "1", "--force", "--format", "json"]
+        assert run(argv) == 0
+        out = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(out).hexdigest() == (
+            "b6c5714cbb33756e1f9dbbc2089b5698850ad530401451f8b81a3e1ae46c0d18"
+        )
 
 
 class TestAlphaFamily:

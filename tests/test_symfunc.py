@@ -11,6 +11,7 @@ from eqchow.symfunc import (
     RepRoots,
     UnsupportedModule,
     build_roots,
+    chern_polynomial,
     chern_to_roots,
     e_top,
     elementary_symmetric,
@@ -69,6 +70,11 @@ class TestBuildRoots:
             assert build_roots(n, "E*").dimension == n
             assert build_roots(n, "Sym2(E*)").dimension == n * (n + 1) // 2
             assert build_roots(n, "Wedge2(E*)").dimension == n * (n - 1) // 2
+
+    def test_label_is_the_descriptor(self):
+        for desc in ("E", "Sym2(E*)", "det^2*Wedge2(E*)", "det^-1*E*"):
+            assert build_roots(3, desc).label == desc
+        assert build_roots(3, "det^0*E").label == "E"
 
     def test_unsupported_descriptor(self):
         with pytest.raises(UnsupportedModule):
@@ -227,6 +233,31 @@ class TestTotalChernPoly:
                 doubled = doubled * (H + 2 * var(f"l{i}"))
             pairs = total_chern_poly(build_roots(n, "Wedge2(E*)"))
             assert sym2 == doubled * pairs
+
+
+class TestChernPolynomial:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("base", ["E", "E*", "Sym2(E*)", "Wedge2(E*)"])
+    @pytest.mark.parametrize("k", [0, -2, -1, 1, 2, 3])
+    def test_agrees_with_the_root_rewrite(self, n, base, k):
+        # the Chern-ring route against the expansion in l1..ln and its rewrite
+        roots = build_roots(n, f"det^{k}*{base}")
+        expected = symmetric_to_chern(total_chern_poly(roots), n)
+        assert chern_polynomial(roots) == expected
+
+    def test_roots_must_match_their_label(self):
+        # hand-built root multisets, and a twice-twisted label outside the
+        # descriptor grammar
+        sym2 = build_roots(3, "Sym2(E*)")
+        for bad in (
+            RepRoots(3, build_roots(3, "E*").roots, "E"),
+            RepRoots(3, sym2.roots, "Wedge2(E*)"),
+            RepRoots(3, sym2.roots[1:], "Sym2(E*)"),
+            RepRoots(2, (l1, l1), "test"),
+            sym2.twisted(1).twisted(1),
+        ):
+            with pytest.raises(UnsupportedModule):
+                chern_polynomial(bad)
 
 
 class TestETop:
