@@ -3,7 +3,9 @@ P(E*) -> P(Sym2 E*).
 
 Each root m_j of V gives one fixed point of P(V); the hyperplane class
 restricts to -m_j there and the tangent weights are {m_i - m_j : i != j}.
-The pushforward of K^r along the squaring map is computed by an explicit
+As fixed points are indexed by roots, ``fixed_points`` and
+``fundamental_class`` take a root tuple (``RepRoots.roots``) of pairwise
+distinct roots.  The pushforward of K^r along the squaring map is computed by an explicit
 localization sum over the source fixed points, with denominators cleared by
 ``sum_fractions``; the interpolation shortcut 2^(n-1-r) H^r R(H) is implemented
 independently as ``closed_form_pushforward`` and their agreement is a test,
@@ -33,7 +35,6 @@ from .symfunc import (
     HYPERPLANE,
     NotSymmetric,
     RepRoots,
-    build_roots,
     chern_polynomial,
     symmetric_to_chern,
     total_chern_poly,
@@ -59,16 +60,15 @@ class FixedPoint:
     tangent_weights: tuple[Polynomial, ...]
 
 
-def _distinct_roots(roots: RepRoots) -> tuple[Polynomial, ...]:
+def _distinct_roots(roots: tuple[Polynomial, ...]) -> tuple[Polynomial, ...]:
     """The roots, after checking they are pairwise distinct."""
-    rs = roots.roots
-    for i, j in itertools.combinations(range(len(rs)), 2):
-        if rs[i] == rs[j]:
-            raise RepeatedRoots(f"roots {i} and {j} coincide: {rs[i]}")
-    return rs
+    for i, j in itertools.combinations(range(len(roots)), 2):
+        if roots[i] == roots[j]:
+            raise RepeatedRoots(f"roots {i} and {j} coincide: {roots[i]}")
+    return roots
 
 
-def fixed_points(roots: RepRoots) -> list[FixedPoint]:
+def fixed_points(roots: tuple[Polynomial, ...]) -> list[FixedPoint]:
     """One fixed point per root; requires pairwise distinct roots."""
     rs = _distinct_roots(roots)
     points = []
@@ -78,7 +78,7 @@ def fixed_points(roots: RepRoots) -> list[FixedPoint]:
     return points
 
 
-def fundamental_class(roots: RepRoots, index: int) -> Polynomial:
+def fundamental_class(roots: tuple[Polynomial, ...], index: int) -> Polynomial:
     """Equivariant class of the fixed point as a complete intersection of the
     coordinate hyperplanes: prod over the other roots m of (H + m)."""
     rs = _distinct_roots(roots)
@@ -101,12 +101,9 @@ class VeroneseCorrespondence:
 
 @lru_cache(maxsize=None)
 def veronese_correspondence(n: int) -> VeroneseCorrespondence:
-    source = build_roots(n, "E*")
-    target = build_roots(n, "Sym2(E*)")
-    mapping = []
-    for r in source.roots:
-        doubled = 2 * r
-        mapping.append(target.roots.index(doubled))
+    source = RepRoots(n, "E*")
+    target = RepRoots(n, "Sym2(E*)")
+    mapping = [target.roots.index(2 * r) for r in source.roots]
     if len(set(mapping)) != len(mapping):
         raise InternalInconsistency("squared roots are not pairwise distinct")
     return VeroneseCorrespondence(n, source, target, tuple(mapping))
@@ -115,7 +112,7 @@ def veronese_correspondence(n: int) -> VeroneseCorrespondence:
 @lru_cache(maxsize=None)
 def _wedge_total_chern(n: int) -> Polynomial:
     """prod over pairs i<j of (H + l_i + l_j), in l-variables."""
-    return total_chern_poly(build_roots(n, "Wedge2(E*)"))
+    return total_chern_poly(RepRoots(n, "Wedge2(E*)"))
 
 
 def _localize(n: int, r: int, point_class, factor: Polynomial = ONE) -> Polynomial:
@@ -124,7 +121,7 @@ def _localize(n: int, r: int, point_class, factor: Polynomial = ONE) -> Polynomi
     sum must clear to a polynomial, which times ``factor`` is rewritten into
     Chern classes; a kept denominator or an asymmetric sum is an
     InternalInconsistency."""
-    points = fixed_points(veronese_correspondence(n).source)
+    points = fixed_points(veronese_correspondence(n).source.roots)
     total = sum_fractions(
         StructuredFraction.make(
             point_class(p, points) * p.hyperplane_restriction**r, p.tangent_weights
@@ -171,7 +168,7 @@ def pushforward_via_fixed_point_classes(n: int, r: int) -> Polynomial:
     corr = veronese_correspondence(n)
 
     def point_class(p, points):
-        return fundamental_class(corr.target, corr.point_map[p.index])
+        return fundamental_class(corr.target.roots, corr.point_map[p.index])
 
     return _localize(n, r, point_class)
 
@@ -182,5 +179,5 @@ def closed_form_pushforward(n: int, r: int) -> Polynomial:
     the localization sum entirely."""
     if n < 2 or not 0 <= r <= n - 1:
         raise ValueError("need n >= 2 and 0 <= r <= n-1")
-    pairs = chern_polynomial(build_roots(n, "Wedge2(E*)"))
+    pairs = chern_polynomial(RepRoots(n, "Wedge2(E*)"))
     return 2 ** (n - 1 - r) * var(HYPERPLANE) ** r * pairs

@@ -31,7 +31,8 @@ from math import comb
 from .ideal import GradedIdeal, IdealComparison, compare_up_to
 from .localization import closed_form_pushforward, veronese_pushforward
 from .poly import ONE, Polynomial, ZERO, parse_polynomial, var, var_weight
-from .symfunc import HYPERPLANE, build_roots, c_vars, chern_polynomial, e_top
+from .symfunc import HYPERPLANE, RepRoots, build_roots, c_vars, chern_classes
+from .symfunc import chern_polynomial, e_top, torsor_substitute
 from .symfunc import symmetric_to_chern  # noqa: F401, read by bench/test_bench.py
 
 
@@ -45,7 +46,8 @@ class VerificationFailure(Exception):
 
 @dataclass
 class RingPresentation:
-    """Generators-with-weights plus a graded relation ideal.
+    """A graded relation ideal; ``variables`` are its ring's variables with
+    their weights.
 
     ``provenance`` is an ordered log of construction steps; replaying it with
     ``replay_provenance`` reproduces ``relations`` exactly.  ``verification``
@@ -53,24 +55,24 @@ class RingPresentation:
     generating set for the same ideal when the pipeline computed one.
     """
 
-    variables: tuple[tuple[str, int], ...]
     relations: GradedIdeal
     provenance: tuple[dict, ...]
     max_degree: int | None = None
     verification: tuple[dict, ...] = ()
     simplified: tuple[Polynomial, ...] | None = None
 
-    def display_generators(self) -> tuple[Polynomial, ...]:
-        return self.relations.generators
+    @property
+    def variables(self) -> tuple[tuple[str, int], ...]:
+        return tuple((v, var_weight(v)) for v in self.relations.variables)
 
     def to_text(self) -> str:
-        vars_part = ", ".join(name for name, _ in self.variables)
-        rels = ", ".join(g.to_text() for g in self.display_generators())
+        vars_part = ", ".join(self.relations.variables)
+        rels = ", ".join(g.to_text() for g in self.relations.generators)
         return f"Z[{vars_part}] / ({rels})"
 
     def to_latex(self) -> str:
-        vars_part = ", ".join(var(name).to_latex() for name, _ in self.variables)
-        rels = ",\\, ".join(g.to_latex() for g in self.display_generators())
+        vars_part = ", ".join(var(name).to_latex() for name in self.relations.variables)
+        rels = ",\\, ".join(g.to_latex() for g in self.relations.generators)
         return f"\\mathbb{{Z}}[{vars_part}]/\\left({rels}\\right)"
 
     def to_json_obj(self) -> dict:
@@ -86,15 +88,6 @@ class RingPresentation:
             "max_degree": self.max_degree,
             "verification": list(self.verification),
         }
-
-
-def _weighted(names) -> tuple[tuple[str, int], ...]:
-    return tuple((v, var_weight(v)) for v in names)
-
-
-def torsor_substitute(p: Polynomial, k: int) -> Polynomial:
-    """The torsor substitution H -> k*c1."""
-    return p.substitute(HYPERPLANE, k * var("c1"))
 
 
 def _require(name: str, cmp: IdealComparison) -> dict:
@@ -119,14 +112,13 @@ def _require(name: str, cmp: IdealComparison) -> dict:
 # ignores ``pres``.
 
 
-def _after(pres, step: str, params: dict, relations: GradedIdeal, **fields):
+def _after(pres, step: str, params: dict, relations: GradedIdeal, simplified=None):
     """The presentation after one step: new relations, the step appended to
-    the provenance log, variables carried over unless given."""
+    the provenance log."""
     provenance = ({"step": step, **params},)
     if pres is not None:
         provenance = pres.provenance + provenance
-        fields = {"variables": pres.variables, **fields}
-    return RingPresentation(relations=relations, provenance=provenance, **fields)
+    return RingPresentation(relations, provenance, simplified=simplified)
 
 
 def _require_hyperplane(pres: RingPresentation) -> None:
@@ -134,16 +126,14 @@ def _require_hyperplane(pres: RingPresentation) -> None:
         raise ValueError(f"presentation has no hyperplane variable {HYPERPLANE}")
 
 
-def projective_bundle(roots) -> RingPresentation:
+def projective_bundle(module: RepRoots) -> RingPresentation:
     """Presentation of the equivariant ring of P(V): the Chern variables plus
     the hyperplane class H, modulo the total Chern relation of V."""
-    variables = _weighted(c_vars(roots.rank) + (HYPERPLANE,))
     return _after(
         None,
         "projective_bundle",
-        {"module": roots.label, "rank": roots.rank, "hyperplane": HYPERPLANE},
-        GradedIdeal([v for v, _ in variables], [chern_polynomial(roots)]),
-        variables=variables,
+        {"module": module.label, "rank": module.rank, "hyperplane": HYPERPLANE},
+        GradedIdeal(c_vars(module.rank) + (HYPERPLANE,), [chern_polynomial(module)]),
     )
 
 
@@ -175,13 +165,12 @@ def torsor_quotient(pres: RingPresentation, k: int) -> RingPresentation:
     relation, drop relations that become zero, and remove H from the ring."""
     _require_hyperplane(pres)
     new_rels = [torsor_substitute(g, k) for g in pres.relations.generators]
-    variables = tuple((v, w) for v, w in pres.variables if v != HYPERPLANE)
+    variables = [v for v in pres.relations.variables if v != HYPERPLANE]
     return _after(
         pres,
         "torsor_quotient",
         {"k": k, "hyperplane": HYPERPLANE},
-        GradedIdeal([v for v, _ in variables], new_rels),
-        variables=variables,
+        GradedIdeal(variables, new_rels),
     )
 
 
@@ -194,6 +183,8 @@ def _drop_redundant_bundle_relation(
     relations = pres.relations
     if index is not None:
         gens = relations.generators
+        if not 0 <= index < len(gens):
+            raise ValueError(f"no relation at index {index}")
         relations = GradedIdeal(relations.variables, gens[:index] + gens[index + 1 :])
         if not relations.contains(gens[index]):
             raise VerificationFailure(
@@ -225,13 +216,11 @@ def _simplify_generators(
 
 def _alpha_relations(pres, rank: int, k: int) -> RingPresentation:
     """The orthogonal-type relations: the alpha family at H = k*c1."""
-    variables = _weighted(c_vars(rank))
     return _after(
         None,
         "alpha_relations",
         {"rank": rank, "k": k},
-        GradedIdeal([v for v, _ in variables], alpha_family(rank).substituted(k)),
-        variables=variables,
+        GradedIdeal(c_vars(rank), alpha_family(rank).substituted(k)),
     )
 
 
@@ -283,7 +272,7 @@ def m01(max_degree: int | None = None) -> RingPresentation:
     Runs the honest localization pipeline at rank 3 and twist 1, simplifies,
     and certifies the result against the ideal (4c3, 2c1c3, c1^2 c3).
     """
-    pres = projective_bundle(build_roots(3, "Sym2(E*)"))
+    pres = projective_bundle(RepRoots(3, "Sym2(E*)"))
     pres = excise_veronese(pres, 3, method="localization")
     pres = torsor_quotient(pres, 1)
     bound = _degree_bound(pres, "m01", 3, max_degree)
@@ -320,7 +309,7 @@ def reduced_quadrics(
     """
     if n < 2 or k < 0:
         raise ValueError("need n >= 2 and k >= 0")
-    pres = projective_bundle(build_roots(n, "Sym2(E*)"))
+    pres = projective_bundle(RepRoots(n, "Sym2(E*)"))
     bundle_image = torsor_substitute(pres.relations.generators[0], k)
     pres = excise_veronese(pres, n, method="closed_form")
     pres = torsor_quotient(pres, k)
@@ -362,11 +351,6 @@ class AlphaFamily:
         return [torsor_substitute(a, k) for a in self.polys]
 
 
-def _chern_classes(n: int) -> list[Polynomial]:
-    """[c0, c1, ..., cn] with c0 = 1."""
-    return [ONE] + [var(v) for v in c_vars(n)]
-
-
 @lru_cache(maxsize=None)
 def alpha_family(n: int) -> AlphaFamily:
     """alpha_i(H) = sum_{j<i} binom(n-j, i-j) (-1)^j c_j H^(i-j), minus 2c_i
@@ -374,7 +358,7 @@ def alpha_family(n: int) -> AlphaFamily:
     if n < 2:
         raise ValueError("need n >= 2")
     H = var(HYPERPLANE)
-    cs = _chern_classes(n)
+    cs = chern_classes(n)
     polys = []
     for i in range(1, n + 1):
         a = ZERO
@@ -397,7 +381,7 @@ def chern_series_divide(n: int) -> tuple[Polynomial, ...]:
     if n < 2:
         raise ValueError("need n >= 2")
     H = var(HYPERPLANE)
-    cs = _chern_classes(n)
+    cs = chern_classes(n)
     P = ZERO
     for j in range(n + 1):
         P = P + (-1) ** j * cs[j] * (1 + H) ** (n - j)
@@ -465,6 +449,16 @@ STEPS = {
 }
 # The steps that start a log; every other step transforms the one before it.
 FIRST_STEPS = frozenset({"projective_bundle", "alpha_relations"})
+# The JSON types a logged parameter may have (exact types, so a bool is no int)
+PARAM_TYPES = {
+    "rank": (int,),
+    "k": (int,),
+    "max_degree": (int,),
+    "index": (int, type(None)),
+    "module": (str,),
+    "method": (str,),
+    "record_only": (bool,),
+}
 
 
 def replay_provenance(steps) -> RingPresentation:
@@ -472,19 +466,22 @@ def replay_provenance(steps) -> RingPresentation:
     step again, the redundancy containment check included.
 
     The log must open with one of ``FIRST_STEPS`` and contain no other; each
-    entry names a known step and exactly that step's parameters.  The logged
-    hyperplane is not a parameter: each step must log exactly the entry it
-    was replayed from, so a missing or foreign hyperplane is rejected.  Any
-    malformed log raises ValueError.  Only construction steps participate;
+    entry is a dict naming a known step and exactly that step's parameters,
+    each of a type in ``PARAM_TYPES``.  The logged hyperplane is not a
+    parameter: each step must log exactly the entry it was replayed from, so
+    a missing or foreign hyperplane is rejected.  Any malformed log raises
+    ValueError.  Only construction steps participate;
     verification summaries are not part of provenance.  The result's
     relations are bit-exact equal to the original presentation's.
     """
     pres: RingPresentation | None = None
     for step in steps:
+        if not isinstance(step, dict):
+            raise ValueError(f"provenance entry {step!r} is not a dict")
         params = dict(step)
         name = params.pop("step", None)
         params.pop("hyperplane", None)
-        if name not in STEPS:
+        if not isinstance(name, str) or name not in STEPS:
             raise ValueError(f"unknown provenance step {name!r} in {step}")
         if (pres is None) != (name in FIRST_STEPS):
             where = "start" if pres is None else "follow another step"
@@ -493,6 +490,9 @@ def replay_provenance(steps) -> RingPresentation:
             signature(STEPS[name]).bind(pres, **params)
         except TypeError as exc:
             raise ValueError(f"step {name!r} has wrong parameters: {exc}") from None
+        for key, value in params.items():
+            if type(value) not in PARAM_TYPES[key]:
+                raise ValueError(f"step {name!r} logs {key} = {value!r}, of wrong type")
         pres = STEPS[name](pres, **params)
         if pres.provenance[-1] != step:
             raise ValueError(

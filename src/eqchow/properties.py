@@ -34,15 +34,17 @@ from .poly import (
     sum_fractions,
     var,
 )
-from .pipeline import quadric_family, torsor_substitute
+from .pipeline import quadric_family
 from .symfunc import (
+    BASES,
     HYPERPLANE,
-    build_roots,
+    RepRoots,
     c_vars,
     chern_polynomial,
     chern_to_roots,
     l_vars,
     symmetric_to_chern,
+    torsor_substitute,
 )
 
 
@@ -167,23 +169,20 @@ def symmetric_homomorphism() -> int:
     return cases
 
 
-_MODULES = ["E", "E*", "Sym2(E*)", "Wedge2(E*)"]
-
-
 def restriction_consistency() -> int:
     """Substituting the hyperplane restriction into the fixed point's
     fundamental class gives the product of its tangent weights."""
     rng, cases = random.Random(6), 200
     for _ in range(cases):
         n = rng.randint(2, 5)
-        desc = rng.choice(_MODULES)
+        base = rng.choice(BASES)
         k = rng.randint(0, 3)
-        if desc == "Sym2(E*)" and n == 5:
-            k = 0  # the twisted rank-5 quadric classes dominate the runtime
-        if k and desc != "E":
-            desc = f"det^{k}*{desc}"
-        roots = build_roots(n, desc)
-        j = rng.randrange(roots.dimension)
+        if base == "E" or (base == "Sym2(E*)" and n == 5):
+            # E is checked untwisted; twisted rank-5 quadric classes dominate
+            # the runtime
+            k = 0
+        roots = RepRoots(n, base, k).roots
+        j = rng.randrange(len(roots))
         cls = fundamental_class(roots, j)
         point = fixed_points(roots)[j]
         lhs = cls.substitute(HYPERPLANE, point.hyperplane_restriction)
@@ -308,7 +307,7 @@ def pr_ideal_membership() -> int:
     monomial multiples stay inside (n <= 5, k <= 3)."""
     rng, cases = random.Random(10), 200
     relations = {
-        n: chern_polynomial(build_roots(n, "Sym2(E*)")) for n in range(2, 6)
+        n: chern_polynomial(RepRoots(n, "Sym2(E*)")) for n in range(2, 6)
     }
     checked = 0
     for n, pr in relations.items():

@@ -1,10 +1,15 @@
-"""Torus character decompositions, Chern polynomials of modules, and the
-rewriting of symmetric root polynomials.
+"""Modules of GL_n, their Chern polynomials, and the rewriting of symmetric
+root polynomials.
 
 The weight variables l1..ln are the Chern roots of the dual standard
 representation (l_i = -t_i), and c_i always means the i-th Chern class of the
 standard representation, so c_k = (-1)^k e_k(l1..ln).  That sign convention is
 fixed once, here, and everything downstream relies on it.
+
+A module is one value, ``RepRoots(rank, base, k)``: det^k (x) base for a base
+in ``BASES`` (E, E*, Sym2(E*), Wedge2(E*)).  Its torus characters (``roots``)
+and its label ``det^k*base`` are derived from those three fields, and
+``build_roots`` is the one parser of labels.
 
 ``chern_polynomial`` is the one owner of a module's total Chern polynomial
 c_H(V) = prod (H + m) over its roots m, in c1..cn.  It never leaves
@@ -14,7 +19,7 @@ of Sym2(E*) and Wedge2(E*) by the plethysm (sum_a C(m,a) P_a P_(m-a) +-
 the elementary symmetric functions of the roots (Macdonald, *Symmetric
 Functions and Hall Polynomials*, I.2 and I.8).  A det^k twist shifts every
 root by k*c1 (c1 = -e1), so it is H -> H + k*c1, and ``e_top`` is
-c_H(Wedge2(E*)) at H = k*c1.
+c_H(Wedge2(E*)) at H = k*c1, the torsor substitution ``torsor_substitute``.
 
 The independent route is in l1..ln: ``total_chern_poly`` expands the product
 over the roots, and ``symmetric_to_chern`` rewrites it by the classical
@@ -24,17 +29,17 @@ monomial order, and checks the symmetry precondition, never assuming it.
 That route, and the localization sums built on it, are the oracles the
 Chern-ring route is checked against.  Variable names and the monomial layout
 follow the conventions stated once in ``eqchow.poly``; ``l_vars`` and
-``c_vars`` name the root and Chern variables, and ``HYPERPLANE`` is H, the one
-hyperplane variable: the hyperplane class of every projective bundle the
-package builds.
+``c_vars`` name the root and Chern variables, ``chern_classes`` lists
+1, c1, ..., cn, and ``HYPERPLANE`` is H, the one hyperplane variable: the
+hyperplane class of every projective bundle the package builds.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 from math import comb, prod
 
 from .poly import (
@@ -73,8 +78,18 @@ def c_vars(n: int) -> tuple[str, ...]:
     return tuple(f"c{i}" for i in range(1, n + 1))
 
 
+def chern_classes(n: int) -> list[Polynomial]:
+    """[c0, c1, ..., cn] with c0 = 1."""
+    return [ONE] + [var(v) for v in c_vars(n)]
+
+
 # The hyperplane class H of P(V), the variable of every total Chern polynomial
 HYPERPLANE = "H"
+
+
+def torsor_substitute(p: Polynomial, k: int) -> Polynomial:
+    """The torsor substitution H -> k*c1."""
+    return p.substitute(HYPERPLANE, k * var("c1"))
 
 
 def infer_rank(p: Polynomial) -> int:
@@ -82,82 +97,76 @@ def infer_rank(p: Polynomial) -> int:
     return max((var_index(v, "l") or 0 for v in p.variables()), default=0)
 
 
-# -- representation roots ----------------------------------------------------------
+# -- modules ------------------------------------------------------------------------
+
+
+# The modules det^k (x) base that ``RepRoots`` and ``chern_polynomial`` support
+BASES = ("E", "E*", "Sym2(E*)", "Wedge2(E*)")
 
 
 @dataclass(frozen=True)
 class RepRoots:
-    """Chern roots of a GL_n-module restricted to the maximal torus.
+    """The GL_n-module det^k (x) base, for a base in ``BASES`` and n >= 2.
 
-    ``roots`` is a multiset of degree-1 forms in l1..ln, one per character;
-    its cardinality is the module's dimension.
+    The module is its three fields; everything else is derived from them.
+    ``roots`` is its multiset of Chern roots, the torus characters as degree-1
+    forms in l1..ln (sorted by ``poly_sort_key``); a det^k twist adds
+    k*(-l1-...-ln) to every root.  ``label`` is ``det^k*base``, or ``base``
+    when k is 0, and ``build_roots`` reads it back.
     """
 
     rank: int
-    roots: tuple[Polynomial, ...]
-    label: str
+    base: str
+    k: int = 0
 
     def __post_init__(self):
-        for r in self.roots:
-            if r.weighted_degree() > 1:
-                raise ValueError(f"root is not a linear form: {r}")
+        if self.rank < 2:
+            raise UnsupportedModule(f"rank must be at least 2, got {self.rank}")
+        if self.base not in BASES:
+            raise UnsupportedModule(f"unsupported module: {self.base!r}")
+
+    @cached_property
+    def roots(self) -> tuple[Polynomial, ...]:
+        ls = [var(v) for v in l_vars(self.rank)]
+        pairs = [a + b for a, b in itertools.combinations(ls, 2)]
+        if self.base == "E":
+            roots = [-l for l in ls]
+        elif self.base == "E*":
+            roots = ls
+        elif self.base == "Sym2(E*)":
+            roots = [2 * l for l in ls] + pairs
+        else:  # Wedge2(E*)
+            roots = pairs
+        det = -elementary_symmetric(self.rank, 1) * self.k
+        return tuple(sorted((r + det for r in roots), key=poly_sort_key))
+
+    @property
+    def label(self) -> str:
+        return f"det^{self.k}*{self.base}" if self.k else self.base
 
     @property
     def dimension(self) -> int:
         return len(self.roots)
 
-    def twisted(self, k: int) -> RepRoots:
-        """Tensor by the k-th power of the determinant character."""
-        if k == 0:
-            return self
-        det = -elementary_symmetric(self.rank, 1) * k
-        roots = tuple(r + det for r in self.roots)
-        return RepRoots(self.rank, _sorted_roots(roots), f"det^{k}*{self.label}")
 
-
-def _sorted_roots(roots: tuple[Polynomial, ...]) -> tuple[Polynomial, ...]:
-    return tuple(sorted(roots, key=poly_sort_key))
-
-
-_DESCRIPTOR_RE = re.compile(r"\A(?:det\^(-?\d+)\*)?(E\*?|Sym2\(E\*\)|Wedge2\(E\*\))\Z")
-
-
-def _parse_descriptor(descriptor: str) -> tuple[int, str]:
-    """(k, base) of a descriptor ``det^k*base``; k is 0 without the prefix."""
-    m = _DESCRIPTOR_RE.match(descriptor.replace(" ", ""))
-    if m is None:
-        raise UnsupportedModule(f"unsupported module descriptor: {descriptor!r}")
-    return int(m.group(1) or 0), m.group(2)
+_DESCRIPTOR_RE = re.compile(
+    rf"\A(?:det\^(-?\d+)\*)?({'|'.join(map(re.escape, BASES))})\Z"
+)
 
 
 def build_roots(n: int, descriptor: str) -> RepRoots:
-    """Root multiset of a supported module descriptor.
-
-    Grammar: ``E``, ``E*``, ``Sym2(E*)``, ``Wedge2(E*)``, optionally prefixed
-    with ``det^k*``.  A det^k twist adds k*(-l1-...-ln) to every root.  The
-    label is ``det^k*base``, or ``base`` when k is 0.
-    """
-    if n < 2:
-        raise UnsupportedModule(f"rank must be at least 2, got {n}")
-    k, base = _parse_descriptor(descriptor)
-    ls = [var(v) for v in l_vars(n)]
-    if base == "E":
-        roots = tuple(-l for l in ls)
-    elif base == "E*":
-        roots = tuple(ls)
-    elif base == "Sym2(E*)":
-        roots = tuple(2 * l for l in ls) + tuple(
-            ls[i] + ls[j] for i, j in itertools.combinations(range(n), 2)
-        )
-    else:  # Wedge2(E*)
-        roots = tuple(ls[i] + ls[j] for i, j in itertools.combinations(range(n), 2))
-    return RepRoots(n, _sorted_roots(roots), base).twisted(k)
+    """The module named by a descriptor: one of ``BASES``, optionally prefixed
+    with ``det^k*``; spaces are ignored.  The one parser of module labels."""
+    m = _DESCRIPTOR_RE.match(descriptor.replace(" ", ""))
+    if m is None:
+        raise UnsupportedModule(f"unsupported module descriptor: {descriptor!r}")
+    return RepRoots(n, m.group(2), int(m.group(1) or 0))
 
 
 # -- symmetry ---------------------------------------------------------------------
 
 
-def is_symmetric(p: Polynomial, n: int | None = None) -> bool:
+def is_symmetric(p: Polynomial, n: int) -> bool:
     """True iff p (a polynomial in l1..ln only) is S_n-invariant.
 
     Checked on the adjacent transpositions, which generate the full symmetric
@@ -166,8 +175,6 @@ def is_symmetric(p: Polynomial, n: int | None = None) -> bool:
     for v in p.variables():
         if var_index(v, "l") is None:
             raise ValueError(f"is_symmetric expects only l-variables, found {v}")
-    if n is None:
-        n = infer_rank(p)
     if infer_rank(p) > n:
         return False
     ls = l_vars(n)
@@ -239,15 +246,13 @@ def _eliminate_symmetric(q: Polynomial, n: int) -> Polynomial:
     return Polynomial(out)
 
 
-def symmetric_to_chern(p: Polynomial, n: int | None = None) -> Polynomial:
+def symmetric_to_chern(p: Polynomial, n: int) -> Polynomial:
     """Express a polynomial symmetric in l1..ln via Chern classes c1..cn.
 
     Non-l variables (H, K, ...) pass through: each coefficient with respect to
     them must itself be symmetric.  Raises NotSymmetric otherwise.
     """
     rank = infer_rank(p)
-    if n is None:
-        n = rank
     if rank > n:
         raise NotSymmetric(f"variable l{rank} exceeds rank {n}")
     if n == 0:
@@ -276,10 +281,10 @@ def chern_to_roots(p: Polynomial, n: int) -> Polynomial:
 # -- total Chern polynomials ---------------------------------------------------------
 
 
-def total_chern_poly(roots: RepRoots) -> Polynomial:
-    """prod over the roots m of (H + m), expanded in l-variables."""
+def total_chern_poly(module: RepRoots) -> Polynomial:
+    """prod over the roots m of the module of (H + m), expanded in l-variables."""
     x = var(HYPERPLANE)
-    return prod((x + r for r in roots.roots), start=ONE)
+    return prod((x + r for r in module.roots), start=ONE)
 
 
 def _power_sums(e: list[Polynomial], top: int) -> list[Polynomial]:
@@ -322,35 +327,29 @@ def _elementary(p: list[Polynomial]) -> list[Polynomial]:
 
 
 @lru_cache(maxsize=None)
-def chern_polynomial(roots: RepRoots) -> Polynomial:
-    """c_H(V) = prod over the roots m of (H + m), in c1..cn, for the module V
-    named by ``roots.label``.
+def chern_polynomial(module: RepRoots) -> Polynomial:
+    """c_H(V) = prod over the roots m of (H + m), in c1..cn, for the module V.
 
     Computed in Z[c1..cn, H] as sum_i e_i(V) H^(d-i).  For E and E* the e_i
     are read off c (e_i(l1..ln) = (-1)^i c_i); for Sym2(E*) and Wedge2(E*)
     the power sums of E* give those of V (``_square_power_sums``), and
-    Newton's identities give back the e_i.  A det^k twist is H -> H + k*c1.
-    ``total_chern_poly`` with ``symmetric_to_chern`` is the independent route
-    through l1..ln.  Raises UnsupportedModule unless ``roots`` is
-    ``build_roots(roots.rank, roots.label)``.
+    Newton's identities give back the e_i.  A det^k twist is H -> H + k*c1 on
+    the untwisted module's polynomial.  ``total_chern_poly`` with
+    ``symmetric_to_chern`` is the independent route through l1..ln.
     """
-    n = roots.rank
-    if build_roots(n, roots.label) != roots:
-        raise UnsupportedModule(f"roots do not match their label {roots.label!r}")
-    k, base = _parse_descriptor(roots.label)
     x = var(HYPERPLANE)
-    if k:
-        untwisted = chern_polynomial(build_roots(n, base))
-        return untwisted.substitute(HYPERPLANE, x + var("c1") * k)
-    c = [ONE] + [var(v) for v in c_vars(n)]
-    dual = [c[i] * (-1) ** i for i in range(n + 1)]
-    if base == "E":
+    if module.k:
+        untwisted = chern_polynomial(replace(module, k=0))
+        return untwisted.substitute(HYPERPLANE, x + var("c1") * module.k)
+    c = chern_classes(module.rank)
+    dual = [ci * (-1) ** i for i, ci in enumerate(c)]
+    if module.base == "E":
         e = c
-    elif base == "E*":
+    elif module.base == "E*":
         e = dual
     else:
-        sign = 1 if base == "Sym2(E*)" else -1
-        P = _power_sums(dual, roots.dimension)
+        sign = 1 if module.base == "Sym2(E*)" else -1
+        P = _power_sums(dual, module.dimension)
         e = _elementary(_square_power_sums(P, sign))
     d = len(e) - 1
     return sum((e[i] * x ** (d - i) for i in range(d + 1)), start=ZERO)
@@ -361,5 +360,4 @@ def e_top(n: int, k: int) -> Polynomial:
     """Top Chern class of det^k (x) Wedge2(E*): c_H(Wedge2(E*)) at H = k*c1."""
     if n < 2 or k < 0:
         raise ValueError("need n >= 2 and k >= 0")
-    pairs = chern_polynomial(build_roots(n, "Wedge2(E*)"))
-    return pairs.substitute(HYPERPLANE, k * var("c1"))
+    return torsor_substitute(chern_polynomial(RepRoots(n, "Wedge2(E*)")), k)

@@ -26,10 +26,9 @@ from .pipeline import (
     m01,
     orthogonal,
     reduced_quadrics,
-    torsor_substitute,
 )
 from .poly import var
-from .symfunc import HYPERPLANE, build_roots, c_vars, chern_polynomial
+from .symfunc import HYPERPLANE, RepRoots, c_vars, chern_polynomial, torsor_substitute
 
 REPORT_SCHEMA_ID = "eqchow-verify-report/1"
 
@@ -75,7 +74,7 @@ def _pushforward_displays():
 
 def _factorization():
     H, c1, c2, c3 = var(HYPERPLANE), var("c1"), var("c2"), var("c3")
-    image = chern_polynomial(build_roots(3, "Sym2(E*)"))
+    image = chern_polynomial(RepRoots(3, "Sym2(E*)"))
     first = H**3 - 2 * c1 * H**2 + 4 * c2 * H - 8 * c3
     return bool(image) and image == first * _rhat(), {}
 

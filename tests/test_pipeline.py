@@ -144,9 +144,31 @@ class TestReplayValidation:
         with pytest.raises(ValueError, match=log[index]["step"]):
             replay_provenance(log)
 
+    # (entry, parameter, value) put into an m01 log: each value has the wrong
+    # JSON type for its parameter
+    WRONG_TYPES = {
+        "string-rank": (0, "rank", "3"),
+        "int-module": (0, "module", 3),
+        "bool-rank": (1, "rank", True),
+        "list-step": (1, "step", ["excise_veronese"]),
+        "string-k": (2, "k", "1"),
+        "string-max-degree": (3, "max_degree", "12"),
+        "int-record-only": (3, "record_only", 0),
+    }
+
     @pytest.mark.parametrize(
         "malform",
-        ["excision-first", "unknown-key", "missing-step", "second-start"],
+        [
+            "excision-first",
+            "unknown-key",
+            "missing-step",
+            "second-start",
+            "int-entry",
+            "none-entry",
+            "bool-index",
+            "index-out-of-range",
+            *WRONG_TYPES,
+        ],
     )
     def test_malformed_log_is_a_value_error(self, malform):
         log = [dict(s) for s in m01().provenance]
@@ -156,10 +178,28 @@ class TestReplayValidation:
             log[0]["extra"] = 1
         elif malform == "missing-step":
             del log[1]["step"]
-        else:
+        elif malform == "second-start":
             log.insert(1, log[0])
+        elif malform == "int-entry":
+            log.insert(1, 5)
+        elif malform == "none-entry":
+            log = [None]
+        elif malform in self.WRONG_TYPES:
+            entry, key, value = self.WRONG_TYPES[malform]
+            log[entry][key] = value
+        else:
+            log = [dict(s) for s in reduced_quadrics(3, 0).provenance]
+            log[3]["index"] = True if malform == "bool-index" else 99
         with pytest.raises(ValueError):
             replay_provenance(log)
+
+    def test_twisted_bundle_replays_bit_exactly(self):
+        pres = projective_bundle(build_roots(3, "det^1*Sym2(E*)"))
+        assert pres.provenance[0]["module"] == "det^1*Sym2(E*)"
+        rep = replay_provenance(pres.provenance)
+        assert rep.provenance == pres.provenance
+        assert rep.relations.generators == pres.relations.generators
+        assert rep.to_json_obj() == pres.to_json_obj()
 
     def test_excision_after_torsor_quotient_rejected(self):
         log = list(m01().provenance)

@@ -2,11 +2,13 @@
 
 import itertools
 import random
+from dataclasses import fields
 
 import pytest
 
-from eqchow.poly import ONE, ZERO, var
+from eqchow.poly import ONE, ZERO, poly_sort_key, var
 from eqchow.symfunc import (
+    BASES,
     NotSymmetric,
     RepRoots,
     UnsupportedModule,
@@ -81,6 +83,24 @@ class TestBuildRoots:
             build_roots(3, "Sym3(E*)")
         with pytest.raises(UnsupportedModule):
             build_roots(1, "E*")
+
+    def test_module_is_rank_base_and_twist(self):
+        assert [f.name for f in fields(RepRoots)] == ["rank", "base", "k"]
+        assert build_roots(3, "det^-2*Sym2(E*)") == RepRoots(3, "Sym2(E*)", -2)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("k", [-2, -1, 0, 1, 2, 3])
+    @pytest.mark.parametrize("base", BASES)
+    def test_label_parses_back_to_the_module(self, n, k, base):
+        module = RepRoots(n, base, k)
+        assert build_roots(n, module.label) == module
+        assert module.roots == tuple(sorted(module.roots, key=poly_sort_key))
+
+    def test_unsupported_module_value(self):
+        with pytest.raises(UnsupportedModule):
+            RepRoots(3, "Sym3(E*)")
+        with pytest.raises(UnsupportedModule):
+            RepRoots(1, "E*")
 
     def test_weyl_invariance_all_permutations(self):
         for n in range(2, 7):
@@ -215,9 +235,6 @@ class TestTotalChernPoly:
         p = total_chern_poly(build_roots(2, "E*"))
         assert symmetric_to_chern(p, 2) == H**2 - var("c1") * H + var("c2")
 
-    def test_empty_product(self):
-        assert total_chern_poly(RepRoots(2, (), "0")) == ONE
-
     def test_sym2_factorization_rank3(self):
         image = symmetric_to_chern(total_chern_poly(build_roots(3, "Sym2(E*)")), 3)
         lhs = H**3 - 2 * c1 * H**2 + 4 * c2 * H - 8 * c3
@@ -244,20 +261,6 @@ class TestChernPolynomial:
         roots = build_roots(n, f"det^{k}*{base}")
         expected = symmetric_to_chern(total_chern_poly(roots), n)
         assert chern_polynomial(roots) == expected
-
-    def test_roots_must_match_their_label(self):
-        # hand-built root multisets, and a twice-twisted label outside the
-        # descriptor grammar
-        sym2 = build_roots(3, "Sym2(E*)")
-        for bad in (
-            RepRoots(3, build_roots(3, "E*").roots, "E"),
-            RepRoots(3, sym2.roots, "Wedge2(E*)"),
-            RepRoots(3, sym2.roots[1:], "Sym2(E*)"),
-            RepRoots(2, (l1, l1), "test"),
-            sym2.twisted(1).twisted(1),
-        ):
-            with pytest.raises(UnsupportedModule):
-                chern_polynomial(bad)
 
 
 class TestETop:
