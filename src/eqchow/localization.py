@@ -1,15 +1,15 @@
 """Torus fixed points on P(V) and the pushforward along the squaring embedding
 P(E*) -> P(Sym2 E*).
 
-Each root m_j of V gives one fixed point of P(V); the hyperplane class
-restricts to -m_j there and the tangent weights are {m_i - m_j : i != j}.
-As fixed points are indexed by roots, ``fixed_points`` and
-``fundamental_class`` take a root tuple (``RepRoots.roots``) of pairwise
-distinct roots.  The pushforward of K^r along the squaring map is computed by an explicit
-localization sum over the source fixed points, with denominators cleared by
-``sum_fractions``; the interpolation shortcut 2^(n-1-r) H^r R(H) is implemented
-independently as ``closed_form_pushforward`` and their agreement is a test,
-never an assumption.
+A fixed point of P(V) is an index j into a tuple of pairwise distinct roots
+of V (``RepRoots.roots``): the hyperplane class restricts to -roots[j] there,
+``tangent_weights`` gives {m_i - m_j : i != j} and ``fundamental_class`` the
+point's class.  ``veronese_point_map`` matches the fixed points of P(E*) with
+those of P(Sym2 E*).  The pushforward of K^r along the squaring map is computed
+by an explicit localization sum over the source fixed points, with denominators
+cleared by ``sum_fractions``; the interpolation shortcut 2^(n-1-r) H^r R(H) is
+implemented independently as ``closed_form_pushforward`` and their agreement is
+a test, never an assumption.
 
 The sum is evaluated in the l-variable ring and converted to Chern classes only
 after the denominators clear; the intermediate sum is not expressible in the
@@ -20,8 +20,7 @@ polynomial in H (``symfunc.HYPERPLANE``), the one hyperplane variable.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import prod
 
 from .poly import (
@@ -50,63 +49,38 @@ class InternalInconsistency(RuntimeError):
     this indicates an implementation bug, not a user error."""
 
 
-@dataclass(frozen=True)
-class FixedPoint:
-    """One torus fixed point of P(V), indexed by the root it corresponds to."""
-
-    index: int
-    root: Polynomial
-    hyperplane_restriction: Polynomial
-    tangent_weights: tuple[Polynomial, ...]
-
-
-def _distinct_roots(roots: tuple[Polynomial, ...]) -> tuple[Polynomial, ...]:
-    """The roots, after checking they are pairwise distinct."""
-    for i, j in itertools.combinations(range(len(roots)), 2):
-        if roots[i] == roots[j]:
-            raise RepeatedRoots(f"roots {i} and {j} coincide: {roots[i]}")
-    return roots
+def _check_point(roots: tuple[Polynomial, ...], j: int) -> None:
+    """Require pairwise distinct roots and a fixed point j among them."""
+    for a, b in itertools.combinations(range(len(roots)), 2):
+        if roots[a] == roots[b]:
+            raise RepeatedRoots(f"roots {a} and {b} coincide: {roots[a]}")
+    if not 0 <= j < len(roots):
+        raise IndexError(f"fixed point index {j} out of range")
 
 
-def fixed_points(roots: tuple[Polynomial, ...]) -> list[FixedPoint]:
-    """One fixed point per root; requires pairwise distinct roots."""
-    rs = _distinct_roots(roots)
-    points = []
-    for j, m in enumerate(rs):
-        weights = tuple(rs[i] - m for i in range(len(rs)) if i != j)
-        points.append(FixedPoint(j, m, -m, weights))
-    return points
+def tangent_weights(roots: tuple[Polynomial, ...], j: int) -> tuple[Polynomial, ...]:
+    """The tangent weights m_i - m_j of P(V) at fixed point j, for i != j."""
+    _check_point(roots, j)
+    return tuple(m - roots[j] for i, m in enumerate(roots) if i != j)
 
 
-def fundamental_class(roots: tuple[Polynomial, ...], index: int) -> Polynomial:
-    """Equivariant class of the fixed point as a complete intersection of the
+def fundamental_class(roots: tuple[Polynomial, ...], j: int) -> Polynomial:
+    """Equivariant class of fixed point j as a complete intersection of the
     coordinate hyperplanes: prod over the other roots m of (H + m)."""
-    rs = _distinct_roots(roots)
-    if not 0 <= index < len(rs):
-        raise IndexError(f"fixed point index {index} out of range")
+    _check_point(roots, j)
     x = var(HYPERPLANE)
-    return prod((x + m for i, m in enumerate(rs) if i != index), start=ONE)
-
-
-@dataclass(frozen=True)
-class VeroneseCorrespondence:
-    """Fixed-point matching of the squaring embedding: the source point with
-    root l_j maps to the target point with root 2*l_j."""
-
-    rank: int
-    source: RepRoots
-    target: RepRoots
-    point_map: tuple[int, ...]
+    return prod((x + m for i, m in enumerate(roots) if i != j), start=ONE)
 
 
 @lru_cache(maxsize=None)
-def veronese_correspondence(n: int) -> VeroneseCorrespondence:
-    source = RepRoots(n, "E*")
-    target = RepRoots(n, "Sym2(E*)")
-    mapping = [target.roots.index(2 * r) for r in source.roots]
-    if len(set(mapping)) != len(mapping):
+def veronese_point_map(n: int) -> tuple[int, ...]:
+    """The squaring embedding on fixed points: source point j of P(E*), with
+    root l_j, maps to the point of P(Sym2 E*) whose root is 2*l_j."""
+    target = RepRoots(n, "Sym2(E*)").roots
+    mapping = tuple(target.index(2 * m) for m in RepRoots(n, "E*").roots)
+    if len(set(mapping)) != n:
         raise InternalInconsistency("squared roots are not pairwise distinct")
-    return VeroneseCorrespondence(n, source, target, tuple(mapping))
+    return mapping
 
 
 @lru_cache(maxsize=None)
@@ -115,18 +89,23 @@ def _wedge_total_chern(n: int) -> Polynomial:
     return total_chern_poly(RepRoots(n, "Wedge2(E*)"))
 
 
+def _check_power(n: int, r: int) -> None:
+    if n < 2 or not 0 <= r <= n - 1:
+        raise ValueError("need n >= 2 and 0 <= r <= n-1")
+
+
 def _localize(n: int, r: int, point_class, factor: Polynomial = ONE) -> Polynomial:
     """The localization sum for the pushforward of K^r: over the source fixed
-    points P, point_class(P, points) (-l_P)^r / (tangent weights at P).  The
-    sum must clear to a polynomial, which times ``factor`` is rewritten into
-    Chern classes; a kept denominator or an asymmetric sum is an
+    points j, point_class(j) (-l_j)^r / (tangent weights at j).  The sum must
+    clear to a polynomial, which times ``factor`` is rewritten into Chern
+    classes; a kept denominator or an asymmetric sum is an
     InternalInconsistency."""
-    points = fixed_points(veronese_correspondence(n).source.roots)
+    roots = RepRoots(n, "E*").roots
     total = sum_fractions(
         StructuredFraction.make(
-            point_class(p, points) * p.hyperplane_restriction**r, p.tangent_weights
+            point_class(j) * (-roots[j]) ** r, tangent_weights(roots, j)
         )
-        for p in points
+        for j in range(n)
     )
     if not total.is_polynomial():
         raise InternalInconsistency(f"localization sum kept a denominator: {total}")
@@ -143,18 +122,14 @@ def veronese_pushforward(n: int, r: int) -> Polynomial:
     Sums over the source fixed points P_j the class restriction (-l_j)^r times
     the target point class divided by the tangent weights at P_j.  The target
     point class factors as (prod_{k != j} (H + 2 l_k)) * (prod_{i<j} (H + l_i
-    + l_j)); the second factor is independent of j and is multiplied back in
-    after the sum, which keeps the summands small (the factorization is itself
-    asserted by the test suite against ``fundamental_class``).
+    + l_j)); the first factor is the class of point j over the doubled roots,
+    the second is independent of j and is multiplied back in after the sum,
+    which keeps the summands small (the factorization is itself asserted by
+    the test suite against ``fundamental_class``).
     """
-    if n < 2 or not 0 <= r <= n - 1:
-        raise ValueError("need n >= 2 and 0 <= r <= n-1")
-    x = var(HYPERPLANE)
-
-    def point_class(p, points):
-        return prod((x + 2 * q.root for q in points if q.index != p.index), start=ONE)
-
-    return _localize(n, r, point_class, _wedge_total_chern(n))
+    _check_power(n, r)
+    doubled = tuple(2 * m for m in RepRoots(n, "E*").roots)
+    return _localize(n, r, partial(fundamental_class, doubled), _wedge_total_chern(n))
 
 
 @lru_cache(maxsize=None)
@@ -163,21 +138,15 @@ def pushforward_via_fixed_point_classes(n: int, r: int) -> Polynomial:
     plain fundamental_class products.  Quadratically more expensive than
     ``veronese_pushforward``; used as an independent cross-check at small n.
     """
-    if n < 2 or not 0 <= r <= n - 1:
-        raise ValueError("need n >= 2 and 0 <= r <= n-1")
-    corr = veronese_correspondence(n)
-
-    def point_class(p, points):
-        return fundamental_class(corr.target.roots, corr.point_map[p.index])
-
-    return _localize(n, r, point_class)
+    _check_power(n, r)
+    target, point_map = RepRoots(n, "Sym2(E*)").roots, veronese_point_map(n)
+    return _localize(n, r, lambda j: fundamental_class(target, point_map[j]))
 
 
 @lru_cache(maxsize=None)
 def closed_form_pushforward(n: int, r: int) -> Polynomial:
     """Interpolation shortcut: 2^(n-1-r) * H^r * c_H(Wedge2(E*)), bypassing
     the localization sum entirely."""
-    if n < 2 or not 0 <= r <= n - 1:
-        raise ValueError("need n >= 2 and 0 <= r <= n-1")
+    _check_power(n, r)
     pairs = chern_polynomial(RepRoots(n, "Wedge2(E*)"))
     return 2 ** (n - 1 - r) * var(HYPERPLANE) ** r * pairs

@@ -12,10 +12,12 @@ Three assemblies over the lower layers:
 
 The hyperplane class is always H (``symfunc.HYPERPLANE``), the one hyperplane
 variable; the bundle, excision and torsor steps log it as ``"hyperplane": "H"``.
+The excision reads its rank from the ring's Chern variables and logs it too.
 Every pipeline records a replayable provenance log (step name + parameters).
 ``STEPS`` maps each step name to the one function that performs it, for the
 pipelines and for ``replay_provenance``, which rebuilds the presentation
-bit-exactly and checks each step against its own log entry.  Every pipeline
+bit-exactly and checks each step against its own log entry, so a logged field
+the step derives rather than takes must come back unchanged.  Every pipeline
 runs its verification checks as it goes.  A failed check raises
 VerificationFailure carrying the full per-degree lattice report; mismatches
 are data, not crashes.
@@ -23,14 +25,14 @@ are data, not crashes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from inspect import signature
 from math import comb
 
 from .ideal import GradedIdeal, IdealComparison, compare_up_to
 from .localization import closed_form_pushforward, veronese_pushforward
-from .poly import ONE, Polynomial, ZERO, parse_polynomial, var, var_weight
+from .poly import ONE, Polynomial, ZERO, parse_polynomial, var, var_index, var_weight
 from .symfunc import HYPERPLANE, RepRoots, build_roots, c_vars, chern_classes
 from .symfunc import chern_polynomial, e_top, torsor_substitute
 from .symfunc import symmetric_to_chern  # noqa: F401, read by bench/test_bench.py
@@ -44,7 +46,7 @@ class VerificationFailure(Exception):
         self.report = report
 
 
-@dataclass
+@dataclass(frozen=True)
 class RingPresentation:
     """A graded relation ideal; ``variables`` are its ring's variables with
     their weights.
@@ -143,13 +145,15 @@ def _projective_bundle_step(pres, module: str, rank: int):
 
 
 def excise_veronese(
-    pres: RingPresentation, rank: int, method: str = "localization"
+    pres: RingPresentation, method: str = "localization"
 ) -> RingPresentation:
     """Append the pushforwards of 1, K, ..., K^(rank-1) along the squaring
-    embedding as new relations (excision of the rank-one locus)."""
+    embedding as new relations (excision of the rank-one locus); the rank is
+    that of the ring's Chern variables c1..c_rank."""
     if method not in ("localization", "closed_form"):
         raise ValueError(f"unknown excision method {method!r}")
     _require_hyperplane(pres)
+    rank = max((var_index(v, "c") or 0 for v in pres.relations.variables), default=0)
     push = veronese_pushforward if method == "localization" else closed_form_pushforward
     extra = [push(rank, r) for r in range(rank)]
     return _after(
@@ -255,9 +259,7 @@ def _certified(
     """Final step of every pipeline: simplify up to the certification bound
     and attach the bound and the checks that passed."""
     pres = _simplify_generators(pres, bound, record_only)
-    pres.max_degree = bound
-    pres.verification = tuple(checks)
-    return pres
+    return replace(pres, max_degree=bound, verification=tuple(checks))
 
 
 # -- the rank-3 node stack ------------------------------------------------------------
@@ -273,7 +275,7 @@ def m01(max_degree: int | None = None) -> RingPresentation:
     and certifies the result against the ideal (4c3, 2c1c3, c1^2 c3).
     """
     pres = projective_bundle(RepRoots(3, "Sym2(E*)"))
-    pres = excise_veronese(pres, 3, method="localization")
+    pres = excise_veronese(pres, method="localization")
     pres = torsor_quotient(pres, 1)
     bound = _degree_bound(pres, "m01", 3, max_degree)
     literal = GradedIdeal(
@@ -311,7 +313,7 @@ def reduced_quadrics(
         raise ValueError("need n >= 2 and k >= 0")
     pres = projective_bundle(RepRoots(n, "Sym2(E*)"))
     bundle_image = torsor_substitute(pres.relations.generators[0], k)
-    pres = excise_veronese(pres, n, method="closed_form")
+    pres = excise_veronese(pres, method="closed_form")
     pres = torsor_quotient(pres, k)
     gens = pres.relations.generators
     index = next((i for i, g in enumerate(gens) if g == bundle_image), None)
@@ -449,8 +451,9 @@ STEPS = {
 }
 # The steps that start a log; every other step transforms the one before it.
 FIRST_STEPS = frozenset({"projective_bundle", "alpha_relations"})
-# The JSON types a logged parameter may have (exact types, so a bool is no int)
+# The JSON types a logged field may have (exact types, so a bool is no int)
 PARAM_TYPES = {
+    "hyperplane": (str,),
     "rank": (int,),
     "k": (int,),
     "max_degree": (int,),
@@ -466,10 +469,11 @@ def replay_provenance(steps) -> RingPresentation:
     step again, the redundancy containment check included.
 
     The log must open with one of ``FIRST_STEPS`` and contain no other; each
-    entry is a dict naming a known step and exactly that step's parameters,
-    each of a type in ``PARAM_TYPES``.  The logged hyperplane is not a
-    parameter: each step must log exactly the entry it was replayed from, so
-    a missing or foreign hyperplane is rejected.  Any malformed log raises
+    entry is a dict naming a known step, and each logged field has a type in
+    ``PARAM_TYPES``.  The fields that are the step's parameters are passed to
+    it; the others (the hyperplane, the excision rank) are derived by the
+    step.  Each step must log exactly the entry it was replayed from, so a
+    missing, unknown or foreign field is rejected.  Any malformed log raises
     ValueError.  Only construction steps participate;
     verification summaries are not part of provenance.  The result's
     relations are bit-exact equal to the original presentation's.
@@ -480,19 +484,22 @@ def replay_provenance(steps) -> RingPresentation:
             raise ValueError(f"provenance entry {step!r} is not a dict")
         params = dict(step)
         name = params.pop("step", None)
-        params.pop("hyperplane", None)
         if not isinstance(name, str) or name not in STEPS:
             raise ValueError(f"unknown provenance step {name!r} in {step}")
         if (pres is None) != (name in FIRST_STEPS):
             where = "start" if pres is None else "follow another step"
             raise ValueError(f"step {name!r} cannot {where} a provenance log")
+        for key, value in params.items():
+            if type(value) not in PARAM_TYPES.get(key, ()):
+                raise ValueError(
+                    f"step {name!r} logs {key} = {value!r}: unknown field or wrong type"
+                )
+        sig = signature(STEPS[name])
+        params = {k: v for k, v in params.items() if k in sig.parameters}
         try:
-            signature(STEPS[name]).bind(pres, **params)
+            sig.bind(pres, **params)
         except TypeError as exc:
             raise ValueError(f"step {name!r} has wrong parameters: {exc}") from None
-        for key, value in params.items():
-            if type(value) not in PARAM_TYPES[key]:
-                raise ValueError(f"step {name!r} logs {key} = {value!r}, of wrong type")
         pres = STEPS[name](pres, **params)
         if pres.provenance[-1] != step:
             raise ValueError(

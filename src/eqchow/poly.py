@@ -648,21 +648,15 @@ class LinearFormProduct:
     factors: tuple[tuple[Polynomial, int], ...]
 
     @staticmethod
-    def from_factors(
-        factors: Iterable[Polynomial | tuple[Polynomial, int]],
-    ) -> tuple[LinearFormProduct, int]:
+    def from_factors(factors: Iterable[Polynomial]) -> tuple[LinearFormProduct, int]:
+        """The product of the linear forms ``factors`` (a repeated form counts
+        once per occurrence) and the sign absorbed by normalizing them."""
         counts: dict[Polynomial, int] = {}
         sign = 1
         for f in factors:
-            f, mult = f if isinstance(f, tuple) else (f, 1)
-            if mult < 0:
-                raise ValueError("factor multiplicity must be non-negative")
-            if mult == 0:
-                continue
             g, s = _normalize_linear_factor(f)
-            if s < 0 and mult % 2:
-                sign = -sign
-            counts[g] = counts.get(g, 0) + mult
+            sign *= s
+            counts[g] = counts.get(g, 0) + 1
         return LinearFormProduct._ordered(counts), sign
 
     @staticmethod
@@ -717,7 +711,7 @@ class StructuredFraction:
     @staticmethod
     def make(
         numerator: Polynomial | int,
-        factors: Iterable[Polynomial | tuple[Polynomial, int]] = (),
+        factors: Iterable[Polynomial] = (),
     ) -> StructuredFraction:
         den, sign = LinearFormProduct.from_factors(factors)
         num = _coerce(numerator) * sign

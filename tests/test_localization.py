@@ -7,10 +7,10 @@ import pytest
 from eqchow.localization import (
     RepeatedRoots,
     closed_form_pushforward,
-    fixed_points,
     fundamental_class,
     pushforward_via_fixed_point_classes,
-    veronese_correspondence,
+    tangent_weights,
+    veronese_point_map,
     veronese_pushforward,
 )
 from eqchow.poly import ONE, var
@@ -25,33 +25,42 @@ RHAT = H**3 - 2 * c1 * H**2 + (c1**2 + c2) * H + (c3 - c1 * c2)
 
 class TestFixedPoints:
     def test_dual_standard_rank3_point0(self):
-        pts = fixed_points(build_roots(3, "E*").roots)
-        p0 = next(p for p in pts if p.root == l1)
-        assert p0.hyperplane_restriction == -l1
-        assert set(p0.tangent_weights) == {l2 - l1, l3 - l1}
+        roots = build_roots(3, "E*").roots
+        j = roots.index(l1)
+        assert -roots[j] == -l1
+        assert set(tangent_weights(roots, j)) == {l2 - l1, l3 - l1}
 
     def test_sym2_rank3_has_six_points(self):
-        assert len(fixed_points(build_roots(3, "Sym2(E*)").roots)) == 6
+        assert len(build_roots(3, "Sym2(E*)").roots) == 6
 
     def test_rank2_smallest_case(self):
-        pts = fixed_points(build_roots(2, "E*").roots)
-        p1 = next(p for p in pts if p.root == var("l2"))
-        assert p1.hyperplane_restriction == -var("l2")
-        assert p1.tangent_weights == (var("l1") - var("l2"),)
+        roots = build_roots(2, "E*").roots
+        j = roots.index(var("l2"))
+        assert -roots[j] == -var("l2")
+        assert tangent_weights(roots, j) == (var("l1") - var("l2"),)
 
     def test_tangent_weight_count(self):
         for n in (2, 3, 4):
             roots = build_roots(n, "Sym2(E*)").roots
-            for p in fixed_points(roots):
-                assert len(p.tangent_weights) == len(roots) - 1
-                assert all(w for w in p.tangent_weights)
+            for j in range(len(roots)):
+                weights = tangent_weights(roots, j)
+                assert len(weights) == len(roots) - 1
+                assert all(w for w in weights)
 
     def test_repeated_roots_rejected(self):
         bad = (l1, l1)
         with pytest.raises(RepeatedRoots):
-            fixed_points(bad)
+            tangent_weights(bad, 0)
         with pytest.raises(RepeatedRoots):
             fundamental_class(bad, 0)
+
+    @pytest.mark.parametrize("j", [-1, 3])
+    def test_index_out_of_range_rejected(self, j):
+        roots = build_roots(3, "E*").roots
+        with pytest.raises(IndexError):
+            tangent_weights(roots, j)
+        with pytest.raises(IndexError):
+            fundamental_class(roots, j)
 
 
 class TestFundamentalClass:
@@ -77,11 +86,11 @@ class TestFundamentalClass:
         # substituting the point's restriction recovers the tangent weights
         for desc in ("E*", "Sym2(E*)", "Wedge2(E*)"):
             roots = build_roots(3, desc).roots
-            for p in fixed_points(roots):
-                cls = fundamental_class(roots, p.index)
-                value = cls.substitute("H", p.hyperplane_restriction)
+            for j in range(len(roots)):
+                cls = fundamental_class(roots, j)
+                value = cls.substitute("H", -roots[j])
                 expected = ONE
-                for w in p.tangent_weights:
+                for w in tangent_weights(roots, j):
                     expected = expected * w
                 assert value == expected
 
@@ -90,12 +99,13 @@ class TestFundamentalClass:
         from eqchow.localization import _wedge_total_chern
 
         for n in range(2, 7):
-            corr = veronese_correspondence(n)
+            source = build_roots(n, "E*").roots
+            target = build_roots(n, "Sym2(E*)").roots
             pairs = _wedge_total_chern(n)
-            for j, tj in enumerate(corr.point_map):
-                cls = fundamental_class(corr.target.roots, tj)
+            for j, tj in enumerate(veronese_point_map(n)):
+                cls = fundamental_class(target, tj)
                 partial = ONE
-                for i, r in enumerate(corr.source.roots):
+                for i, r in enumerate(source):
                     if i != j:
                         partial = partial * (H + 2 * r)
                 assert cls == partial * pairs
@@ -104,10 +114,12 @@ class TestFundamentalClass:
 class TestVeroneseCorrespondence:
     def test_point_map_doubles_roots(self):
         for n in (2, 3, 4, 5):
-            corr = veronese_correspondence(n)
-            assert len(set(corr.point_map)) == n
-            for j, tj in enumerate(corr.point_map):
-                assert corr.target.roots[tj] == 2 * corr.source.roots[j]
+            source = build_roots(n, "E*").roots
+            target = build_roots(n, "Sym2(E*)").roots
+            point_map = veronese_point_map(n)
+            assert len(set(point_map)) == n
+            for j, tj in enumerate(point_map):
+                assert target[tj] == 2 * source[j]
 
 
 class TestPushforwards:
@@ -155,6 +167,8 @@ class TestPushforwards:
             veronese_pushforward(3, 3)
         with pytest.raises(ValueError):
             closed_form_pushforward(1, 0)
+        with pytest.raises(ValueError):
+            pushforward_via_fixed_point_classes(2, -1)
 
     def test_random_integer_evaluation_oracle(self):
         # numeric check of the full localization formula, independent of both

@@ -1,6 +1,7 @@
 """The three ring-presentation pipelines, their cross-checks, and provenance
 replay."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -49,21 +50,21 @@ class TestProjectiveBundle:
 class TestExciseAndQuotient:
     def test_rank2_appended_classes(self):
         pres = projective_bundle(build_roots(2, "Sym2(E*)"))
-        pres = excise_veronese(pres, 2, method="localization")
+        pres = excise_veronese(pres, method="localization")
         gens = pres.relations.generators
         assert gens[1] == 2 * (H - c1)
         assert gens[2] == H * (H - c1)
 
     def test_excision_idempotent_on_graded_pieces(self):
         pres = projective_bundle(build_roots(2, "Sym2(E*)"))
-        once = excise_veronese(pres, 2, method="closed_form")
-        twice = excise_veronese(once, 2, method="closed_form")
+        once = excise_veronese(pres, method="closed_form")
+        twice = excise_veronese(once, method="closed_form")
         for d in range(8):
             assert once.relations.graded_piece(d).hnf == twice.relations.graded_piece(d).hnf
 
     def test_torsor_relations_rank3_twist1(self):
         pres = projective_bundle(build_roots(3, "Sym2(E*)"))
-        pres = excise_veronese(pres, 3, method="localization")
+        pres = excise_veronese(pres, method="localization")
         pres = torsor_quotient(pres, 1)
         gens = set(pres.relations.generators)
         assert {4 * c3, 2 * c1 * c3, c1**2 * c3} <= gens
@@ -71,17 +72,17 @@ class TestExciseAndQuotient:
 
     def test_zero_twist_takes_constant_terms(self):
         pres = projective_bundle(build_roots(2, "Sym2(E*)"))
-        pres = excise_veronese(pres, 2, method="closed_form")
+        pres = excise_veronese(pres, method="closed_form")
         pres = torsor_quotient(pres, 0)
         assert -2 * c1 in pres.relations.generators
 
     def test_methods_agree(self):
         for n in (2, 3, 4):
             a = excise_veronese(
-                projective_bundle(build_roots(n, "Sym2(E*)")), n, "localization"
+                projective_bundle(build_roots(n, "Sym2(E*)")), "localization"
             )
             b = excise_veronese(
-                projective_bundle(build_roots(n, "Sym2(E*)")), n, "closed_form"
+                projective_bundle(build_roots(n, "Sym2(E*)")), "closed_form"
             )
             assert a.relations.generators == b.relations.generators
 
@@ -113,6 +114,10 @@ class TestM01:
         assert json.dumps([g.to_json_obj() for g in rep.relations.generators]) == json.dumps(
             [g.to_json_obj() for g in pres.relations.generators]
         )
+
+    def test_presentation_is_immutable(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m01().max_degree = 3
 
     def test_degree3_piece_is_4c3(self):
         pres = m01()
@@ -165,6 +170,8 @@ class TestReplayValidation:
             "second-start",
             "int-entry",
             "none-entry",
+            "excision-rank-2",
+            "excision-rank-missing",
             "bool-index",
             "index-out-of-range",
             *WRONG_TYPES,
@@ -184,6 +191,10 @@ class TestReplayValidation:
             log.insert(1, 5)
         elif malform == "none-entry":
             log = [None]
+        elif malform == "excision-rank-2":
+            log[1]["rank"] = 2
+        elif malform == "excision-rank-missing":
+            del log[1]["rank"]
         elif malform in self.WRONG_TYPES:
             entry, key, value = self.WRONG_TYPES[malform]
             log[entry][key] = value

@@ -159,7 +159,7 @@ class TestFractions:
             StructuredFraction.make(ONE, [l1 * l2])
 
     def test_linear_form_product_invariants(self):
-        lfp, sign = LinearFormProduct.from_factors([l2 - l1, l1 - l2, (l1 + l2, 2)])
+        lfp, sign = LinearFormProduct.from_factors([l2 - l1, l1 - l2, l1 + l2, l1 + l2])
         assert sign == -1
         assert all(m > 0 for _, m in lfp.factors)
         assert lfp.degree() == 4

@@ -30,3 +30,20 @@ def test_simplify_suite_counts_the_ideals_it_checks(monkeypatch):
 
     monkeypatch.setattr(GradedIdeal, "simplified_generators", counted)
     assert properties.simplify_preserves_ideal() == len(calls) == 60
+
+
+def test_restriction_suite_checks_twisted_modules(monkeypatch):
+    """The fixed-point suite draws det^k twists of every base, E included;
+    only the costly rank-5 Sym2(E*) classes stay untwisted."""
+    built = []
+    original = properties.RepRoots
+
+    def recorded(*args):
+        built.append(original(*args))
+        return built[-1]
+
+    monkeypatch.setattr(properties, "RepRoots", recorded)
+    assert properties.restriction_consistency() == len(built) == 200
+    twisted = {m.base for m in built if m.k}
+    assert twisted == set(properties.BASES)
+    assert not any(m.k for m in built if (m.rank, m.base) == (5, "Sym2(E*)"))
