@@ -12,7 +12,9 @@ Three assemblies over the lower layers:
 
 The hyperplane class is always H (``symfunc.HYPERPLANE``), the one hyperplane
 variable; the bundle, excision and torsor steps log it as ``"hyperplane": "H"``.
-The excision reads its rank from the ring's Chern variables and logs it too.
+The excision reads its rank from the ring's Chern variables and logs it too;
+it accepts only the ring of P(Sym2(E*)), untwisted, the target of the
+squaring embedding.
 Every pipeline records a replayable provenance log (step name + parameters).
 ``STEPS`` maps each step name to the one function that performs it, for the
 pipelines and for ``replay_provenance``, which rebuilds the presentation
@@ -149,10 +151,14 @@ def excise_veronese(
 ) -> RingPresentation:
     """Append the pushforwards of 1, K, ..., K^(rank-1) along the squaring
     embedding as new relations (excision of the rank-one locus); the rank is
-    that of the ring's Chern variables c1..c_rank."""
+    that of the ring's Chern variables c1..c_rank.  The squaring embedding
+    lands in P(Sym2(E*)), so the log must open with that bundle, untwisted."""
     if method not in ("localization", "closed_form"):
         raise ValueError(f"unknown excision method {method!r}")
     _require_hyperplane(pres)
+    bundle = (pres.provenance or ({},))[0]
+    if bundle.get("step") != "projective_bundle" or bundle.get("module") != "Sym2(E*)":
+        raise ValueError(f"excise_veronese needs P(Sym2(E*)), not the ring of {bundle}")
     rank = max((var_index(v, "c") or 0 for v in pres.relations.variables), default=0)
     push = veronese_pushforward if method == "localization" else closed_form_pushforward
     extra = [push(rank, r) for r in range(rank)]

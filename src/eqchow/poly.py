@@ -9,11 +9,26 @@ This module alone knows how variable names are read and monomials laid out:
   variable order is c1 < c2 < ... < H < K < xi < l1 < l2 < ... < t1 < ...
   < other names, indices compared as integers.  Each name is parsed once, on
   first use, into the name table read by ``var_key``, ``var_weight``,
-  ``var_index`` and the LaTeX form.
-* A monomial is a tuple of (variable, exponent) pairs, distinct variables and
-  positive exponents, in the variable order: ``make_mono`` builds one,
-  ``split_mono`` and ``mono_exponents`` take one apart.  A polynomial maps
-  monomials to nonzero int coefficients; all arithmetic is exact.
+  ``var_index`` and the LaTeX form; that first use also gives the name the
+  next free slot, so slots follow first use, not the variable order.
+* A monomial is a packed exponent vector (Monagan--Pearce, CASC 2007): one
+  non-negative int holding a 16-bit field per slot, the exponent of slot s in
+  bits 16s..16s+14 and a guard bit, always clear, on top (bit 16s+15).  The
+  empty monomial is 0.  A product of monomials is one int addition; since
+  each exponent is below 2**15, two fields never carry into the next, and a
+  sum that reaches 2**15 sets its guard bit, which every product checks
+  against the mask ``_GUARD`` of all guard bits: it raises OverflowError
+  and never wraps.  m is divisible by d iff ``((m | _GUARD) - d) & _GUARD``
+  is ``_GUARD`` (a field that borrows clears its own guard bit and stops
+  there), and the quotient is that difference ``^ _GUARD``.  ``make_mono``
+  packs (variable, exponent) pairs, ``split_mono`` and ``mono_exponents``
+  are masks and shifts, and everything that reads names (order, weight,
+  text, LaTeX, JSON, evaluation) unpacks a monomial into (variable,
+  exponent) pairs in the variable order through one bounded cache.
+* A polynomial maps monomials to nonzero int coefficients; all arithmetic is
+  exact.  ``Polynomial(terms)`` also takes a tuple of (variable, exponent)
+  pairs as a key and packs it; that is the only other spelling of a
+  monomial.
 
 On top of plain polynomials sits a small structured-fraction layer whose
 denominators are products of linear forms, the only denominators torus
@@ -29,52 +44,70 @@ from __future__ import annotations
 import heapq
 import json
 import re
+import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import prod
-from operator import itemgetter
+from operator import or_
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-Mono = tuple[tuple[str, int], ...]
+Mono = int
 
-_EMPTY_MONO: Mono = ()
+_EMPTY_MONO: Mono = 0
 
 # -- the name table ---------------------------------------------------------------
 
 _STEM_ORDER = {"c": 0, "H": 1, "K": 2, "xi": 3, "l": 4, "t": 5}
 _NAME_RE = re.compile(r"([A-Za-z_]+?)(\d*)\Z")
 
+_FIELD_BITS = 16
+_FIELD = (1 << _FIELD_BITS) - 1
+_LIMIT = 1 << (_FIELD_BITS - 1)  # the guard bit; every exponent stays below it
+_GUARD = 0  # the guard bits of every slot given out so far
+_SLOT_NAMES: list[str] = []  # slot -> variable name
+_SLOT_LOCK = threading.Lock()
+
 
 class _Var(NamedTuple):
-    """What a name says; ``index`` is None for a name without digits."""
+    """What a name says; ``index`` is None for a name without digits, and
+    ``shift`` is the position of the name's exponent field."""
 
     key: tuple[int, int, str]
     weight: int
     stem: str
     index: int | None
     latex: str
+    shift: int
 
 
 class _NameTable(dict):
-    """name -> _Var, each name parsed on its first lookup."""
+    """name -> _Var, each name parsed, and given the next slot, on its first
+    lookup."""
 
     def __missing__(self, name: str) -> _Var:
+        global _GUARD
         m = _NAME_RE.match(name)
         if m is None:
-            entry = _Var((9, 0, name), 1, name, None, name)
+            parsed = ((9, 0, name), 1, name, None, name)
         else:
             stem, digits = m.groups()
             if digits.startswith("0"):
                 raise ValueError(f"variable index with a leading zero: {name!r}")
             index = int(digits) if digits else None
-            entry = _Var(
+            parsed = (
                 (_STEM_ORDER.get(stem, 8), index or 0, stem),
                 index if stem == "c" and digits else 1,
                 stem,
                 index,
                 f"{stem}_{{{digits}}}" if digits else name,
             )
-        self[name] = entry
+        with _SLOT_LOCK:
+            if name in self:  # another thread gave it a slot first
+                return self[name]
+            shift = len(_SLOT_NAMES) * _FIELD_BITS
+            _SLOT_NAMES.append(name)
+            _GUARD |= _LIMIT << shift
+            entry = self[name] = _Var(*parsed, shift)
         return entry
 
 
@@ -104,54 +137,93 @@ def _pair_key(pair: tuple[str, int]) -> tuple[int, int, str]:
     return _VARS[pair[0]].key
 
 
-_exponent = itemgetter(1)
+def _overflow() -> OverflowError:
+    return OverflowError(f"a monomial exponent reached the field limit {_LIMIT}")
 
 
 def make_mono(pairs: Iterable[tuple[str, int]]) -> Mono:
-    """The canonical monomial of (variable, exponent) pairs with distinct
-    variables: zero exponents dropped, sorted by the variable order."""
-    return tuple(sorted(filter(_exponent, pairs), key=_pair_key))
+    """The monomial prod v^e of (variable, exponent) pairs: zero exponents
+    drop out and a repeated variable's exponents add.  A negative exponent is
+    a ValueError, one that reaches the field limit an OverflowError."""
+    mono = 0
+    for v, e in pairs:
+        if e:
+            if e < 0:
+                raise ValueError(f"negative exponent: {v}^{e}")
+            if e >= _LIMIT:
+                raise _overflow()
+            mono += e << _VARS[v].shift
+            if mono & _GUARD:
+                raise _overflow()
+    return mono
 
 
 def split_mono(mono: Mono, names) -> tuple[Mono, Mono]:
     """(the part of ``mono`` in the variables ``names``, the rest)."""
-    inside = tuple(ve for ve in mono if ve[0] in names)
-    rest = tuple(ve for ve in mono if ve[0] not in names)
-    return inside, rest
+    inside = mono & sum(_FIELD << _VARS[v].shift for v in names)
+    return inside, mono ^ inside
 
 
 def mono_exponents(mono: Mono, names) -> list[int]:
     """Exponents of ``mono`` in the variables ``names``, in that order."""
-    exps = dict(mono)
-    return [exps.get(v, 0) for v in names]
+    return [(mono >> _VARS[v].shift) & _FIELD for v in names]
+
+
+_CACHE_SIZE = 1 << 16
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def term_key(mono: Mono) -> tuple[int, tuple, tuple[tuple[str, int], ...]]:
+    """The one unpacking of a monomial, behind a bounded cache: its weighted
+    degree, its order key (variable key, -exponent, variable key, ...) and
+    its (variable, exponent) pairs in the variable order.  As a key it
+    realizes the canonical total order on monomials: weighted degree, then
+    lexicographic with earlier variables dominant (bigger exponent on an
+    earlier variable compares larger, hence smaller in the order key); the
+    pairs never break a tie between distinct monomials."""
+    pairs = []
+    slot = 0
+    while mono:
+        e = mono & _FIELD
+        if e:
+            pairs.append((_SLOT_NAMES[slot], e))
+        mono >>= _FIELD_BITS
+        slot += 1
+    pairs.sort(key=_pair_key)
+    weight, key = 0, []
+    for v, e in pairs:
+        entry = _VARS[v]
+        weight += e * entry.weight
+        key += (entry.key, -e)
+    return weight, tuple(key), tuple(pairs)
+
+
+def mono_pairs(mono: Mono) -> tuple[tuple[str, int], ...]:
+    """(variable, exponent) pairs of a monomial, in the variable order."""
+    return term_key(mono)[2]
 
 
 def mono_weight(mono: Mono) -> int:
-    return sum(e * _VARS[v].weight for v, e in mono)
+    return term_key(mono)[0]
+
+
+def _check_guards(monos: Iterable[Mono]) -> None:
+    """OverflowError if a product set a guard bit in any of ``monos``."""
+    if reduce(or_, monos, 0) & _GUARD:
+        raise _overflow()
 
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
-    if not a:
-        return b
-    if not b:
-        return a
-    exps: dict[str, int] = dict(a)
-    for v, e in b:
-        exps[v] = exps.get(v, 0) + e
-    return make_mono(exps.items())
-
-
-def term_key(mono: Mono) -> tuple[int, tuple]:
-    """Canonical total order on monomials: weighted degree, then lexicographic
-    with earlier variables dominant (bigger exponent on an earlier variable
-    compares larger, hence smaller in this key's tie-break component)."""
-    return (mono_weight(mono), tuple((_VARS[v].key, -e) for v, e in mono))
+    m = a + b
+    if m & _GUARD:
+        raise _overflow()
+    return m
 
 
 def mono_str(mono: Mono) -> str:
     if not mono:
         return "1"
-    return "*".join(v if e == 1 else f"{v}^{e}" for v, e in mono)
+    return "*".join(v if e == 1 else f"{v}^{e}" for v, e in mono_pairs(mono))
 
 
 @lru_cache(maxsize=None)
@@ -163,15 +235,17 @@ def monomials_of_degree(variables: tuple[str, ...], degree: int) -> tuple[Mono, 
     if degree < 0:
         return ()
     if degree == 0:
-        return ((),)
+        return (_EMPTY_MONO,)
     if not variables:
         return ()
     first, rest = variables[0], variables[1:]
-    w = var_weight(first)
+    w, shift = _VARS[first].weight, _VARS[first].shift
+    if degree // w >= _LIMIT:
+        raise _overflow()
     out: list[Mono] = []
     for e in range(degree // w, -1, -1):
         for tail in monomials_of_degree(rest, degree - e * w):
-            out.append((((first, e),) + tail) if e else tail)
+            out.append((e << shift) + tail)
     out.sort(key=term_key)
     return tuple(out)
 
@@ -183,24 +257,29 @@ class NotDivisible(ArithmeticError):
 class Polynomial:
     """Immutable sparse polynomial with integer coefficients.
 
-    ``terms`` maps canonical monomials to nonzero ints.  Polynomials compare
-    equal iff their term maps are identical, which is exactly ring equality
-    because the representation is canonical.
+    ``terms`` maps monomials to ints; a key may also be a tuple of
+    (variable, exponent) pairs, which is packed.  Zero coefficients are
+    dropped.  Polynomials compare equal iff their term maps are identical,
+    which is exactly ring equality because the representation is canonical.
     """
 
     __slots__ = ("_terms", "_hash")
 
-    def __init__(self, terms: Mapping[Mono, int] | None = None):
-        cleaned = {m: c for m, c in (terms or {}).items() if c}
-        self._terms: dict[Mono, int] = cleaned
+    def __init__(self, terms: Mapping[Mono | tuple, int] | None = None):
+        cleaned: dict[Mono, int] = {}
+        for m, c in (terms or {}).items():
+            if c:
+                if m.__class__ is not int:
+                    m = make_mono(m)
+                cleaned[m] = cleaned.get(m, 0) + c
+        self._terms: dict[Mono, int] = {m: c for m, c in cleaned.items() if c}
         self._hash: int | None = None
 
     # -- construction -----------------------------------------------------
 
     @staticmethod
     def variable(name: str) -> Polynomial:
-        _VARS[name]  # a name the variable order cannot place raises here
-        return Polynomial({((name, 1),): 1})
+        return _trusted({1 << _VARS[name].shift: 1})
 
     @staticmethod
     def constant(value: int) -> Polynomial:
@@ -231,8 +310,7 @@ class Polynomial:
         return self._hash
 
     def variables(self) -> tuple[str, ...]:
-        seen = {v for m in self._terms for v, _ in m}
-        return tuple(sorted(seen, key=var_key))
+        return tuple(v for v, _ in mono_pairs(reduce(or_, self._terms, 0)))
 
     def coefficient(self, mono: Mono) -> int:
         return self._terms.get(mono, 0)
@@ -306,12 +384,13 @@ class Polynomial:
         out: dict[Mono, int] = {}
         for ma, ca in a.items():
             for mb, cb in b.items():
-                m = mono_mul(ma, mb)
+                m = ma + mb
                 s = out.get(m, 0) + ca * cb
                 if s:
                     out[m] = s
                 else:
                     del out[m]
+        _check_guards(out)
         return _trusted(out)
 
     __rmul__ = __mul__
@@ -333,7 +412,9 @@ class Polynomial:
         """Multiply by a single term coeff*mono (cheap key remap)."""
         if coeff == 0:
             return ZERO
-        return _trusted({mono_mul(m, mono): c * coeff for m, c in self._terms.items()})
+        out = {m + mono: c * coeff for m, c in self._terms.items()}
+        _check_guards(out)
+        return _trusted(out)
 
     # -- substitution and evaluation -----------------------------------------
 
@@ -342,11 +423,11 @@ class Polynomial:
         replacement = _coerce(replacement)
         untouched: dict[Mono, int] = {}
         grouped: dict[int, dict[Mono, int]] = {}
-        names = (name,)
+        shift = _VARS[name].shift
         for m, c in self._terms.items():
-            inside, rest = split_mono(m, names)
-            if inside:
-                grouped.setdefault(inside[0][1], {})[rest] = c
+            e = (m >> shift) & _FIELD
+            if e:
+                grouped.setdefault(e, {})[m ^ (e << shift)] = c
             else:
                 untouched[m] = c
         result = Polynomial(untouched)
@@ -359,7 +440,7 @@ class Polynomial:
         total = 0
         for m, c in self._terms.items():
             prod = c
-            for v, e in m:
+            for v, e in mono_pairs(m):
                 prod *= assignment[v] ** e
             total += prod
         return total
@@ -368,7 +449,7 @@ class Polynomial:
         """Rename variables (used for symmetry checks); result re-canonicalized."""
         out: dict[Mono, int] = {}
         for m, c in self._terms.items():
-            nm = make_mono((mapping.get(v, v), e) for v, e in m)
+            nm = make_mono((mapping.get(v, v), e) for v, e in mono_pairs(m))
             out[nm] = out.get(nm, 0) + c
         return Polynomial(out)
 
@@ -396,7 +477,7 @@ class Polynomial:
         parts: list[str] = []
         for mono, coeff in self.sorted_terms():
             mag = abs(coeff)
-            body = sep.join(factor(v, e) for v, e in mono)
+            body = sep.join(factor(v, e) for v, e in mono_pairs(mono))
             if not body:
                 body = str(mag)
             elif mag != 1:
@@ -409,7 +490,7 @@ class Polynomial:
 
     def to_json_obj(self) -> list[dict]:
         return [
-            {"coeff": str(c), "exps": {v: e for v, e in m}}
+            {"coeff": str(c), "exps": dict(mono_pairs(m))}
             for m, c in self.sorted_terms()
         ]
 
@@ -559,15 +640,24 @@ def _try_exact_divide(p: Polynomial, q: Polynomial) -> Polynomial | None:
         raise ZeroDivisionError("exact_divide by the zero polynomial")
     if not p:
         return ZERO
+    guard = _GUARD
+    if len(q) == 1:  # one term: divide term by term
+        (lead_mono, lead_coeff), = q.terms.items()
+        quotient: dict[Mono, int] = {}
+        for m, c in p.terms.items():
+            t = (m | guard) - lead_mono
+            if t & guard != guard or c % lead_coeff:
+                return None
+            quotient[t ^ guard] = c // lead_coeff
+        return _trusted(quotient)
     q_items = q.sorted_terms()
     lead_mono, lead_coeff = q_items[-1]
-    lead_exps = dict(lead_mono)
     tail = q_items[:-1]
 
     rem = dict(p.terms)
     heap = [_MaxKey((term_key(m), m)) for m in rem]
     heapq.heapify(heap)
-    quotient: dict[Mono, int] = {}
+    quotient = {}
 
     while heap:
         mono = heapq.heappop(heap).key[1]
@@ -576,21 +666,18 @@ def _try_exact_divide(p: Polynomial, q: Polynomial) -> Polynomial | None:
             continue
         if coeff % lead_coeff:
             return None
-        exps = dict(mono)
-        qm: list[tuple[str, int]] = []
-        for v, e in exps.items():
-            d = e - lead_exps.get(v, 0)
-            if d < 0:
-                return None
-            qm.append((v, d))
-        if any(v not in exps for v in lead_exps):
+        # a field that borrows clears its guard bit: lead_mono does not divide
+        t = (mono | guard) - lead_mono
+        if t & guard != guard:
             return None
-        qmono = make_mono(qm)
+        qmono = t ^ guard
         qcoeff = coeff // lead_coeff
         quotient[qmono] = qcoeff
         del rem[mono]
         for tm, tc in tail:
-            m2 = mono_mul(qmono, tm)
+            m2 = qmono + tm
+            if m2 & guard:
+                raise _overflow()
             old = rem.get(m2, 0)
             new = old - qcoeff * tc
             if new:
@@ -601,7 +688,7 @@ def _try_exact_divide(p: Polynomial, q: Polynomial) -> Polynomial | None:
                 rem.pop(m2, None)
     if rem:
         return None
-    return Polynomial(quotient)
+    return _trusted(quotient)
 
 
 def exact_divide(p: Polynomial, q: Polynomial | int) -> Polynomial:

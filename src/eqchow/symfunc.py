@@ -51,6 +51,7 @@ from .poly import (
     exact_divide,
     make_mono,
     mono_exponents,
+    mono_str,
     mono_weight,
     poly_sort_key,
     split_mono,
@@ -228,14 +229,16 @@ def _eliminate_symmetric(q: Polynomial, n: int) -> Polynomial:
         mono, coeff = q.leading_item()
         key = term_key(mono)
         if previous is not None and key >= previous:
-            raise ArithmeticError(f"leading term {mono} did not cancel")
+            raise ArithmeticError(f"leading term {mono_str(mono)} did not cancel")
         previous = key
         evec = mono_exponents(mono, ls)
         # Leading monomial of a symmetric polynomial has ascending exponents in
         # this order.  An asymmetric input stays nonzero while its leading
         # monomial descends, so it meets a non-ascending one: a complete check.
         if any(evec[j] > evec[j + 1] for j in range(n - 1)):
-            raise NotSymmetric(f"not symmetric in l1..l{n}: leading term {mono}")
+            raise NotSymmetric(
+                f"not symmetric in l1..l{n}: leading term {mono_str(mono)}"
+            )
         powers = tuple(
             evec[n - i] - (evec[n - i - 1] if i < n else 0) for i in range(1, n + 1)
         )

@@ -20,7 +20,7 @@ from eqchow.ideal import (
     equal_up_to,
     monomials_of_degree,
 )
-from eqchow.poly import Polynomial, ZERO, mono_str, var
+from eqchow.poly import Polynomial, ZERO, make_mono, mono_str, var
 
 c1, c2, c3, c4, H = var("c1"), var("c2"), var("c3"), var("c4"), var("H")
 CV3 = ("c1", "c2", "c3")
@@ -49,7 +49,7 @@ class TestMonomialEnumeration:
                 assert len(monomials_of_degree(vs, d)) == partitions(d, n)
 
     def test_degree_zero_and_negative(self):
-        assert monomials_of_degree(CV3, 0) == ((),)
+        assert monomials_of_degree(CV3, 0) == (make_mono([]),)
         assert monomials_of_degree(CV3, -1) == ()
 
 

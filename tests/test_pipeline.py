@@ -86,6 +86,25 @@ class TestExciseAndQuotient:
             )
             assert a.relations.generators == b.relations.generators
 
+    @pytest.mark.parametrize("module", ["E*", "det^1*Sym2(E*)"])
+    def test_excision_needs_untwisted_sym2(self, module):
+        # the squaring embedding lands in P(Sym2(E*)); any other bundle's
+        # ring would get pushforwards that do not belong to it
+        pres = projective_bundle(build_roots(3, module))
+        for method in ("localization", "closed_form"):
+            with pytest.raises(ValueError, match="excise_veronese needs P"):
+                excise_veronese(pres, method)
+        log = [
+            dict(pres.provenance[0]),
+            {"step": "excise_veronese", "rank": 3, "method": "localization", "hyperplane": "H"},
+        ]
+        with pytest.raises(ValueError, match="excise_veronese needs P"):
+            replay_provenance(log)
+        m01_log = [dict(s) for s in m01().provenance]
+        m01_log[0]["module"] = module
+        with pytest.raises(ValueError, match="excise_veronese needs P"):
+            replay_provenance(m01_log)
+
 
 class TestM01:
     def test_theorem_relations(self):

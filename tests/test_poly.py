@@ -2,8 +2,11 @@
 canonical serialization."""
 
 import random
+import sys
+import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eqchow.poly import (
     LinearFormProduct,
@@ -13,9 +16,13 @@ from eqchow.poly import (
     StructuredFraction,
     ZERO,
     const,
+    divides,
     exact_divide,
     make_mono,
     mono_exponents,
+    mono_mul,
+    mono_pairs,
+    mono_str,
     parse_polynomial,
     split_mono,
     sum_fractions,
@@ -209,7 +216,7 @@ class TestCanonicalForm:
 
     def test_big_coefficients_stay_exact(self):
         p = (const(2**64) * c1 + ONE) ** 3
-        assert p.coefficient((("c1", 3),)) == 2**192
+        assert p.coefficient(make_mono([("c1", 3)])) == 2**192
 
 
 class TestNameTable:
@@ -260,13 +267,164 @@ class TestNameTable:
 class TestMonomialHelpers:
     def test_make_mono_sorts_and_drops_zero_exponents(self):
         mono = make_mono([("l2", 1), ("H", 0), ("c12", 2), ("c3", 4)])
-        assert mono == (("c3", 4), ("c12", 2), ("l2", 1))
-        assert make_mono([]) == ()
+        assert mono_pairs(mono) == (("c3", 4), ("c12", 2), ("l2", 1))
+        assert mono == make_mono([("c3", 4), ("c12", 2), ("l2", 1)])
+        assert mono_pairs(make_mono([])) == ()
+        assert make_mono([]) == make_mono([("H", 0)])
 
     def test_split_and_exponents_agree_with_the_monomial(self):
         mono = make_mono([("l1", 2), ("H", 1), ("l3", 1), ("c2", 1)])
         inside, rest = split_mono(mono, {"l1", "l2", "l3"})
-        assert inside == (("l1", 2), ("l3", 1))
-        assert rest == (("c2", 1), ("H", 1))
+        assert mono_pairs(inside) == (("l1", 2), ("l3", 1))
+        assert mono_pairs(rest) == (("c2", 1), ("H", 1))
         assert mono_exponents(mono, ("l1", "l2", "l3")) == [2, 0, 1]
-        assert make_mono(inside + rest) == mono
+        assert make_mono(mono_pairs(inside) + mono_pairs(rest)) == mono
+        assert mono_mul(inside, rest) == mono
+
+
+# The field limit of the packed layout: exponents stay below 2**15.
+LIMIT = 2**15
+
+# (name, exponent) pairs reference: a monomial is a tuple of pairs in the
+# variable order, a polynomial a dict from such tuples to nonzero ints.
+PAIR_NAMES = ("c1", "c3", "H", "l1", "l2", "l10", "xi")
+
+
+def _pairs(exps):
+    return tuple(sorted(((v, e) for v, e in exps.items() if e), key=lambda ve: var_key(ve[0])))
+
+
+def _pair_mul(a, b):
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            exps = dict(ma)
+            for v, e in mb:
+                exps[v] = exps.get(v, 0) + e
+            m = _pairs(exps)
+            out[m] = out.get(m, 0) + ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+_pair_monos = st.dictionaries(
+    st.sampled_from(PAIR_NAMES), st.integers(0, 4), max_size=4
+).map(_pairs)
+_pair_polys = st.dictionaries(_pair_monos, st.integers(-9, 9), max_size=6)
+_points = st.fixed_dictionaries({v: st.integers(-6, 6) for v in PAIR_NAMES})
+
+
+class TestPackedLayout:
+    """Hazards of packing a monomial's exponents into one int."""
+
+    def test_a_borrow_across_fields_is_never_divisible(self):
+        # l2*H minus l1 borrows from the l1 field; no other field may lend
+        assert not divides(l1, l2 * H)
+        assert not divides(l1**2, l1 * l2**5 * H**3)
+        with pytest.raises(NotDivisible):
+            exact_divide(c2 * H, c1)
+        with pytest.raises(NotDivisible):
+            exact_divide(l3 * c3**4, l1 * l3)
+        assert exact_divide(l1 * l2**5 * H**3, l1 * H) == l2**5 * H**2
+        assert not divides(l1 + H, l2 * H**2 + l2 * H)  # through the heap
+
+    def test_exponent_at_the_field_limit_overflows(self):
+        top = make_mono([("H", LIMIT - 1)])
+        assert mono_pairs(top) == (("H", LIMIT - 1),)
+        with pytest.raises(OverflowError):
+            make_mono([("H", LIMIT)])
+        with pytest.raises(OverflowError):  # would spill into the next field
+            make_mono([("H", 2 * LIMIT + 1)])
+        with pytest.raises(OverflowError):
+            make_mono([("H", LIMIT - 1), ("H", 1)])
+        with pytest.raises(ValueError):
+            make_mono([("H", -1)])
+        near = H ** (LIMIT - 1)
+        assert (near * c1).coefficient(make_mono([("c1", 1), ("H", LIMIT - 1)])) == 1
+        with pytest.raises(OverflowError):
+            near * H
+        with pytest.raises(OverflowError):
+            (near + c1) * (H + l1)
+        with pytest.raises(OverflowError):
+            H ** (LIMIT // 2) * H ** (LIMIT // 2)
+        with pytest.raises(OverflowError):
+            H**LIMIT
+        with pytest.raises(OverflowError):
+            near.mono_shift(make_mono([("H", 1)]))
+        with pytest.raises(OverflowError):
+            mono_mul(top, make_mono([("H", 1)]))
+        with pytest.raises(OverflowError):
+            Polynomial({(("H", LIMIT),): 1})
+        with pytest.raises(OverflowError):  # quotient term l1*H^(LIMIT-1) times H
+            exact_divide(l1**2 * near, l1 + H)
+        # the product's other fields never see the overflow: nothing wraps
+        assert (near * l1).variables() == ("H", "l1")
+
+    def test_a_late_variable_orders_and_renders_by_name(self):
+        # c29 is first seen here, after l10: it gets a later slot (a larger
+        # packed int) but still comes first in the variable order
+        l10 = var("l10")
+        late = var("c29")
+        assert make_mono([("c29", 1)]) > make_mono([("l10", 1)])
+        p = l10 * late**2 + H * late + 3 * l10
+        assert p.variables() == ("c29", "H", "l10")
+        assert p.to_text() == "3*l10 + c29*H + c29^2*l10"
+        assert p.to_latex() == "3l_{10} + c_{29}H + c_{29}^{2}l_{10}"
+        assert p.to_json_obj()[2] == {"coeff": "1", "exps": {"c29": 2, "l10": 1}}
+        assert p.leading_item() == (make_mono([("c29", 2), ("l10", 1)]), 1)
+        assert mono_str(make_mono([("l10", 1), ("c29", 2)])) == "c29^2*l10"
+        assert parse_polynomial(p.to_text()) == p
+
+    def test_threads_first_seeing_names_agree_on_their_slots(self):
+        # Each thread meets the same new names in its own order; a slot given
+        # out twice, or a guard bit lost, would break one of the asserts.
+        names = [f"zslot{i}" for i in range(1, 41)]
+        seen = []
+
+        def meet(order):
+            seen.append({v: make_mono([(v, 1)]) for v in order})
+
+        threads = [
+            threading.Thread(target=meet, args=(names[i:] + names[:i],))
+            for i in range(0, 40, 5)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(seen) == len(threads)
+        assert all(s == seen[0] for s in seen)
+        assert len(set(seen[0].values())) == len(names)
+        for v in names:
+            assert mono_pairs(seen[0][v]) == ((v, 1),)
+            with pytest.raises(OverflowError):
+                var(v) ** (LIMIT - 1) * var(v)
+
+    def test_pairs_spelling_of_a_key(self):
+        p = Polynomial({(("c1", 1), ("H", 2)): 3})
+        assert p == 3 * c1 * H**2
+        assert hash(p) == hash(3 * c1 * H**2)
+        assert p.coefficient(make_mono([("H", 2), ("c1", 1)])) == 3
+        assert Polynomial({(("c1", 1),): 2, make_mono([("c1", 1)]): -2}) == ZERO
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_pair_polys, _pair_polys, _points)
+    def test_products_and_quotients_match_the_pairs_reference(self, a, b, point):
+        pa, pb = Polynomial(a), Polynomial(b)
+        product = pa * pb
+        reference = _pair_mul(a, b)
+        assert {mono_pairs(m): c for m, c in product.terms.items()} == reference
+        assert product == Polynomial(reference)
+        assert product.evaluate(point) == pa.evaluate(point) * pb.evaluate(point)
+        if pb:
+            assert exact_divide(product, pb) == pa
+            assert divides(pb, product)
+        if pa and len(pb) > 1:
+            # a product plus a term off the lattice of pb's multiples
+            off = product + Polynomial({_pairs({"t1": 1}): 1})
+            assert not divides(pb, off)

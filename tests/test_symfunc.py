@@ -6,7 +6,8 @@ from dataclasses import fields
 
 import pytest
 
-from eqchow.poly import ONE, ZERO, poly_sort_key, var
+from eqchow import symfunc
+from eqchow.poly import ONE, ZERO, poly_sort_key, split_mono, var
 from eqchow.symfunc import (
     BASES,
     NotSymmetric,
@@ -143,10 +144,10 @@ class TestIsSymmetric:
 
 
 def _h_groups(p):
+    ls = {v for v in p.variables() if v.startswith("l")}
     groups = {}
     for m, c in p.terms.items():
-        h = tuple((v, e) for v, e in m if not v.startswith("l"))
-        rest = tuple((v, e) for v, e in m if v.startswith("l"))
+        rest, h = split_mono(m, ls)
         groups.setdefault(h, ZERO)
         groups[h] = groups[h] + type(p)({rest: c})
     return groups
@@ -175,6 +176,14 @@ class TestSymmetricToChern:
     def test_not_symmetric_is_checked(self):
         with pytest.raises(NotSymmetric):
             symmetric_to_chern(l1 + 2 * l2, 2)
+
+    def test_errors_name_the_leading_term(self, monkeypatch):
+        with pytest.raises(NotSymmetric, match=r"leading term l1\^2\*l2\Z"):
+            symmetric_to_chern(l1**2 * l2, 3)
+        # a product that cancels nothing leaves the leading term in place
+        monkeypatch.setattr(symfunc, "_e_product", lambda n, powers: ZERO)
+        with pytest.raises(ArithmeticError, match=r"leading term l2 did not cancel"):
+            symmetric_to_chern(l1 + l2, 2)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_incomplete_orbit_is_not_symmetric(self, n):
