@@ -157,7 +157,10 @@ def excise_veronese(
         raise ValueError(f"unknown excision method {method!r}")
     _require_hyperplane(pres)
     bundle = (pres.provenance or ({},))[0]
-    if bundle.get("step") != "projective_bundle" or bundle.get("module") != "Sym2(E*)":
+    if (
+        bundle.get("step") != "projective_bundle"
+        or bundle.get("module") != RepRoots(bundle["rank"], "Sym2(E*)").label
+    ):
         raise ValueError(f"excise_veronese needs P(Sym2(E*)), not the ring of {bundle}")
     rank = max((var_index(v, "c") or 0 for v in pres.relations.variables), default=0)
     push = veronese_pushforward if method == "localization" else closed_form_pushforward

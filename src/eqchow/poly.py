@@ -141,6 +141,13 @@ def _overflow() -> OverflowError:
     return OverflowError(f"a monomial exponent reached the field limit {_LIMIT}")
 
 
+def _check_guards(mono: Mono) -> None:
+    """OverflowError if a sum of monomials set a guard bit in ``mono`` (or in
+    any of the products OR-ed into it)."""
+    if mono & _GUARD:
+        raise _overflow()
+
+
 def make_mono(pairs: Iterable[tuple[str, int]]) -> Mono:
     """The monomial prod v^e of (variable, exponent) pairs: zero exponents
     drop out and a repeated variable's exponents add.  A negative exponent is
@@ -153,8 +160,7 @@ def make_mono(pairs: Iterable[tuple[str, int]]) -> Mono:
             if e >= _LIMIT:
                 raise _overflow()
             mono += e << _VARS[v].shift
-            if mono & _GUARD:
-                raise _overflow()
+            _check_guards(mono)
     return mono
 
 
@@ -205,19 +211,6 @@ def mono_pairs(mono: Mono) -> tuple[tuple[str, int], ...]:
 
 def mono_weight(mono: Mono) -> int:
     return term_key(mono)[0]
-
-
-def _check_guards(monos: Iterable[Mono]) -> None:
-    """OverflowError if a product set a guard bit in any of ``monos``."""
-    if reduce(or_, monos, 0) & _GUARD:
-        raise _overflow()
-
-
-def mono_mul(a: Mono, b: Mono) -> Mono:
-    m = a + b
-    if m & _GUARD:
-        raise _overflow()
-    return m
 
 
 def mono_str(mono: Mono) -> str:
@@ -390,7 +383,7 @@ class Polynomial:
                     out[m] = s
                 else:
                     del out[m]
-        _check_guards(out)
+        _check_guards(reduce(or_, out, 0))
         return _trusted(out)
 
     __rmul__ = __mul__
@@ -413,7 +406,7 @@ class Polynomial:
         if coeff == 0:
             return ZERO
         out = {m + mono: c * coeff for m, c in self._terms.items()}
-        _check_guards(out)
+        _check_guards(reduce(or_, out, 0))
         return _trusted(out)
 
     # -- substitution and evaluation -----------------------------------------
@@ -641,15 +634,6 @@ def _try_exact_divide(p: Polynomial, q: Polynomial) -> Polynomial | None:
     if not p:
         return ZERO
     guard = _GUARD
-    if len(q) == 1:  # one term: divide term by term
-        (lead_mono, lead_coeff), = q.terms.items()
-        quotient: dict[Mono, int] = {}
-        for m, c in p.terms.items():
-            t = (m | guard) - lead_mono
-            if t & guard != guard or c % lead_coeff:
-                return None
-            quotient[t ^ guard] = c // lead_coeff
-        return _trusted(quotient)
     q_items = q.sorted_terms()
     lead_mono, lead_coeff = q_items[-1]
     tail = q_items[:-1]
@@ -657,7 +641,7 @@ def _try_exact_divide(p: Polynomial, q: Polynomial) -> Polynomial | None:
     rem = dict(p.terms)
     heap = [_MaxKey((term_key(m), m)) for m in rem]
     heapq.heapify(heap)
-    quotient = {}
+    quotient: dict[Mono, int] = {}
 
     while heap:
         mono = heapq.heappop(heap).key[1]
@@ -676,8 +660,7 @@ def _try_exact_divide(p: Polynomial, q: Polynomial) -> Polynomial | None:
         del rem[mono]
         for tm, tc in tail:
             m2 = qmono + tm
-            if m2 & guard:
-                raise _overflow()
+            _check_guards(m2)
             old = rem.get(m2, 0)
             new = old - qcoeff * tc
             if new:
