@@ -133,17 +133,6 @@ def veronese_pushforward(n: int, r: int) -> Polynomial:
 
 
 @lru_cache(maxsize=None)
-def pushforward_via_fixed_point_classes(n: int, r: int) -> Polynomial:
-    """Unfactored localization sum, using the target fixed-point classes as
-    plain fundamental_class products.  Quadratically more expensive than
-    ``veronese_pushforward``; used as an independent cross-check at small n.
-    """
-    _check_power(n, r)
-    target, point_map = RepRoots(n, "Sym2(E*)").roots, veronese_point_map(n)
-    return _localize(n, r, lambda j: fundamental_class(target, point_map[j]))
-
-
-@lru_cache(maxsize=None)
 def closed_form_pushforward(n: int, r: int) -> Polynomial:
     """Interpolation shortcut: 2^(n-1-r) * H^r * c_H(Wedge2(E*)), bypassing
     the localization sum entirely."""

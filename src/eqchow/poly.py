@@ -12,19 +12,27 @@ This module alone knows how variable names are read and monomials laid out:
   ``var_index`` and the LaTeX form; that first use also gives the name the
   next free slot, so slots follow first use, not the variable order.
 * A monomial is a packed exponent vector (Monagan--Pearce, CASC 2007): one
-  non-negative int holding a 16-bit field per slot, the exponent of slot s in
-  bits 16s..16s+14 and a guard bit, always clear, on top (bit 16s+15).  The
-  empty monomial is 0.  A product of monomials is one int addition; since
-  each exponent is below 2**15, two fields never carry into the next, and a
-  sum that reaches 2**15 sets its guard bit, which every product checks
-  against the mask ``_GUARD`` of all guard bits: it raises OverflowError
-  and never wraps.  m is divisible by d iff ``((m | _GUARD) - d) & _GUARD``
-  is ``_GUARD`` (a field that borrows clears its own guard bit and stops
-  there), and the quotient is that difference ``^ _GUARD``.  ``make_mono``
-  packs (variable, exponent) pairs, ``split_mono`` and ``mono_exponents``
-  are masks and shifts, and everything that reads names (order, weight,
-  text, LaTeX, JSON, evaluation) unpacks a monomial into (variable,
-  exponent) pairs in the variable order through one bounded cache.
+  non-negative int whose lowest 48 bits hold its weighted degree, followed
+  by a 16-bit field per slot, the exponent of slot s in bits
+  48+16s..48+16s+14.  The top bit of every field (bit 47 of the weight
+  field, bit 48+16s+15 of slot s) is a guard bit, always clear.  The empty
+  monomial is 0.  A product of monomials is one int addition, which adds
+  the weights too; since each exponent is below 2**15 and each weight below
+  2**47, two fields never carry into the next, and a sum that reaches a
+  field's guard bit sets it, which every product checks against the mask
+  ``_GUARD`` of all guard bits: it raises OverflowError and never wraps.
+  A variable's weight is below 2**16 (a larger c-index is a ValueError),
+  so no single factor v^e passes the weight field's guard bit.  m is
+  divisible by d iff ``((m | _GUARD) - d) & _GUARD`` is ``_GUARD`` (a
+  field that borrows clears its own guard bit and stops there), and the
+  quotient, weight included, is that difference ``^ _GUARD``.
+  ``make_mono`` packs (variable, exponent) pairs, the weight is
+  ``mono & _WEIGHT``, ``split_mono`` and ``mono_exponents`` are masks and
+  shifts, evaluation and renaming walk the exponent fields, and text,
+  LaTeX and JSON sort the terms by keys built from the pairs they read
+  anyway.  Only the sites that order monomials (sorted terms, the leading
+  term, the division heap) read ``term_key``, a bounded cache that holds
+  order keys and nothing else.
 * A polynomial maps monomials to nonzero int coefficients; all arithmetic is
   exact.  ``Polynomial(terms)`` also takes a tuple of (variable, exponent)
   pairs as a key and packs it; that is the only other spelling of a
@@ -60,17 +68,24 @@ _EMPTY_MONO: Mono = 0
 _STEM_ORDER = {"c": 0, "H": 1, "K": 2, "xi": 3, "l": 4, "t": 5}
 _NAME_RE = re.compile(r"([A-Za-z_]+?)(\d*)\Z")
 
+_WEIGHT_BITS = 48
+_WEIGHT = (1 << _WEIGHT_BITS) - 1  # the weighted-degree field
 _FIELD_BITS = 16
 _FIELD = (1 << _FIELD_BITS) - 1
 _LIMIT = 1 << (_FIELD_BITS - 1)  # the guard bit; every exponent stays below it
-_GUARD = 0  # the guard bits of every slot given out so far
+# the guard bits of the weight field and of every slot given out so far
+_GUARD = 1 << (_WEIGHT_BITS - 1)
 _SLOT_NAMES: list[str] = []  # slot -> variable name
+# the slots in the variable order; replaced, never mutated, before a new
+# name's entry is published, so it covers every slot a monomial can hold
+_SLOT_ORDER: tuple[int, ...] = ()
 _SLOT_LOCK = threading.Lock()
 
 
 class _Var(NamedTuple):
-    """What a name says; ``index`` is None for a name without digits, and
-    ``shift`` is the position of the name's exponent field."""
+    """What a name says; ``index`` is None for a name without digits,
+    ``shift`` is the position of the name's exponent field and ``unit`` the
+    monomial of the variable itself, its exponent field and its weight."""
 
     key: tuple[int, int, str]
     weight: int
@@ -78,6 +93,7 @@ class _Var(NamedTuple):
     index: int | None
     latex: str
     shift: int
+    unit: int
 
 
 class _NameTable(dict):
@@ -85,7 +101,7 @@ class _NameTable(dict):
     lookup."""
 
     def __missing__(self, name: str) -> _Var:
-        global _GUARD
+        global _GUARD, _SLOT_ORDER
         m = _NAME_RE.match(name)
         if m is None:
             parsed = ((9, 0, name), 1, name, None, name)
@@ -101,13 +117,19 @@ class _NameTable(dict):
                 index,
                 f"{stem}_{{{digits}}}" if digits else name,
             )
+            if parsed[1] > _FIELD:
+                raise ValueError(f"variable weight above {_FIELD}: {name!r}")
         with _SLOT_LOCK:
             if name in self:  # another thread gave it a slot first
                 return self[name]
-            shift = len(_SLOT_NAMES) * _FIELD_BITS
+            slot = len(_SLOT_NAMES)
+            shift = _WEIGHT_BITS + slot * _FIELD_BITS
+            entry = _Var(*parsed, shift, (1 << shift) + parsed[1])
+            keys = [self[v].key for v in _SLOT_NAMES] + [entry.key]
             _SLOT_NAMES.append(name)
+            _SLOT_ORDER = tuple(sorted(range(slot + 1), key=keys.__getitem__))
             _GUARD |= _LIMIT << shift
-            entry = self[name] = _Var(*parsed, shift)
+            self[name] = entry
         return entry
 
 
@@ -133,10 +155,6 @@ def var_index(name: str, stem: str) -> int | None:
 # -- monomials ------------------------------------------------------------------------
 
 
-def _pair_key(pair: tuple[str, int]) -> tuple[int, int, str]:
-    return _VARS[pair[0]].key
-
-
 def _overflow() -> OverflowError:
     return OverflowError(f"a monomial exponent reached the field limit {_LIMIT}")
 
@@ -159,15 +177,26 @@ def make_mono(pairs: Iterable[tuple[str, int]]) -> Mono:
                 raise ValueError(f"negative exponent: {v}^{e}")
             if e >= _LIMIT:
                 raise _overflow()
-            mono += e << _VARS[v].shift
+            mono += e * _VARS[v].unit
             _check_guards(mono)
     return mono
 
 
+@lru_cache(maxsize=64)
+def _split_table(names: frozenset[str]) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The mask of the exponent fields of ``names`` and their (shift, weight)."""
+    entries = [_VARS[v] for v in names]
+    mask = sum(_FIELD << entry.shift for entry in entries)
+    return mask, tuple((entry.shift, entry.weight) for entry in entries)
+
+
 def split_mono(mono: Mono, names) -> tuple[Mono, Mono]:
     """(the part of ``mono`` in the variables ``names``, the rest)."""
-    inside = mono & sum(_FIELD << _VARS[v].shift for v in names)
-    return inside, mono ^ inside
+    mask, fields = _split_table(frozenset(names))
+    inside = mono & mask
+    if inside:
+        inside += sum(((inside >> shift) & _FIELD) * w for shift, w in fields)
+    return inside, mono - inside
 
 
 def mono_exponents(mono: Mono, names) -> list[int]:
@@ -175,42 +204,57 @@ def mono_exponents(mono: Mono, names) -> list[int]:
     return [(mono >> _VARS[v].shift) & _FIELD for v in names]
 
 
+def _fields(mono: Mono) -> list[int]:
+    """The exponent fields of a monomial, slot 0 first, up to the last
+    nonzero one."""
+    fields = []
+    mono >>= _WEIGHT_BITS
+    while mono:
+        fields.append(mono & _FIELD)
+        mono >>= _FIELD_BITS
+    return fields
+
+
+def _slot_pairs(mono: Mono) -> list[tuple[str, int]]:
+    """(variable, exponent) pairs of a monomial, in slot order."""
+    return [(_SLOT_NAMES[s], e) for s, e in enumerate(_fields(mono)) if e]
+
+
+def _unpack(mono: Mono) -> tuple[tuple[int, tuple], tuple[tuple[str, int], ...]]:
+    """The sort key of a monomial and its (variable, exponent) pairs in the
+    variable order, uncached.  The key is its weighted degree and its order
+    key (variable key, -exponent, variable key, ...); it realizes the
+    canonical total order on monomials: weighted degree, then lexicographic
+    with earlier variables dominant (bigger exponent on an earlier variable
+    compares larger, hence smaller in the order key)."""
+    pairs = mono_pairs(mono)
+    key = []
+    for v, e in pairs:
+        key += (_VARS[v].key, -e)
+    return (mono & _WEIGHT, tuple(key)), pairs
+
+
 _CACHE_SIZE = 1 << 16
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def term_key(mono: Mono) -> tuple[int, tuple, tuple[tuple[str, int], ...]]:
-    """The one unpacking of a monomial, behind a bounded cache: its weighted
-    degree, its order key (variable key, -exponent, variable key, ...) and
-    its (variable, exponent) pairs in the variable order.  As a key it
-    realizes the canonical total order on monomials: weighted degree, then
-    lexicographic with earlier variables dominant (bigger exponent on an
-    earlier variable compares larger, hence smaller in the order key); the
-    pairs never break a tie between distinct monomials."""
-    pairs = []
-    slot = 0
-    while mono:
-        e = mono & _FIELD
-        if e:
-            pairs.append((_SLOT_NAMES[slot], e))
-        mono >>= _FIELD_BITS
-        slot += 1
-    pairs.sort(key=_pair_key)
-    weight, key = 0, []
-    for v, e in pairs:
-        entry = _VARS[v]
-        weight += e * entry.weight
-        key += (entry.key, -e)
-    return weight, tuple(key), tuple(pairs)
+def term_key(mono: Mono) -> tuple[int, tuple]:
+    """The sort key of a monomial (see ``_unpack``), behind a bounded cache:
+    the one cached unpack, read by the sites that order monomials."""
+    return _unpack(mono)[0]
 
 
 def mono_pairs(mono: Mono) -> tuple[tuple[str, int], ...]:
     """(variable, exponent) pairs of a monomial, in the variable order."""
-    return term_key(mono)[2]
+    fields = _fields(mono)
+    n = len(fields)
+    return tuple(
+        [(_SLOT_NAMES[s], fields[s]) for s in _SLOT_ORDER if s < n and fields[s]]
+    )
 
 
 def mono_weight(mono: Mono) -> int:
-    return term_key(mono)[0]
+    return mono & _WEIGHT
 
 
 def mono_str(mono: Mono) -> str:
@@ -232,13 +276,13 @@ def monomials_of_degree(variables: tuple[str, ...], degree: int) -> tuple[Mono, 
     if not variables:
         return ()
     first, rest = variables[0], variables[1:]
-    w, shift = _VARS[first].weight, _VARS[first].shift
+    w, unit = _VARS[first].weight, _VARS[first].unit
     if degree // w >= _LIMIT:
         raise _overflow()
     out: list[Mono] = []
     for e in range(degree // w, -1, -1):
         for tail in monomials_of_degree(rest, degree - e * w):
-            out.append((e << shift) + tail)
+            out.append(e * unit + tail)
     out.sort(key=term_key)
     return tuple(out)
 
@@ -272,7 +316,7 @@ class Polynomial:
 
     @staticmethod
     def variable(name: str) -> Polynomial:
-        return _trusted({1 << _VARS[name].shift: 1})
+        return _trusted({_VARS[name].unit: 1})
 
     @staticmethod
     def constant(value: int) -> Polynomial:
@@ -312,21 +356,21 @@ class Polynomial:
         """Maximum weighted degree of a term; -1 for the zero polynomial."""
         if not self._terms:
             return -1
-        return max(mono_weight(m) for m in self._terms)
+        return max(m & _WEIGHT for m in self._terms)
 
     def is_homogeneous(self) -> bool:
-        degrees = {mono_weight(m) for m in self._terms}
+        degrees = {m & _WEIGHT for m in self._terms}
         return len(degrees) <= 1
 
     def homogeneous_components(self) -> dict[int, Polynomial]:
         parts: dict[int, dict[Mono, int]] = {}
         for m, c in self._terms.items():
-            parts.setdefault(mono_weight(m), {})[m] = c
-        return {d: Polynomial(t) for d, t in sorted(parts.items())}
+            parts.setdefault(m & _WEIGHT, {})[m] = c
+        return {d: _trusted(t) for d, t in sorted(parts.items())}
 
     def homogeneous_part(self, degree: int) -> Polynomial:
-        return Polynomial(
-            {m: c for m, c in self._terms.items() if mono_weight(m) == degree}
+        return _trusted(
+            {m: c for m, c in self._terms.items() if m & _WEIGHT == degree}
         )
 
     def leading_item(self) -> tuple[Mono, int]:
@@ -416,11 +460,11 @@ class Polynomial:
         replacement = _coerce(replacement)
         untouched: dict[Mono, int] = {}
         grouped: dict[int, dict[Mono, int]] = {}
-        shift = _VARS[name].shift
+        shift, unit = _VARS[name].shift, _VARS[name].unit
         for m, c in self._terms.items():
             e = (m >> shift) & _FIELD
             if e:
-                grouped.setdefault(e, {})[m ^ (e << shift)] = c
+                grouped.setdefault(e, {})[m - e * unit] = c
             else:
                 untouched[m] = c
         result = Polynomial(untouched)
@@ -433,7 +477,7 @@ class Polynomial:
         total = 0
         for m, c in self._terms.items():
             prod = c
-            for v, e in mono_pairs(m):
+            for v, e in _slot_pairs(m):
                 prod *= assignment[v] ** e
             total += prod
         return total
@@ -442,7 +486,7 @@ class Polynomial:
         """Rename variables (used for symmetry checks); result re-canonicalized."""
         out: dict[Mono, int] = {}
         for m, c in self._terms.items():
-            nm = make_mono((mapping.get(v, v), e) for v, e in mono_pairs(m))
+            nm = make_mono((mapping.get(v, v), e) for v, e in _slot_pairs(m))
             out[nm] = out.get(nm, 0) + c
         return Polynomial(out)
 
@@ -450,6 +494,15 @@ class Polynomial:
 
     def sorted_terms(self) -> list[tuple[Mono, int]]:
         return sorted(self._terms.items(), key=lambda mc: term_key(mc[0]))
+
+    def _sorted_pairs(self) -> list[tuple[tuple[tuple[str, int], ...], int]]:
+        """(pairs, coefficient) of each term, in the monomial order.  Each
+        monomial is unpacked once and its key stays out of the ``term_key``
+        cache, since output reads a polynomial once."""
+        rows = sorted(
+            ((_unpack(m), c) for m, c in self._terms.items()), key=lambda r: r[0][0]
+        )
+        return [(pairs, c) for (_, pairs), c in rows]
 
     def to_text(self) -> str:
         """Canonical text form, e.g. ``4*c3 + 2*c1*c3``."""
@@ -468,9 +521,9 @@ class Polynomial:
         if not self._terms:
             return "0"
         parts: list[str] = []
-        for mono, coeff in self.sorted_terms():
+        for pairs, coeff in self._sorted_pairs():
             mag = abs(coeff)
-            body = sep.join(factor(v, e) for v, e in mono_pairs(mono))
+            body = sep.join(factor(v, e) for v, e in pairs)
             if not body:
                 body = str(mag)
             elif mag != 1:
@@ -483,8 +536,7 @@ class Polynomial:
 
     def to_json_obj(self) -> list[dict]:
         return [
-            {"coeff": str(c), "exps": dict(mono_pairs(m))}
-            for m, c in self.sorted_terms()
+            {"coeff": str(c), "exps": dict(pairs)} for pairs, c in self._sorted_pairs()
         ]
 
     @staticmethod

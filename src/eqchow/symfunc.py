@@ -170,19 +170,21 @@ def build_roots(n: int, descriptor: str) -> RepRoots:
 def is_symmetric(p: Polynomial, n: int) -> bool:
     """True iff p (a polynomial in l1..ln only) is S_n-invariant.
 
-    Checked on the adjacent transpositions, which generate the full symmetric
-    group.  Raises ValueError if p involves anything but l-variables.
+    Checked on the transposition (l1 l2) and the n-cycle l1 -> l2 -> ... ->
+    ln -> l1, which generate the full symmetric group: two renames at any n.
+    Raises ValueError if p involves anything but l-variables.
     """
     for v in p.variables():
         if var_index(v, "l") is None:
             raise ValueError(f"is_symmetric expects only l-variables, found {v}")
     if infer_rank(p) > n:
         return False
+    if n < 2:
+        return True
     ls = l_vars(n)
-    for a, b in zip(ls, ls[1:]):
-        if p.rename({a: b, b: a}) != p:
-            return False
-    return True
+    swap = {ls[0]: ls[1], ls[1]: ls[0]}
+    cycle = dict(zip(ls, ls[1:] + ls[:1]))
+    return p.rename(swap) == p and p.rename(cycle) == p
 
 
 # -- elementary symmetric machinery -------------------------------------------------

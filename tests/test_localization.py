@@ -1,26 +1,40 @@
 """Fixed-point data and the squaring-embedding pushforwards."""
 
 import random
+from functools import lru_cache
 
 import pytest
 
 from eqchow.localization import (
     RepeatedRoots,
+    _check_power,
+    _localize,
     closed_form_pushforward,
     fundamental_class,
-    pushforward_via_fixed_point_classes,
     tangent_weights,
     veronese_point_map,
     veronese_pushforward,
 )
-from eqchow.poly import ONE, var
-from eqchow.symfunc import build_roots
+from eqchow.poly import ONE, Polynomial, var
+from eqchow.symfunc import RepRoots, build_roots
 
 H = var("H")
 c1, c2, c3 = var("c1"), var("c2"), var("c3")
 l1, l2, l3 = var("l1"), var("l2"), var("l3")
 
 RHAT = H**3 - 2 * c1 * H**2 + (c1**2 + c2) * H + (c3 - c1 * c2)
+
+
+# A third route to the pushforward, used only here as a cross-check.
+@lru_cache(maxsize=None)
+def pushforward_via_fixed_point_classes(n: int, r: int) -> Polynomial:
+    """Unfactored localization sum, using the target fixed-point classes as
+    plain fundamental_class products.  Quadratically more expensive than
+    ``veronese_pushforward``; used as an independent cross-check at small n.
+    """
+    _check_power(n, r)
+    target, point_map = RepRoots(n, "Sym2(E*)").roots, veronese_point_map(n)
+    return _localize(n, r, lambda j: fundamental_class(target, point_map[j]))
 
 
 class TestFixedPoints:

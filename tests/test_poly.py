@@ -6,6 +6,7 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eqchow.poly import (
     LinearFormProduct,
@@ -21,9 +22,12 @@ from eqchow.poly import (
     mono_exponents,
     mono_pairs,
     mono_str,
+    mono_weight,
+    monomials_of_degree,
     parse_polynomial,
     split_mono,
     sum_fractions,
+    term_key,
     var,
     var_index,
     var_key,
@@ -347,9 +351,14 @@ class TestPackedLayout:
         # out twice, or a guard bit lost, would break one of the asserts.
         names = [f"zslot{i}" for i in range(1, 41)]
         seen = []
+        read = []  # each name read back at once, while others may be new
 
         def meet(order):
-            seen.append({v: make_mono([(v, 1)]) for v in order})
+            monos = {}
+            for v in order:
+                monos[v] = make_mono([(v, 1)])
+                read.append(mono_pairs(monos[v]) == ((v, 1),))
+            seen.append(monos)
 
         threads = [
             threading.Thread(target=meet, args=(names[i:] + names[:i],))
@@ -366,6 +375,7 @@ class TestPackedLayout:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert len(seen) == len(threads)
+        assert len(read) == len(threads) * len(names) and all(read)
         assert all(s == seen[0] for s in seen)
         assert len(set(seen[0].values())) == len(names)
         for v in names:
@@ -379,3 +389,68 @@ class TestPackedLayout:
         assert hash(p) == hash(3 * c1 * H**2)
         assert p.coefficient(make_mono([("H", 2), ("c1", 1)])) == 3
         assert Polynomial({(("c1", 1),): 2, make_mono([("c1", 1)]): -2}) == ZERO
+
+    def test_a_weight_past_the_field_is_rejected(self):
+        with pytest.raises(ValueError):
+            var("c65536")
+        assert mono_weight(make_mono([("c65535", 2)])) == 2 * 65535
+
+
+# Names of weights 1, 2 and 7, so that a weight differs from an exponent sum.
+WEIGHT_NAMES = ("c1", "c2", "c7", "H", "xi", "l1", "l2", "l3")
+_monos = st.dictionaries(
+    st.sampled_from(WEIGHT_NAMES), st.integers(0, 4), max_size=4
+).map(lambda exps: make_mono(exps.items()))
+_polys = st.dictionaries(_monos, st.integers(-9, 9), max_size=5).map(Polynomial)
+
+
+def _weight_field_holds(monos):
+    for m in monos:
+        assert mono_weight(m) == sum(e * var_weight(v) for v, e in mono_pairs(m))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    _polys,
+    _polys,
+    st.sampled_from(WEIGHT_NAMES),
+    st.permutations(WEIGHT_NAMES),
+    st.sets(st.sampled_from(WEIGHT_NAMES)),
+    st.integers(0, 7),
+)
+def test_the_weight_field_is_the_weighted_degree(a, b, name, image, names, degree):
+    product = a * b
+    _weight_field_holds(product.terms)
+    if b:
+        quotient = exact_divide(product, b)
+        assert quotient == a
+        _weight_field_holds(quotient.terms)
+    for m in product.terms:
+        inside, rest = split_mono(m, names)
+        _weight_field_holds((inside, rest))
+        assert inside + rest == m
+    _weight_field_holds(a.substitute(name, b).terms)
+    _weight_field_holds(a.rename(dict(zip(WEIGHT_NAMES, image))).terms)
+    ordered = tuple(sorted(names, key=var_key))
+    members = monomials_of_degree(ordered, degree)
+    _weight_field_holds(members)
+    assert all(mono_weight(m) == degree for m in members)
+
+
+class TestTermKeyCache:
+    def test_weight_and_name_reads_add_no_entries(self):
+        # (a weight-1 + a weight-2 + a weight-4 term)^3 plus a weight-3 term
+        p = (c1 + 2 * H * l1 - c3 * l2) ** 3 + var("xi") * c2
+        term_key.cache_clear()
+        assert p.evaluate({v: 2 for v in p.variables()}) == p.rename(
+            {"l1": "l2", "l2": "l1"}
+        ).evaluate({v: 2 for v in p.variables()})
+        p.to_text()
+        p.to_json_obj()
+        assert p.weighted_degree() == 12
+        assert not p.is_homogeneous()
+        assert sorted(p.homogeneous_components()) == [3, 4, 5, 6, 7, 8, 9, 10, 12]
+        assert term_key.cache_info().currsize == 0
+        # the ordering sites are what fills it
+        p.leading_item()
+        assert term_key.cache_info().currsize == len(p)

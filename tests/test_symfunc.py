@@ -130,6 +130,19 @@ class TestIsSymmetric:
             for rest, group in _h_groups(component).items():
                 assert is_symmetric(group, 3)
 
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_each_generator_is_checked(self, n):
+        ls = [var(f"l{i}") for i in range(1, n + 1)]
+        # fixed by (l1 l2) and by every transposition of l1..l(n-1), not by
+        # the n-cycle
+        assert not is_symmetric(sum(ls[:-1], ZERO), n)
+        assert not is_symmetric(ls[0] * ls[1] + ls[2], n)
+        # fixed by the n-cycle, not by (l1 l2)
+        cyclic = sum((ls[i] ** 2 * ls[(i + 1) % n] for i in range(n)), ZERO)
+        assert not is_symmetric(cyclic, n)
+        pairs = itertools.permutations(ls, 2)
+        assert is_symmetric(sum((a**2 * b for a, b in pairs), ZERO), n)
+
     def test_rejects_non_l_variables(self):
         with pytest.raises(ValueError):
             is_symmetric(c1, 3)
