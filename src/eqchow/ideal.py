@@ -240,10 +240,10 @@ class GradedIdeal:
             return True
         if not p.is_homogeneous():
             raise NotHomogeneous(f"membership query needs a homogeneous input: {p}")
-        if set(p.variables()) - set(self.variables):
-            return False
         degree = p.weighted_degree()
         index = _basis_index(monomials_of_degree(self.variables, degree))
+        if any(m not in index for m in p.terms):  # a variable outside the ring
+            return False
         return self.lattice(degree).contains(self._vector(p, index))
 
     def simplified_generators(self, max_degree: int) -> tuple[Polynomial, ...]:

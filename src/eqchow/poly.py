@@ -28,11 +28,16 @@ This module alone knows how variable names are read and monomials laid out:
   quotient, weight included, is that difference ``^ _GUARD``.
   ``make_mono`` packs (variable, exponent) pairs, the weight is
   ``mono & _WEIGHT``, ``split_mono`` and ``mono_exponents`` are masks and
-  shifts, evaluation and renaming walk the exponent fields, and text,
-  LaTeX and JSON sort the terms by keys built from the pairs they read
-  anyway.  Only the sites that order monomials (sorted terms, the leading
-  term, the division heap) read ``term_key``, a bounded cache that holds
-  order keys and nothing else.
+  shifts, and evaluation and renaming walk the exponent fields.
+* Two orders.  The packed ints compare as a monomial order (a < b implies
+  a + m < b + m): lexicographic, the latest slot first (``lex_priority``;
+  the weight field is lowest and never decides).  Slots follow first use,
+  so only results every monomial order gives alike read it: exact division
+  and the symmetric rewrite of ``eqchow.symfunc``.  Bytes and determinism
+  rest on the canonical order (``_unpack``), which ``sorted_terms``,
+  ``monomials_of_degree``, ``poly_sort_key`` and ``_normalize_linear_factor``
+  read through ``term_key``, a bounded cache of order keys; text, LaTeX and
+  JSON sort by keys built from the pairs they read anyway.
 * A polynomial maps monomials to nonzero int coefficients; all arithmetic is
   exact.  ``Polynomial(terms)`` also takes a tuple of (variable, exponent)
   pairs as a key and packs it; that is the only other spelling of a
@@ -204,6 +209,12 @@ def mono_exponents(mono: Mono, names) -> list[int]:
     return [(mono >> _VARS[v].shift) & _FIELD for v in names]
 
 
+def lex_priority(names) -> tuple[str, ...]:
+    """The variables ``names`` from the most to the least significant exponent
+    field, the priority of the lexicographic order packed ints compare in."""
+    return tuple(sorted(names, key=lambda v: _VARS[v].shift, reverse=True))
+
+
 def _fields(mono: Mono) -> list[int]:
     """The exponent fields of a monomial, slot 0 first, up to the last
     nonzero one."""
@@ -240,7 +251,7 @@ _CACHE_SIZE = 1 << 16
 @lru_cache(maxsize=_CACHE_SIZE)
 def term_key(mono: Mono) -> tuple[int, tuple]:
     """The sort key of a monomial (see ``_unpack``), behind a bounded cache:
-    the one cached unpack, read by the sites that order monomials."""
+    the one cached unpack, read by the sites that need the canonical order."""
     return _unpack(mono)[0]
 
 
@@ -372,11 +383,6 @@ class Polynomial:
         return _trusted(
             {m: c for m, c in self._terms.items() if m & _WEIGHT == degree}
         )
-
-    def leading_item(self) -> tuple[Mono, int]:
-        """Largest term under the canonical monomial order; requires self != 0."""
-        mono = max(self._terms, key=term_key)
-        return mono, self._terms[mono]
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -665,38 +671,25 @@ def parse_polynomial(text: str) -> Polynomial:
 # -- exact division --------------------------------------------------------------
 
 
-class _MaxKey:
-    """Wrapper inverting comparison so heapq acts as a max-heap on term keys."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key):
-        self.key = key
-
-    def __lt__(self, other) -> bool:
-        return self.key > other.key
-
-    def __eq__(self, other) -> bool:
-        return self.key == other.key
-
-
 def _try_exact_divide(p: Polynomial, q: Polynomial) -> Polynomial | None:
+    """p / q, or None if there is none over Z; cancels the largest packed int
+    first (any monomial order gives the one quotient)."""
     if not q:
         raise ZeroDivisionError("exact_divide by the zero polynomial")
     if not p:
         return ZERO
     guard = _GUARD
-    q_items = q.sorted_terms()
-    lead_mono, lead_coeff = q_items[-1]
-    tail = q_items[:-1]
+    lead_mono = max(q.terms)
+    lead_coeff = q.terms[lead_mono]
+    tail = [(m, c) for m, c in q.terms.items() if m != lead_mono]
 
     rem = dict(p.terms)
-    heap = [_MaxKey((term_key(m), m)) for m in rem]
+    heap = [-m for m in rem]  # negated, so heapq pops the largest monomial
     heapq.heapify(heap)
     quotient: dict[Mono, int] = {}
 
     while heap:
-        mono = heapq.heappop(heap).key[1]
+        mono = -heapq.heappop(heap)
         coeff = rem.get(mono, 0)
         if not coeff:
             continue
@@ -717,7 +710,7 @@ def _try_exact_divide(p: Polynomial, q: Polynomial) -> Polynomial | None:
             new = old - qcoeff * tc
             if new:
                 if not old:
-                    heapq.heappush(heap, _MaxKey((term_key(m2), m2)))
+                    heapq.heappush(heap, -m2)
                 rem[m2] = new
             else:
                 rem.pop(m2, None)

@@ -24,8 +24,9 @@ c_H(Wedge2(E*)) at H = k*c1, the torsor substitution ``torsor_substitute``.
 The independent route is in l1..ln: ``total_chern_poly`` expands the product
 over the roots, and ``symmetric_to_chern`` rewrites it by the classical
 leading-term elimination against elementary symmetric polynomials; it works
-over the integers with no division, terminates by strict descent in the
-monomial order, and checks the symmetry precondition, never assuming it.
+over the integers with no division, terminates by strict descent in a
+monomial order (any gives the same rewrite; it uses the packed ints of
+``eqchow.poly``), and checks the symmetry precondition, never assuming it.
 That route, and the localization sums built on it, are the oracles the
 Chern-ring route is checked against.  Variable names and the monomial layout
 follow the conventions stated once in ``eqchow.poly``; ``l_vars`` and
@@ -49,13 +50,13 @@ from .poly import (
     ZERO,
     const,
     exact_divide,
+    lex_priority,
     make_mono,
     mono_exponents,
     mono_str,
     mono_weight,
     poly_sort_key,
     split_mono,
-    term_key,
     var,
     var_index,
 )
@@ -219,31 +220,30 @@ def _e_product(n: int, powers: tuple[int, ...]) -> Polynomial:
 def _eliminate_symmetric(q: Polynomial, n: int) -> Polynomial:
     """Rewrite a symmetric polynomial in l1..ln as a polynomial in c1..cn.
 
-    Repeatedly cancels the leading monomial against the elementary-symmetric
-    product with the same leading monomial; the leading monomial strictly
-    decreases, so this terminates.  If it fails to decrease (the arithmetic
-    is broken), ArithmeticError is raised instead of looping.
+    Repeatedly cancels the leading monomial, the largest packed int (a
+    lexicographic order, see ``lex_priority``), against the elementary
+    symmetric product with the same leading monomial; it strictly decreases,
+    so this terminates.  If it fails to decrease (the arithmetic is broken),
+    ArithmeticError is raised instead of looping.
     """
     out: dict[Mono, int] = {}
-    ls, cs = l_vars(n), c_vars(n)
+    ls, cs = lex_priority(l_vars(n)), c_vars(n)
     previous = None
     while q:
-        mono, coeff = q.leading_item()
-        key = term_key(mono)
-        if previous is not None and key >= previous:
+        mono = max(q.terms)
+        coeff = q.terms[mono]
+        if previous is not None and mono >= previous:
             raise ArithmeticError(f"leading term {mono_str(mono)} did not cancel")
-        previous = key
+        previous = mono
         evec = mono_exponents(mono, ls)
-        # Leading monomial of a symmetric polynomial has ascending exponents in
-        # this order.  An asymmetric input stays nonzero while its leading
-        # monomial descends, so it meets a non-ascending one: a complete check.
-        if any(evec[j] > evec[j + 1] for j in range(n - 1)):
+        # Leading monomial of a symmetric polynomial has non-increasing exponents
+        # in the priority order.  An asymmetric input stays nonzero while its
+        # leading monomial descends, so it meets one that has not: complete.
+        if any(evec[j] < evec[j + 1] for j in range(n - 1)):
             raise NotSymmetric(
                 f"not symmetric in l1..l{n}: leading term {mono_str(mono)}"
             )
-        powers = tuple(
-            evec[n - i] - (evec[n - i - 1] if i < n else 0) for i in range(1, n + 1)
-        )
+        powers = tuple(evec[i] - (evec[i + 1] if i + 1 < n else 0) for i in range(n))
         # prod e_i^k_i is (-1)^(sum i*k_i) prod c_i^k_i, the sign of its degree
         cmono = make_mono(zip(cs, powers))
         out[cmono] = coeff * (-1) ** mono_weight(cmono)

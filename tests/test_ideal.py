@@ -117,6 +117,16 @@ class TestContains:
         with pytest.raises(NotHomogeneous):
             GradedIdeal(CV3, THEOREM_IDEAL).contains(c1 + c2)
 
+    def test_variable_outside_the_ring_is_outside(self):
+        # 4*c3*H is a multiple of a generator, but H is not in Z[c1, c2, c3]
+        ideal = GradedIdeal(CV3, THEOREM_IDEAL)
+        assert ideal.contains(4 * c3 * c1)
+        assert not ideal.contains(4 * c3 * H)
+
+    def test_generator_outside_the_ring_rejected(self):
+        with pytest.raises(ValueError, match="outside the ring"):
+            GradedIdeal(CV3, [4 * c3, c1 * H])
+
     def test_pushforward_ideal_contains_bundle_relation(self):
         from eqchow.localization import veronese_pushforward
         from eqchow.symfunc import build_roots, symmetric_to_chern, total_chern_poly

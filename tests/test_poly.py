@@ -33,6 +33,7 @@ from eqchow.poly import (
     var_key,
     var_weight,
 )
+from eqchow.symfunc import NotSymmetric, chern_to_roots, symmetric_to_chern
 
 H, K = var("H"), var("K")
 c1, c2, c3 = var("c1"), var("c2"), var("c3")
@@ -342,7 +343,7 @@ class TestPackedLayout:
         assert p.to_text() == "3*l10 + c29*H + c29^2*l10"
         assert p.to_latex() == "3l_{10} + c_{29}H + c_{29}^{2}l_{10}"
         assert p.to_json_obj()[2] == {"coeff": "1", "exps": {"c29": 2, "l10": 1}}
-        assert p.leading_item() == (make_mono([("c29", 2), ("l10", 1)]), 1)
+        assert p.sorted_terms()[-1] == (make_mono([("c29", 2), ("l10", 1)]), 1)
         assert mono_str(make_mono([("l10", 1), ("c29", 2)])) == "c29^2*l10"
         assert parse_polynomial(p.to_text()) == p
 
@@ -452,5 +453,21 @@ class TestTermKeyCache:
         assert sorted(p.homogeneous_components()) == [3, 4, 5, 6, 7, 8, 9, 10, 12]
         assert term_key.cache_info().currsize == 0
         # the ordering sites are what fills it
-        p.leading_item()
+        p.sorted_terms()
         assert term_key.cache_info().currsize == len(p)
+
+    def test_division_and_the_symmetric_rewrite_add_no_entries(self):
+        # both order their terms by the packed int, not by term_key
+        f = (H + 2 * l1 - l2) * (K + l1 * l3) + c2
+        g = (l1 - l3) ** 2 + H * l2
+        product = f * g
+        q = chern_to_roots(c1 * c2 - 3 * c3 + c1**3, 3) * (H + K) ** 2
+        term_key.cache_clear()
+        assert exact_divide(product, g) == f
+        assert divides(f, product) and not divides(f + 1, product)
+        with pytest.raises(NotDivisible):
+            exact_divide(product + l2, f)
+        assert symmetric_to_chern(q, 3) == (c1 * c2 - 3 * c3 + c1**3) * (H + K) ** 2
+        with pytest.raises(NotSymmetric):
+            symmetric_to_chern(q + l1**3, 3)
+        assert term_key.cache_info().currsize == 0

@@ -1,11 +1,16 @@
 """Root multisets, symmetry checking, and the rewrite into Chern classes."""
 
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 from dataclasses import fields
 
 import pytest
 
+import eqchow
 from eqchow import symfunc
 from eqchow.poly import ONE, ZERO, poly_sort_key, split_mono, var
 from eqchow.symfunc import (
@@ -19,6 +24,7 @@ from eqchow.symfunc import (
     e_top,
     elementary_symmetric,
     is_symmetric,
+    l_vars,
     symmetric_to_chern,
     total_chern_poly,
 )
@@ -338,3 +344,83 @@ def test_elementary_symmetric_counts():
             from math import comb
 
             assert count == comb(n, i)
+
+
+# Packs the names in argv first, so they take slots 0, 1, ... in that order,
+# then prints the rewrites, quotients and checks that must not depend on it.
+HISTORY_RUN = """
+import json, random, sys
+from eqchow.poly import NotDivisible, ZERO, divides, exact_divide, lex_priority, make_mono, var
+for name in sys.argv[1:]:
+    make_mono([(name, 1)])
+from eqchow.symfunc import NotSymmetric, chern_to_roots, l_vars, symmetric_to_chern
+
+def raises(error, f, *args):
+    try:
+        f(*args)
+    except error:
+        return True
+    return False
+
+ls = [var(v) for v in l_vars(6)]
+H, K = var("H"), var("K")
+rng = random.Random(31)
+out = {"priority": lex_priority(l_vars(6)), "values": [], "checks": []}
+for n in range(2, 6):
+    for _ in range(5):
+        q = ZERO
+        for _ in range(rng.randint(1, 4)):
+            t = var(f"c{rng.randint(1, n)}") * rng.randint(-9, 9) * H ** rng.randint(0, 2)
+            for _ in range(rng.randint(0, 2)):
+                t = t * var(f"c{rng.randint(1, n)}")
+            q = q + t
+        p = chern_to_roots(q, n)
+        image = symmetric_to_chern(p, n)
+        out["values"].append(image.to_json_obj())
+        out["checks"].append(image == q)
+        for extra in (ls[0] ** 3, ls[0] ** 2 * ls[n - 1], ls[n - 1] * H):
+            out["checks"].append(raises(NotSymmetric, symmetric_to_chern, p + extra, n))
+        if n == 2:  # l1*l2 is e_2 = c2 at n = 2
+            out["checks"].append(symmetric_to_chern(p + ls[0] * ls[1], n) == q + var("c2"))
+        else:
+            out["checks"].append(raises(NotSymmetric, symmetric_to_chern, p + ls[0] * ls[1], n))
+f = (H + 2 * ls[0] - ls[5]) * (K + ls[0] * ls[2]) + var("c2") * ls[3]
+for g in ((ls[0] - ls[2]) ** 2 + H * ls[1] + ls[4] ** 2, ls[5] - 2 * ls[0], 3 * ls[1] * ls[3], H + K + 1):
+    product = f * g
+    quotient = exact_divide(product, g)
+    out["values"].append(quotient.to_json_obj())
+    out["checks"] += [
+        quotient == f,
+        divides(g, product),
+        not divides(g, product + ls[1]),
+        not divides(2 * g, product),
+        raises(NotDivisible, exact_divide, product + ls[1], g),
+    ]
+print(json.dumps(out))
+"""
+
+
+def _run_with_history(names):
+    src = os.path.dirname(os.path.dirname(eqchow.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", HISTORY_RUN, *names],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_results_do_not_depend_on_the_slot_history():
+    # division and the rewrite order monomials by the packed int, whose
+    # variable priority follows the order names were first seen
+    names = l_vars(6)
+    default = _run_with_history(names)
+    reverse = _run_with_history(names[::-1])
+    assert default["priority"] == list(names[::-1])
+    assert reverse["priority"] == list(names)
+    assert len(default["checks"]) == 4 * 5 * 5 + 4 * 5
+    assert all(default["checks"]) and all(reverse["checks"])
+    assert reverse["values"] == default["values"]
