@@ -43,7 +43,6 @@ from .pipeline import (
     torsor_quotient,
 )
 from .poly import (
-    LinearFormProduct,
     NotDivisible,
     Polynomial,
     StructuredFraction,
@@ -72,7 +71,6 @@ __all__ = [
     "GradedPiece",
     "IntegerLattice",
     "InternalInconsistency",
-    "LinearFormProduct",
     "NotDivisible",
     "NotHomogeneous",
     "NotSymmetric",

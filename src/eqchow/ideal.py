@@ -57,8 +57,9 @@ class IntegerLattice:
     """Sublattice of Z^dim spanned by inserted integer vectors.
 
     Rows are kept in integer echelon form, one positive pivot per column and
-    rows ordered by pivot column; ``hnf`` reduces the entries above each pivot
-    into [0, pivot), which is unique for the lattice.
+    rows ordered by pivot column; ``hnf`` walks each row by the rows below
+    it, which reduces the entries above each pivot into [0, pivot), a form
+    unique for the lattice.
     """
 
     __slots__ = ("dim", "rows", "pivot_cols", "_hnf")
@@ -107,9 +108,11 @@ class IntegerLattice:
             self._hnf = None
         return changed
 
-    def _walk(self, vec: list[int], exact: bool) -> list[int] | None:
+    def _walk(self, vec: list[int], exact: bool, start: int = 0) -> list[int] | None:
+        """``vec`` reduced into [0, pivot) at the pivots of the rows from
+        ``start`` on; None if ``exact`` and an entry is not a multiple."""
         out = list(vec)
-        for i, j in enumerate(self.pivot_cols):
+        for i, j in enumerate(self.pivot_cols[start:], start):
             v = out[j]
             if not v:
                 continue
@@ -132,17 +135,13 @@ class IntegerLattice:
         return self._walk(vec, exact=False)
 
     def hnf(self) -> tuple[tuple[int, ...], ...]:
+        """The Hermite normal form; a row never touches an earlier pivot
+        column, so walking by later rows leaves every pivot in place."""
         if self._hnf is None:
-            rows = [list(r) for r in self.rows]
-            for i, j in enumerate(self.pivot_cols):
-                p = rows[i][j]
-                for a in range(i):
-                    q = rows[a][j] // p
-                    if q:
-                        rows[a][j:] = [
-                            u - q * v for u, v in zip(rows[a][j:], rows[i][j:])
-                        ]
-            self._hnf = tuple(tuple(r) for r in rows)
+            self._hnf = tuple(
+                tuple(self._walk(row, exact=False, start=i + 1))
+                for i, row in enumerate(self.rows)
+            )
         return self._hnf
 
 

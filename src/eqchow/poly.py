@@ -45,8 +45,10 @@ This module alone knows how variable names are read and monomials laid out:
 
 On top of plain polynomials sits a small structured-fraction layer whose
 denominators are products of linear forms, the only denominators torus
-localization ever produces.  ``sum_fractions`` adds such fractions over their
-least common denominator and clears it when the sum is a polynomial.
+localization ever produces, kept as (form, multiplicity) pairs and never
+expanded.  ``sum_fractions`` adds such fractions over their least common
+denominator and ``reduced`` cancels it one form at a time, which clears it
+when the sum is a polynomial.
 
 All values are immutable after construction and safe to share between threads;
 every operation returns a fresh canonical value.
@@ -55,14 +57,12 @@ every operation returns a fresh canonical value.
 from __future__ import annotations
 
 import heapq
-import json
 import re
 import threading
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from math import prod
 from operator import or_
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 Mono = int
 
@@ -545,21 +545,6 @@ class Polynomial:
             {"coeff": str(c), "exps": dict(pairs)} for pairs, c in self._sorted_pairs()
         ]
 
-    @staticmethod
-    def from_json_obj(obj: Iterable[Mapping]) -> Polynomial:
-        terms: dict[Mono, int] = {}
-        for entry in obj:
-            mono = make_mono((v, int(e)) for v, e in entry["exps"].items())
-            terms[mono] = terms.get(mono, 0) + int(entry["coeff"])
-        return Polynomial(terms)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
-
-    @staticmethod
-    def from_json(text: str) -> Polynomial:
-        return Polynomial.from_json_obj(json.loads(text))
-
     def __str__(self) -> str:
         return self.to_text()
 
@@ -752,87 +737,37 @@ def _normalize_linear_factor(f: Polynomial) -> tuple[Polynomial, int]:
     return f, 1
 
 
-@dataclass(frozen=True)
-class LinearFormProduct:
-    """A multiset of degree-1 factors with multiplicities, in canonical form.
-
-    Factors are sign-normalized; construction via ``from_factors`` reports the
-    sign absorbed into the normalization.
-    """
-
-    factors: tuple[tuple[Polynomial, int], ...]
-
-    @staticmethod
-    def from_factors(factors: Iterable[Polynomial]) -> tuple[LinearFormProduct, int]:
-        """The product of the linear forms ``factors`` (a repeated form counts
-        once per occurrence) and the sign absorbed by normalizing them."""
-        counts: dict[Polynomial, int] = {}
-        sign = 1
-        for f in factors:
-            g, s = _normalize_linear_factor(f)
-            sign *= s
-            counts[g] = counts.get(g, 0) + 1
-        return LinearFormProduct._ordered(counts), sign
-
-    @staticmethod
-    def _ordered(counts: dict[Polynomial, int]) -> LinearFormProduct:
-        return LinearFormProduct(
-            tuple(sorted(counts.items(), key=lambda fm: poly_sort_key(fm[0])))
-        )
-
-    @staticmethod
-    def empty() -> LinearFormProduct:
-        return LinearFormProduct(())
-
-    def __bool__(self) -> bool:
-        return bool(self.factors)
-
-    def __iter__(self) -> Iterator[tuple[Polynomial, int]]:
-        return iter(self.factors)
-
-    def degree(self) -> int:
-        return sum(m for _, m in self.factors)
-
-    def expand(self) -> Polynomial:
-        return prod((f**m for f, m in self.factors), start=ONE)
-
-    def lcm(self, other: LinearFormProduct) -> LinearFormProduct:
-        counts = dict(self.factors)
-        for f, m in other.factors:
-            counts[f] = max(counts.get(f, 0), m)
-        return LinearFormProduct._ordered(counts)
-
-    def complement_to(self, lcm: LinearFormProduct) -> Polynomial:
-        """Expanded product lcm / self (self must divide lcm factor-wise)."""
-        result = ONE
-        own = dict(self.factors)
-        for f, m in lcm.factors:
-            extra = m - own.get(f, 0)
-            if extra < 0:
-                raise ValueError("not a factor-wise multiple")
-            if extra:
-                result = result * f**extra
-        return result
+def _ordered(counts: dict[Polynomial, int]) -> tuple[tuple[Polynomial, int], ...]:
+    return tuple(sorted(counts.items(), key=lambda fm: poly_sort_key(fm[0])))
 
 
 @dataclass(frozen=True)
 class StructuredFraction:
-    """numerator / (product of linear forms); an empty denominator means a
+    """numerator / prod f^m over the (f, m) pairs of ``denominator``: each f a
+    sign-normalized linear form, each m positive, the pairs in the
+    ``poly_sort_key`` order of their forms.  An empty denominator means a
     plain polynomial."""
 
     numerator: Polynomial
-    denominator: LinearFormProduct
+    denominator: tuple[tuple[Polynomial, int], ...]
 
     @staticmethod
     def make(
         numerator: Polynomial | int,
         factors: Iterable[Polynomial] = (),
     ) -> StructuredFraction:
-        den, sign = LinearFormProduct.from_factors(factors)
+        """numerator / the product of the linear forms ``factors``, each counted
+        per occurrence and sign-normalized, its sign moved to the numerator."""
+        counts: dict[Polynomial, int] = {}
+        sign = 1
+        for f in factors:
+            g, s = _normalize_linear_factor(f)
+            sign *= s
+            counts[g] = counts.get(g, 0) + 1
         num = _coerce(numerator) * sign
         if not num:
-            return StructuredFraction(ZERO, LinearFormProduct.empty())
-        return StructuredFraction(num, den)
+            return StructuredFraction(ZERO, ())
+        return StructuredFraction(num, _ordered(counts))
 
     def is_polynomial(self) -> bool:
         return not self.denominator
@@ -843,14 +778,8 @@ class StructuredFraction:
         return self.numerator
 
     def reduced(self) -> StructuredFraction:
-        """Cancel denominator factors that divide the numerator exactly."""
-        if not self.numerator:
-            return StructuredFraction(ZERO, LinearFormProduct.empty())
-        if not self.denominator:
-            return self
-        num = _try_exact_divide(self.numerator, self.denominator.expand())
-        if num is not None:
-            return StructuredFraction(num, LinearFormProduct.empty())
+        """Cancel denominator forms that divide the numerator, one at a time;
+        when the whole denominator divides, so does each form in turn."""
         num = self.numerator
         remaining: list[tuple[Polynomial, int]] = []
         for f, m in self.denominator:
@@ -862,7 +791,7 @@ class StructuredFraction:
                 m -= 1
             if m:
                 remaining.append((f, m))
-        return StructuredFraction(num, LinearFormProduct(tuple(remaining)))
+        return StructuredFraction(num, tuple(remaining))
 
     def __str__(self) -> str:
         if not self.denominator:
@@ -881,12 +810,17 @@ def sum_fractions(fractions: Iterable[StructuredFraction]) -> StructuredFraction
     summed numerator the result comes back with an empty denominator.
     """
     fractions = [f for f in fractions if f.numerator]
-    if not fractions:
-        return StructuredFraction(ZERO, LinearFormProduct.empty())
-    lcm = LinearFormProduct.empty()
-    for f in fractions:
-        lcm = lcm.lcm(f.denominator)
+    lcm: dict[Polynomial, int] = {}
+    for fraction in fractions:
+        for f, m in fraction.denominator:
+            lcm[f] = max(lcm.get(f, 0), m)
     total = ZERO
-    for f in fractions:
-        total = total + f.numerator * f.denominator.complement_to(lcm)
-    return StructuredFraction(total, lcm).reduced()
+    for fraction in fractions:
+        own = dict(fraction.denominator)
+        missing = ONE
+        for f, m in lcm.items():
+            extra = m - own.get(f, 0)
+            if extra:
+                missing = missing * f**extra
+        total = total + fraction.numerator * missing
+    return StructuredFraction(total, _ordered(lcm)).reduced()

@@ -114,30 +114,38 @@ def exact_divide_roundtrip() -> int:
 
 
 def sum_fractions_permutation_invariance() -> int:
-    """The fraction sum does not depend on the order of its inputs, and its
-    numerator is homogeneous whenever all inputs are."""
+    """The fraction sum does not depend on the order of its inputs, nor on
+    multiplying one input's numerator and denominator by the same form, and
+    its numerator is homogeneous whenever all inputs are."""
     rng, cases = random.Random(3), 200
     ls = [var(v) for v in l_vars(3)]
     forms = [ls[0] - ls[1], ls[1] - ls[2], ls[0] - ls[2], ls[0] + ls[1], ls[1] + ls[2]]
     nonzero = 0
     for _ in range(cases):
         total = rng.randint(0, 2)
-        fractions = []
+        parts = []
         for _ in range(rng.randint(2, 4)):
             dens = [rng.choice(forms) for _ in range(rng.randint(0, 2))]
             num = ZERO
             for m in monomials_of_degree(l_vars(3), total + len(dens)):
                 num = num + Polynomial({m: rng.randint(-4, 4)})
-            fractions.append(StructuredFraction.make(num, dens))
+            parts.append((num, dens))
+        fractions = [StructuredFraction.make(num, dens) for num, dens in parts]
         base = sum_fractions(fractions)
         shuffled = fractions[:]
         rng.shuffle(shuffled)
         again = sum_fractions(shuffled)
         _check(base == again, "fraction sum depends on the order")
+        i, g = rng.randrange(len(parts)), rng.choice(forms)
+        num, dens = parts[i]
+        padded = fractions[:]
+        padded[i] = StructuredFraction.make(num * g, dens + [g])
+        _check(sum_fractions(padded) == base, "fraction sum keeps a common factor")
         if base.numerator:
             nonzero += 1
             _check(base.numerator.is_homogeneous(), "numerator is not homogeneous")
-            forced = base.numerator.weighted_degree() - base.denominator.degree()
+            den_degree = sum(m for _, m in base.denominator)
+            forced = base.numerator.weighted_degree() - den_degree
             _check(forced == total, "fraction sum has the wrong degree")
     _check(nonzero, "every fraction sum is zero")
     return cases

@@ -337,6 +337,32 @@ class TestLatticeInvariants:
                 lat2.insert(list(v))
             assert lat2.hnf() == h
 
+    def test_hnf_defining_conditions(self):
+        rng = random.Random(45)
+        for _ in range(200):
+            dim = rng.randint(1, 7)
+            lat = IntegerLattice(dim)
+            for _ in range(rng.randint(1, 8)):
+                vec = [rng.randint(-20, 20) * rng.randint(0, 1) for _ in range(dim)]
+                lat.insert(vec)
+            h = lat.hnf()
+            pivots = []
+            for row in h:
+                # the first nonzero entry is the pivot: zeros to its left
+                j = next(k for k, u in enumerate(row) if u)
+                assert row[j] > 0
+                pivots.append(j)
+            assert pivots == sorted(set(pivots))
+            for i, j in enumerate(pivots):
+                for row in h[:i]:
+                    assert 0 <= row[j] < h[i][j]
+            # the HNF rows and the echelon rows span the same lattice
+            back = IntegerLattice(dim)
+            for row in h:
+                back.insert(list(row))
+            assert all(back.contains(list(row)) for row in lat.rows)
+            assert all(lat.contains(list(row)) for row in h)
+
     def test_hnf_shape(self):
         lat = IntegerLattice(3)
         lat.insert([2, 4, 4])

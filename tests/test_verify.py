@@ -1,11 +1,13 @@
 """The aggregated verify-all report: content, schema, CLI wiring, and failure
 reporting."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -57,14 +59,16 @@ sys.argv = ["eqchow", "verify-all", "--format", "json"]
 runpy.run_module("eqchow.cli", run_name="__main__")
 """
 
-# Three broken kernels below the multiplication, each checked under
+# Four broken kernels below the multiplication, each checked under
 # ``python -O`` by running only the claims that must notice it: a whole
 # verify-all would also run rows that still pass, the oracle's included.  The
 # broken insert drops a vector whenever merging it would need the extended
 # gcd; the broken membership test accepts every vector, so generator
 # containment alone would certify any two ideals equal; the broken division
 # drops the smallest term of every quotient with two or more terms, which the
-# Newton route of ``chern_polynomial`` also divides through.
+# Newton route of ``chern_polynomial`` also divides through; the broken
+# fraction reduction never cancels the last factor of a denominator, so a
+# localization sum keeps a denominator it should clear.
 KERNEL_SABOTAGES = {
     "contains-accepts-everything": (
         """
@@ -121,6 +125,27 @@ poly._try_exact_divide = wrong_divide
             "quadrics-presentations",
             "property-exact-divide-roundtrip",
             "property-bundle-relation-membership",
+        ],
+    ),
+    "reduce-keeps-last-factor": (
+        """
+reduced = poly.StructuredFraction.reduced
+
+def wrong_reduced(self):
+    if not self.numerator or not self.denominator:
+        return reduced(self)
+    *head, last = self.denominator
+    part = reduced(poly.StructuredFraction(self.numerator, tuple(head)))
+    return poly.StructuredFraction(part.numerator, part.denominator + (last,))
+
+poly.StructuredFraction.reduced = wrong_reduced
+""",
+        [
+            "m01-theorem-presentation",
+            "pushforward-displays-rank3",
+            "pushforward-interpolation-oracle",
+            "quadrics-presentations",
+            "property-fraction-sum-permutation-invariance",
         ],
     ),
 }
@@ -228,6 +253,18 @@ def test_sabotaged_kernel_fails_under_optimize(sabotage):
         must_fail, "fail"
     )
     assert not report["all_passed"]
+
+
+def test_library_has_no_assert_statements():
+    # ``python -O`` strips asserts, so every check in the library is a raise
+    package = Path(eqchow.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 @pytest.mark.parametrize("sabotage", sorted(KERNEL_SABOTAGES))
