@@ -27,17 +27,19 @@ This module alone knows how variable names are read and monomials laid out:
   field that borrows clears its own guard bit and stops there), and the
   quotient, weight included, is that difference ``^ _GUARD``.
   ``make_mono`` packs (variable, exponent) pairs, the weight is
-  ``mono & _WEIGHT``, ``split_mono`` and ``mono_exponents`` are masks and
-  shifts, and evaluation and renaming walk the exponent fields.
+  ``mono & _WEIGHT``, ``mono_exponents`` is masks and shifts, and
+  evaluation and renaming walk the exponent fields.
 * Two orders.  The packed ints compare as a monomial order (a < b implies
   a + m < b + m): lexicographic, the latest slot first (``lex_priority``;
   the weight field is lowest and never decides).  Slots follow first use,
   so only results every monomial order gives alike read it: exact division
-  and the symmetric rewrite of ``eqchow.symfunc``.  Bytes and determinism
-  rest on the canonical order (``_unpack``), which ``sorted_terms``,
-  ``monomials_of_degree``, ``poly_sort_key`` and ``_normalize_linear_factor``
-  read through ``term_key``, a bounded cache of order keys; text, LaTeX and
-  JSON sort by keys built from the pairs they read anyway.
+  and the symmetric rewrite of ``eqchow.symfunc``, on one remainder heap (a
+  dict and a heap of negated ints, updated by ``_subtract_shifted``).  Bytes
+  and determinism rest on the canonical order (``_unpack``), which
+  ``sorted_terms``, ``monomials_of_degree``, ``poly_sort_key`` and
+  ``_normalize_linear_factor`` read through ``term_key``, a bounded cache of
+  order keys; text, LaTeX and JSON sort by keys built from the pairs they
+  read anyway.
 * A polynomial maps monomials to nonzero int coefficients; all arithmetic is
   exact.  ``Polynomial(terms)`` also takes a tuple of (variable, exponent)
   pairs as a key and packs it; that is the only other spelling of a
@@ -185,23 +187,6 @@ def make_mono(pairs: Iterable[tuple[str, int]]) -> Mono:
             mono += e * _VARS[v].unit
             _check_guards(mono)
     return mono
-
-
-@lru_cache(maxsize=64)
-def _split_table(names: frozenset[str]) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """The mask of the exponent fields of ``names`` and their (shift, weight)."""
-    entries = [_VARS[v] for v in names]
-    mask = sum(_FIELD << entry.shift for entry in entries)
-    return mask, tuple((entry.shift, entry.weight) for entry in entries)
-
-
-def split_mono(mono: Mono, names) -> tuple[Mono, Mono]:
-    """(the part of ``mono`` in the variables ``names``, the rest)."""
-    mask, fields = _split_table(frozenset(names))
-    inside = mono & mask
-    if inside:
-        inside += sum(((inside >> shift) & _FIELD) * w for shift, w in fields)
-    return inside, mono - inside
 
 
 def mono_exponents(mono: Mono, names) -> list[int]:
@@ -378,11 +363,6 @@ class Polynomial:
         for m, c in self._terms.items():
             parts.setdefault(m & _WEIGHT, {})[m] = c
         return {d: _trusted(t) for d, t in sorted(parts.items())}
-
-    def homogeneous_part(self, degree: int) -> Polynomial:
-        return _trusted(
-            {m: c for m, c in self._terms.items() if m & _WEIGHT == degree}
-        )
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -656,6 +636,26 @@ def parse_polynomial(text: str) -> Polynomial:
 # -- exact division --------------------------------------------------------------
 
 
+def _subtract_shifted(rem: dict, heap: list, shift: Mono, coeff: int, terms) -> None:
+    """rem -= coeff * shift * (the (monomial, coefficient) pairs ``terms``), in
+    place: the remainder update of a leading-term reduction.  A monomial that
+    enters ``rem`` is pushed, negated, onto ``heap``; every packed sum is
+    checked against the guard bits."""
+    guard = _GUARD
+    for m, c in terms:
+        m2 = shift + m
+        if m2 & guard:
+            raise _overflow()
+        old = rem.get(m2, 0)
+        new = old - coeff * c
+        if new:
+            if not old:
+                heapq.heappush(heap, -m2)
+            rem[m2] = new
+        else:
+            rem.pop(m2, None)
+
+
 def _try_exact_divide(p: Polynomial, q: Polynomial) -> Polynomial | None:
     """p / q, or None if there is none over Z; cancels the largest packed int
     first (any monomial order gives the one quotient)."""
@@ -688,17 +688,7 @@ def _try_exact_divide(p: Polynomial, q: Polynomial) -> Polynomial | None:
         qcoeff = coeff // lead_coeff
         quotient[qmono] = qcoeff
         del rem[mono]
-        for tm, tc in tail:
-            m2 = qmono + tm
-            _check_guards(m2)
-            old = rem.get(m2, 0)
-            new = old - qcoeff * tc
-            if new:
-                if not old:
-                    heapq.heappush(heap, -m2)
-                rem[m2] = new
-            else:
-                rem.pop(m2, None)
+        _subtract_shifted(rem, heap, qmono, qcoeff, tail)
     if rem:
         return None
     return _trusted(quotient)

@@ -153,20 +153,26 @@ def sum_fractions_permutation_invariance() -> int:
 
 def symmetric_roundtrip() -> int:
     """Expanding c_i as signed elementary symmetric polynomials and rewriting
-    back is the identity, for random Chern polynomials with n <= 5."""
+    back is the identity, for random Chern polynomials with n <= 5, not all
+    of them constant."""
     rng, cases = random.Random(4), 200
+    nonconstant = 0
     for _ in range(cases):
         n = rng.randint(2, 5)
         q = _random_poly(rng, c_vars(n), max_terms=5, max_exp=2)
         _check(
             symmetric_to_chern(chern_to_roots(q, n), n) == q, "rewrite round trip fails"
         )
+        nonconstant += q.weighted_degree() > 0
+    _check(nonconstant, "every input is constant")
     return cases
 
 
 def symmetric_homomorphism() -> int:
-    """The rewriting map respects sums and products of symmetric inputs."""
+    """The rewriting map respects sums and products of symmetric inputs, in
+    some case with both factors non-constant."""
     rng, cases = random.Random(5), 200
+    nonconstant = 0
     for _ in range(cases):
         n = rng.randint(2, 4)
         a = chern_to_roots(_random_poly(rng, c_vars(n), max_terms=3, max_exp=2), n)
@@ -174,6 +180,8 @@ def symmetric_homomorphism() -> int:
         f = lambda p: symmetric_to_chern(p, n)
         _check(f(a + b) == f(a) + f(b), "rewrite is not additive")
         _check(f(a * b) == f(a) * f(b), "rewrite is not multiplicative")
+        nonconstant += min(a.weighted_degree(), b.weighted_degree()) > 0
+    _check(nonconstant, "no case multiplies two non-constant inputs")
     return cases
 
 

@@ -26,7 +26,10 @@ over the roots, and ``symmetric_to_chern`` rewrites it by the classical
 leading-term elimination against elementary symmetric polynomials; it works
 over the integers with no division, terminates by strict descent in a
 monomial order (any gives the same rewrite; it uses the packed ints of
-``eqchow.poly``), and checks the symmetry precondition, never assuming it.
+``eqchow.poly``, on exact division's remainder heap), and checks the symmetry
+precondition, never assuming it.  It runs once over the whole input, all
+degrees and non-l parts together: in a monomial order the leading monomial
+leads the coefficient of its own non-l part, so no grouping is needed.
 That route, and the localization sums built on it, are the oracles the
 Chern-ring route is checked against.  Variable names and the monomial layout
 follow the conventions stated once in ``eqchow.poly``; ``l_vars`` and
@@ -37,6 +40,7 @@ hyperplane class of every projective bundle the package builds.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import re
 from dataclasses import dataclass, replace
@@ -48,15 +52,15 @@ from .poly import (
     ONE,
     Polynomial,
     ZERO,
+    _check_guards,
+    _subtract_shifted,
     const,
     exact_divide,
     lex_priority,
     make_mono,
     mono_exponents,
     mono_str,
-    mono_weight,
     poly_sort_key,
-    split_mono,
     var,
     var_index,
 )
@@ -217,61 +221,54 @@ def _e_product(n: int, powers: tuple[int, ...]) -> Polynomial:
     return ONE
 
 
-def _eliminate_symmetric(q: Polynomial, n: int) -> Polynomial:
-    """Rewrite a symmetric polynomial in l1..ln as a polynomial in c1..cn.
+def symmetric_to_chern(p: Polynomial, n: int) -> Polynomial:
+    """Express a polynomial symmetric in l1..ln via Chern classes c1..cn.
 
-    Repeatedly cancels the leading monomial, the largest packed int (a
-    lexicographic order, see ``lex_priority``), against the elementary
-    symmetric product with the same leading monomial; it strictly decreases,
-    so this terminates.  If it fails to decrease (the arithmetic is broken),
-    ArithmeticError is raised instead of looping.
+    Non-l variables (H, K, c, ...) pass through: each coefficient with respect
+    to them must itself be symmetric.  Raises NotSymmetric otherwise.
+
+    Cancels the leading monomial, the largest packed int (see ``lex_priority``),
+    against its coefficient times its non-l part times the elementary symmetric
+    product with its l-part as leading monomial, over the whole input at once:
+    the order is a monomial order, so that monomial leads the coefficient of its
+    non-l part, and no grouping is needed.  It strictly decreases; if it does
+    not (the arithmetic is broken), ArithmeticError is raised, never a loop.
     """
-    out: dict[Mono, int] = {}
+    rank = infer_rank(p)
+    if rank > n:
+        raise NotSymmetric(f"variable l{rank} exceeds rank {n}")
     ls, cs = lex_priority(l_vars(n)), c_vars(n)
+    rem = dict(p.terms)
+    heap = [-m for m in rem]  # negated, so heapq pops the largest monomial
+    heapq.heapify(heap)
+    out: dict[Mono, int] = {}
     previous = None
-    while q:
-        mono = max(q.terms)
-        coeff = q.terms[mono]
+    while heap:
+        mono = -heapq.heappop(heap)
+        coeff = rem.get(mono, 0)
+        if not coeff:
+            continue
         if previous is not None and mono >= previous:
             raise ArithmeticError(f"leading term {mono_str(mono)} did not cancel")
         previous = mono
         evec = mono_exponents(mono, ls)
-        # Leading monomial of a symmetric polynomial has non-increasing exponents
-        # in the priority order.  An asymmetric input stays nonzero while its
+        # Leading monomial of a symmetric coefficient has non-increasing exponents
+        # in the priority order.  An asymmetric one stays nonzero while its
         # leading monomial descends, so it meets one that has not: complete.
         if any(evec[j] < evec[j + 1] for j in range(n - 1)):
             raise NotSymmetric(
                 f"not symmetric in l1..l{n}: leading term {mono_str(mono)}"
             )
         powers = tuple(evec[i] - (evec[i + 1] if i + 1 < n else 0) for i in range(n))
+        rest = mono - make_mono(zip(ls, evec))
         # prod e_i^k_i is (-1)^(sum i*k_i) prod c_i^k_i, the sign of its degree
-        cmono = make_mono(zip(cs, powers))
-        out[cmono] = coeff * (-1) ** mono_weight(cmono)
-        q = q - _e_product(n, powers) * coeff
+        key = make_mono(zip(cs, powers)) + rest
+        _check_guards(key)
+        out[key] = out.get(key, 0) + coeff * (-1) ** sum(evec)
+        _subtract_shifted(rem, heap, rest, coeff, _e_product(n, powers).terms.items())
+        if mono in rem:
+            raise ArithmeticError(f"leading term {mono_str(mono)} did not cancel")
     return Polynomial(out)
-
-
-def symmetric_to_chern(p: Polynomial, n: int) -> Polynomial:
-    """Express a polynomial symmetric in l1..ln via Chern classes c1..cn.
-
-    Non-l variables (H, K, ...) pass through: each coefficient with respect to
-    them must itself be symmetric.  Raises NotSymmetric otherwise.
-    """
-    rank = infer_rank(p)
-    if rank > n:
-        raise NotSymmetric(f"variable l{rank} exceeds rank {n}")
-    if n == 0:
-        return p
-    ls = frozenset(l_vars(n))
-    groups: dict[Mono, dict[Mono, int]] = {}
-    for m, c in p.terms.items():
-        lpart, rest = split_mono(m, ls)
-        groups.setdefault(rest, {})[lpart] = c
-    result = ZERO
-    for rest, lterms in groups.items():
-        for component in Polynomial(lterms).homogeneous_components().values():
-            result = result + _eliminate_symmetric(component, n).mono_shift(rest)
-    return result
 
 
 def chern_to_roots(p: Polynomial, n: int) -> Polynomial:

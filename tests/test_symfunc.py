@@ -12,7 +12,15 @@ import pytest
 
 import eqchow
 from eqchow import symfunc
-from eqchow.poly import ONE, ZERO, poly_sort_key, split_mono, var
+from eqchow.poly import (
+    ONE,
+    ZERO,
+    Polynomial,
+    make_mono,
+    mono_exponents,
+    poly_sort_key,
+    var,
+)
 from eqchow.symfunc import (
     BASES,
     NotSymmetric,
@@ -163,12 +171,12 @@ class TestIsSymmetric:
 
 
 def _h_groups(p):
-    ls = {v for v in p.variables() if v.startswith("l")}
+    ls = [v for v in p.variables() if v.startswith("l")]
     groups = {}
     for m, c in p.terms.items():
-        rest, h = split_mono(m, ls)
-        groups.setdefault(h, ZERO)
-        groups[h] = groups[h] + type(p)({rest: c})
+        inside = make_mono(zip(ls, mono_exponents(m, ls)))
+        rest = m - inside
+        groups[rest] = groups.get(rest, ZERO) + Polynomial({inside: c})
     return groups
 
 
@@ -214,6 +222,42 @@ class TestSymmetricToChern:
                 assert symmetric_to_chern(sym * shift, n)
                 with pytest.raises(NotSymmetric):
                     symmetric_to_chern((sym + extra) * shift, n)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_asymmetric_part_under_a_lower_power_of_h(self, n):
+        # sym's largest exponent (3) beats every exponent of the extras and
+        # its H-power theirs, so in every slot order the rewrite reduces part
+        # of sym * H^2 before it reaches the asymmetric coefficient of H
+        q = c1**3 + 2 * c2 + var(f"c{n}")
+        sym = chern_to_roots(q, n)
+        assert symmetric_to_chern(sym * H**2, n) == q * H**2
+        for extra in (l1, l1**2 * l2, var(f"l{n}") ** 2):
+            p = sym * H**2 + extra * H
+            assert max(p.terms) == max((sym * H**2).terms)
+            with pytest.raises(NotSymmetric):
+                symmetric_to_chern(p, n)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_products_with_chern_and_hyperplane_coefficients(self, n):
+        # the non-l parts carry c's, so rewrites of different non-l parts
+        # land on the same Chern monomial and must be added up
+        cancelling = chern_to_roots(c1, n) * c1 - chern_to_roots(c1**2, n)
+        assert symmetric_to_chern(cancelling, n) == ZERO
+        rng = random.Random(40 + n)
+        names = [f"c{i}" for i in range(1, n + 1)] + ["H", "K"]
+
+        def draw():
+            p = ZERO
+            for _ in range(rng.randint(1, 4)):
+                t = ONE * rng.randint(-9, 9)
+                for _ in range(rng.randint(0, 3)):
+                    t = t * var(rng.choice(names))
+                p = p + t
+            return p
+
+        for _ in range(10):
+            a, b = draw(), draw()
+            assert symmetric_to_chern(chern_to_roots(a, n) * b, n) == a * b
 
     def test_mixed_variable_grouping(self):
         p = (H + l1 + l2) * (K + l1 * l2)

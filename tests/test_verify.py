@@ -18,8 +18,10 @@ from eqchow.verify import CLAIMS, Claim, run_claim
 # Two broken multiplications, each installed before the CLI runs as
 # ``python -m eqchow.cli verify-all --format json`` would.  Dropping the
 # smallest term of every product with two or more terms keeps leading terms;
-# a zero product also collapses both sides of many comparisons and stalls the
-# symmetric rewrite unless it notices.  Each maps to claims that must fail.
+# a zero product also collapses both sides of many comparisons and leaves the
+# symmetric rewrite, which multiplies no polynomials, only constant inputs, so
+# its suites must insist on a non-constant case.  Each maps to claims that
+# must fail.
 SABOTAGES = {
     "drop-smallest-term": (
         """
@@ -41,6 +43,7 @@ def wrong_mul(self, other):
             "m01-theorem-presentation",
             "property-ring-axioms",
             "property-symmetric-rewrite-roundtrip",
+            "property-symmetric-rewrite-homomorphism",
             "hyperplane-relation-factorization-rank3",
             "pushforward-interpolation-oracle",
             "property-fixed-point-restriction-consistency",
@@ -59,7 +62,7 @@ sys.argv = ["eqchow", "verify-all", "--format", "json"]
 runpy.run_module("eqchow.cli", run_name="__main__")
 """
 
-# Four broken kernels below the multiplication, each checked under
+# Five broken kernels below the multiplication, each checked under
 # ``python -O`` by running only the claims that must notice it: a whole
 # verify-all would also run rows that still pass, the oracle's included.  The
 # broken insert drops a vector whenever merging it would need the extended
@@ -68,7 +71,9 @@ runpy.run_module("eqchow.cli", run_name="__main__")
 # drops the smallest term of every quotient with two or more terms, which the
 # Newton route of ``chern_polynomial`` also divides through; the broken
 # fraction reduction never cancels the last factor of a denominator, so a
-# localization sum keeps a denominator it should clear.
+# localization sum keeps a denominator it should clear; the broken elementary
+# symmetric products drop their smallest term, so the symmetric rewrite
+# subtracts the wrong polynomial.
 KERNEL_SABOTAGES = {
     "contains-accepts-everything": (
         """
@@ -148,10 +153,32 @@ poly.StructuredFraction.reduced = wrong_reduced
             "property-fraction-sum-permutation-invariance",
         ],
     ),
+    "e-product-drops-smallest-term": (
+        """
+e_product = symfunc._e_product
+
+def wrong_e_product(n, powers):
+    p = e_product(n, powers)
+    if len(p.terms) < 2:
+        return p
+    last = min(p.terms, key=poly.term_key)
+    return poly.Polynomial({m: c for m, c in p.terms.items() if m != last})
+
+symfunc._e_product = wrong_e_product
+""",
+        [
+            "m01-theorem-presentation",
+            "pushforward-displays-rank3",
+            "pushforward-interpolation-oracle",
+            "quadrics-presentations",
+            "property-symmetric-rewrite-roundtrip",
+            "property-symmetric-rewrite-homomorphism",
+        ],
+    ),
 }
 SABOTAGED_CLAIMS = """
 import json, sys
-from eqchow import ideal, poly
+from eqchow import ideal, poly, symfunc
 from eqchow.verify import CLAIMS, run_claim
 {patch}
 names = sys.argv[1:]
