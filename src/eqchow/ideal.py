@@ -20,9 +20,17 @@ part of every report.  Monomials, their order and ``monomials_of_degree``
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 
-from .poly import Mono, Polynomial, mono_str, monomials_of_degree, var_key
+from .poly import (
+    Mono,
+    Polynomial,
+    Record,
+    _set_field,
+    _set_values,
+    mono_str,
+    monomials_of_degree,
+    var_key,
+)
 
 
 class NotHomogeneous(ValueError):
@@ -145,14 +153,19 @@ class IntegerLattice:
         return self._hnf
 
 
-@dataclass(frozen=True)
-class GradedPiece:
+class GradedPiece(Record):
     """Degree-d slice of an ideal: monomial basis plus the HNF of the lattice
     of ideal elements in that degree."""
 
-    degree: int
-    basis: tuple[Mono, ...]
-    hnf: tuple[tuple[int, ...], ...]
+    __slots__ = ("degree", "basis", "hnf")
+
+    def __init__(
+        self, degree: int, basis: tuple[Mono, ...], hnf: tuple[tuple[int, ...], ...]
+    ):
+        _set_field(self, "degree", degree)
+        _set_field(self, "basis", basis)
+        _set_field(self, "hnf", hnf)
+        _set_values(self, (degree, basis, hnf))
 
     @property
     def rank(self) -> int:
@@ -276,20 +289,32 @@ class GradedIdeal:
         return tuple(kept)
 
 
-@dataclass
-class IdealComparison:
+class IdealComparison(Record):
     """Equality report between two ideals up to a degree bound.
 
     ``per_degree`` is empty when the ideals are equal (certified by generator
     containment); otherwise it holds one entry per degree up to the bound,
     and each mismatching entry carries the monomial basis and both HNF
-    matrices as the audit trail.
+    matrices as the audit trail.  The repr leaves the audit trail out; the
+    list makes the report unhashable.
     """
 
-    equal: bool
-    max_degree: int
-    first_mismatch: int | None
-    per_degree: list[dict] = field(repr=False)
+    __slots__ = ("equal", "max_degree", "first_mismatch", "per_degree")
+    _repr_fields = ("equal", "max_degree", "first_mismatch")
+    __hash__ = None
+
+    def __init__(
+        self,
+        equal: bool,
+        max_degree: int,
+        first_mismatch: int | None,
+        per_degree: list[dict],
+    ):
+        _set_field(self, "equal", equal)
+        _set_field(self, "max_degree", max_degree)
+        _set_field(self, "first_mismatch", first_mismatch)
+        _set_field(self, "per_degree", per_degree)
+        _set_values(self, (equal, max_degree, first_mismatch, per_degree))
 
     def to_json_obj(self) -> dict:
         return {

@@ -27,14 +27,13 @@ are data, not crashes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import lru_cache
-from inspect import signature
 from math import comb
 
 from .ideal import GradedIdeal, IdealComparison, compare_up_to
 from .localization import closed_form_pushforward, veronese_pushforward
-from .poly import ONE, Polynomial, ZERO, parse_polynomial, var, var_index, var_weight
+from .poly import ONE, Polynomial, Record, ZERO, _set_field, _set_values
+from .poly import parse_polynomial, var, var_index, var_weight
 from .symfunc import HYPERPLANE, RepRoots, build_roots, c_vars, chern_classes
 from .symfunc import chern_polynomial, e_top, torsor_substitute
 from .symfunc import symmetric_to_chern  # noqa: F401, read by bench/test_bench.py
@@ -48,8 +47,7 @@ class VerificationFailure(Exception):
         self.report = report
 
 
-@dataclass(frozen=True)
-class RingPresentation:
+class RingPresentation(Record):
     """A graded relation ideal; ``variables`` are its ring's variables with
     their weights.
 
@@ -59,11 +57,22 @@ class RingPresentation:
     generating set for the same ideal when the pipeline computed one.
     """
 
-    relations: GradedIdeal
-    provenance: tuple[dict, ...]
-    max_degree: int | None = None
-    verification: tuple[dict, ...] = ()
-    simplified: tuple[Polynomial, ...] | None = None
+    __slots__ = ("relations", "provenance", "max_degree", "verification", "simplified")
+
+    def __init__(
+        self,
+        relations: GradedIdeal,
+        provenance: tuple[dict, ...],
+        max_degree: int | None = None,
+        verification: tuple[dict, ...] = (),
+        simplified: tuple[Polynomial, ...] | None = None,
+    ):
+        _set_field(self, "relations", relations)
+        _set_field(self, "provenance", provenance)
+        _set_field(self, "max_degree", max_degree)
+        _set_field(self, "verification", verification)
+        _set_field(self, "simplified", simplified)
+        _set_values(self, (relations, provenance, max_degree, verification, simplified))
 
     @property
     def variables(self) -> tuple[tuple[str, int], ...]:
@@ -268,7 +277,7 @@ def _certified(
     """Final step of every pipeline: simplify up to the certification bound
     and attach the bound and the checks that passed."""
     pres = _simplify_generators(pres, bound, record_only)
-    return replace(pres, max_degree=bound, verification=tuple(checks))
+    return pres.replace(max_degree=bound, verification=tuple(checks))
 
 
 # -- the rank-3 node stack ------------------------------------------------------------
@@ -344,19 +353,20 @@ def reduced_quadrics(
 # -- orthogonal-type classifying stacks ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AlphaFamily:
+class AlphaFamily(Record):
     """The closed-form relation polynomials for the orthogonal-type rings:
     alpha_i is homogeneous of degree i, with an extra -2c_i term exactly when
     i is odd, so alpha_i(0) is -2c_i for odd i and 0 for even i."""
 
-    rank: int
-    polys: tuple[Polynomial, ...]
+    __slots__ = ("rank", "polys")
 
-    def __post_init__(self):
-        for i, a in enumerate(self.polys, start=1):
+    def __init__(self, rank: int, polys: tuple[Polynomial, ...]):
+        for i, a in enumerate(polys, start=1):
             if a.weighted_degree() != i or not a.is_homogeneous():
                 raise ValueError(f"alpha_{i} is not homogeneous of degree {i}")
+        _set_field(self, "rank", rank)
+        _set_field(self, "polys", polys)
+        _set_values(self, (rank, polys))
 
     def substituted(self, k: int) -> list[Polynomial]:
         return [torsor_substitute(a, k) for a in self.polys]
@@ -487,6 +497,8 @@ def replay_provenance(steps) -> RingPresentation:
     verification summaries are not part of provenance.  The result's
     relations are bit-exact equal to the original presentation's.
     """
+    from inspect import signature  # only replay needs it; the CLI start-up skips it
+
     pres: RingPresentation | None = None
     for step in steps:
         if not isinstance(step, dict):

@@ -52,6 +52,12 @@ expanded.  ``sum_fractions`` adds such fractions over their least common
 denominator and ``reduced`` cancels it one form at a time, which clears it
 when the sum is a polynomial.
 
+``Record`` is the base of every immutable value class of the package, here
+and in the modules above: fields in ``__slots__``, a plain ``__init__`` that
+validates and sets them, equality and hash over the field tuple for the same
+class only, a ``Name(field=value, ...)`` repr and ``replace``.  It generates
+no code at class creation, so importing the package stays cheap.
+
 All values are immutable after construction and safe to share between threads;
 every operation returns a fresh canonical value.
 """
@@ -61,7 +67,6 @@ from __future__ import annotations
 import heapq
 import re
 import threading
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import or_
 from typing import Iterable, Mapping, NamedTuple
@@ -247,10 +252,6 @@ def mono_pairs(mono: Mono) -> tuple[tuple[str, int], ...]:
     return tuple(
         [(_SLOT_NAMES[s], fields[s]) for s in _SLOT_ORDER if s < n and fields[s]]
     )
-
-
-def mono_weight(mono: Mono) -> int:
-    return mono & _WEIGHT
 
 
 def mono_str(mono: Mono) -> str:
@@ -707,6 +708,61 @@ def divides(q: Polynomial | int, p: Polynomial) -> bool:
     return _try_exact_divide(p, _coerce(q)) is not None
 
 
+# -- immutable records -------------------------------------------------------------
+
+_set_field = object.__setattr__
+
+
+class Record:
+    """Base of the immutable value classes.
+
+    A subclass names its fields in ``__slots__``; its ``__init__`` takes them
+    in that order and, after any validation, sets each with ``_set_field``
+    and their tuple, in the same order, with ``_set_values``.  Records
+    of the same class are equal when their field tuples are, and hash that
+    tuple (a class with a mutable field sets ``__hash__ = None``); a record
+    of another class is never equal.  The repr is ``Name(field=value, ...)``
+    over ``_repr_fields``, or every field if a class leaves it empty.
+    ``replace`` builds a copy with some fields changed, through ``__init__``,
+    so its validation runs again.
+    """
+
+    __slots__ = ("_values",)
+    _repr_fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        shown = ", ".join(
+            f"{f}={getattr(self, f)!r}" for f in self._repr_fields or self.__slots__
+        )
+        return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):
+        return type(self), self._values
+
+    def replace(self, **changes):
+        fields = dict(zip(self.__slots__, self._values))
+        fields.update(changes)
+        return type(self)(**fields)
+
+
+# the slot's own setter, cheaper than ``object.__setattr__``
+_set_values = Record._values.__set__
+
+
 # -- structured fractions ----------------------------------------------------------
 
 
@@ -731,15 +787,20 @@ def _ordered(counts: dict[Polynomial, int]) -> tuple[tuple[Polynomial, int], ...
     return tuple(sorted(counts.items(), key=lambda fm: poly_sort_key(fm[0])))
 
 
-@dataclass(frozen=True)
-class StructuredFraction:
+class StructuredFraction(Record):
     """numerator / prod f^m over the (f, m) pairs of ``denominator``: each f a
     sign-normalized linear form, each m positive, the pairs in the
     ``poly_sort_key`` order of their forms.  An empty denominator means a
     plain polynomial."""
 
-    numerator: Polynomial
-    denominator: tuple[tuple[Polynomial, int], ...]
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(
+        self, numerator: Polynomial, denominator: tuple[tuple[Polynomial, int], ...]
+    ):
+        _set_field(self, "numerator", numerator)
+        _set_field(self, "denominator", denominator)
+        _set_values(self, (numerator, denominator))
 
     @staticmethod
     def make(

@@ -43,16 +43,18 @@ from __future__ import annotations
 import heapq
 import itertools
 import re
-from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import comb, prod
 
 from .poly import (
     Mono,
     ONE,
     Polynomial,
+    Record,
     ZERO,
     _check_guards,
+    _set_field,
+    _set_values,
     _subtract_shifted,
     const,
     exact_divide,
@@ -110,41 +112,32 @@ def infer_rank(p: Polynomial) -> int:
 BASES = ("E", "E*", "Sym2(E*)", "Wedge2(E*)")
 
 
-@dataclass(frozen=True)
-class RepRoots:
+class RepRoots(Record):
     """The GL_n-module det^k (x) base, for a base in ``BASES`` and n >= 2.
 
     The module is its three fields; everything else is derived from them.
     ``roots`` is its multiset of Chern roots, the torus characters as degree-1
     forms in l1..ln (sorted by ``poly_sort_key``); a det^k twist adds
-    k*(-l1-...-ln) to every root.  ``label`` is ``det^k*base``, or ``base``
-    when k is 0, and ``build_roots`` reads it back.
+    k*(-l1-...-ln) to every root.  Equal modules share one root tuple.
+    ``label`` is ``det^k*base``, or ``base`` when k is 0, and ``build_roots``
+    reads it back.
     """
 
-    rank: int
-    base: str
-    k: int = 0
+    __slots__ = ("rank", "base", "k")
 
-    def __post_init__(self):
-        if self.rank < 2:
-            raise UnsupportedModule(f"rank must be at least 2, got {self.rank}")
-        if self.base not in BASES:
-            raise UnsupportedModule(f"unsupported module: {self.base!r}")
+    def __init__(self, rank: int, base: str, k: int = 0):
+        if rank < 2:
+            raise UnsupportedModule(f"rank must be at least 2, got {rank}")
+        if base not in BASES:
+            raise UnsupportedModule(f"unsupported module: {base!r}")
+        _set_field(self, "rank", rank)
+        _set_field(self, "base", base)
+        _set_field(self, "k", k)
+        _set_values(self, (rank, base, k))
 
-    @cached_property
+    @property
     def roots(self) -> tuple[Polynomial, ...]:
-        ls = [var(v) for v in l_vars(self.rank)]
-        pairs = [a + b for a, b in itertools.combinations(ls, 2)]
-        if self.base == "E":
-            roots = [-l for l in ls]
-        elif self.base == "E*":
-            roots = ls
-        elif self.base == "Sym2(E*)":
-            roots = [2 * l for l in ls] + pairs
-        else:  # Wedge2(E*)
-            roots = pairs
-        det = -elementary_symmetric(self.rank, 1) * self.k
-        return tuple(sorted((r + det for r in roots), key=poly_sort_key))
+        return _module_roots(self)
 
     @property
     def label(self) -> str:
@@ -153,6 +146,22 @@ class RepRoots:
     @property
     def dimension(self) -> int:
         return len(self.roots)
+
+
+@lru_cache(maxsize=None)
+def _module_roots(module: RepRoots) -> tuple[Polynomial, ...]:
+    ls = [var(v) for v in l_vars(module.rank)]
+    pairs = [a + b for a, b in itertools.combinations(ls, 2)]
+    if module.base == "E":
+        roots = [-l for l in ls]
+    elif module.base == "E*":
+        roots = ls
+    elif module.base == "Sym2(E*)":
+        roots = [2 * l for l in ls] + pairs
+    else:  # Wedge2(E*)
+        roots = pairs
+    det = -elementary_symmetric(module.rank, 1) * module.k
+    return tuple(sorted((r + det for r in roots), key=poly_sort_key))
 
 
 _DESCRIPTOR_RE = re.compile(
@@ -341,7 +350,7 @@ def chern_polynomial(module: RepRoots) -> Polynomial:
     """
     x = var(HYPERPLANE)
     if module.k:
-        untwisted = chern_polynomial(replace(module, k=0))
+        untwisted = chern_polynomial(module.replace(k=0))
         return untwisted.substitute(HYPERPLANE, x + var("c1") * module.k)
     c = chern_classes(module.rank)
     dual = [ci * (-1) ** i for i, ci in enumerate(c)]

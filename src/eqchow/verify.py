@@ -12,7 +12,6 @@ verdict is recorded either way and never gates the suite.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Callable
 
 from . import properties
@@ -27,24 +26,34 @@ from .pipeline import (
     orthogonal,
     reduced_quadrics,
 )
-from .poly import var
+from .poly import Record, _set_field, _set_values, var
 from .symfunc import HYPERPLANE, RepRoots, c_vars, chern_polynomial, torsor_substitute
 
 REPORT_SCHEMA_ID = "eqchow-verify-report/1"
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(Record):
     """One named claim.  ``check`` returns whether it holds and the report
     fields it sets, among ``degree_bound``, ``cases`` and ``detail``; a row
     that ran fewer than ``min_cases`` cases fails.  ``criterion`` is the
     acceptance criterion the row belongs to."""
 
-    name: str
-    criterion: int
-    check: Callable[[], tuple[bool, dict]]
-    min_cases: int = 0
-    informational: bool = False
+    __slots__ = ("name", "criterion", "check", "min_cases", "informational")
+
+    def __init__(
+        self,
+        name: str,
+        criterion: int,
+        check: Callable[[], tuple[bool, dict]],
+        min_cases: int = 0,
+        informational: bool = False,
+    ):
+        _set_field(self, "name", name)
+        _set_field(self, "criterion", criterion)
+        _set_field(self, "check", check)
+        _set_field(self, "min_cases", min_cases)
+        _set_field(self, "informational", informational)
+        _set_values(self, (name, criterion, check, min_cases, informational))
 
 
 def _rhat():

@@ -2,8 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
+import eqchow
 from eqchow.cli import run
 
 BENCH_EXPECTED = Path(__file__).resolve().parents[1] / "bench" / "expected.json"
@@ -187,3 +193,66 @@ def test_outputs_match_recorded_digests(capsys):
         code, out, _ = capture(capsys, job.split())
         assert code == 0, job
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, job
+
+
+# A fresh interpreter imports the CLI and runs one command with the given
+# arguments; it prints the exit code, the modules the import added to those
+# the interpreter started with (site's included) and the modules the command
+# added after that.
+START_UP = """
+import sys
+started = set(sys.modules)
+import eqchow.cli
+imported = set(sys.modules)
+code = eqchow.cli.run(sys.argv[1:])
+ran = set(sys.modules)
+import json
+print(json.dumps([code, sorted(imported - started), sorted(ran - imported)]))
+"""
+# Modules no pipeline command runs: the claim table and property suites of
+# verify-all, and the standard modules only replay and a dataclass would need.
+NOT_AT_START_UP = {"dataclasses", "inspect", "eqchow.verify", "eqchow.properties"}
+
+
+def _fresh_run(argv, out):
+    src = os.path.dirname(os.path.dirname(eqchow.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", START_UP, *argv, "--out", str(out)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, imported, ran = json.loads(proc.stdout)
+    return code, set(imported), set(ran)
+
+
+class TestStartUp:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["m01"],
+            ["quadrics", "--n", "3", "--k", "1"],
+            ["orthogonal", "--n", "3", "--k", "1"],
+            ["pushforward", "--n", "3", "--r", "1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_a_pipeline_command_loads_only_what_it_runs(self, argv, tmp_path):
+        code, imported, ran = _fresh_run(argv, tmp_path / "out")
+        assert code == 0 and (tmp_path / "out").read_text()
+        assert "eqchow.cli" in imported
+        assert imported & NOT_AT_START_UP == set()
+        assert ran & NOT_AT_START_UP == set()
+
+    def test_verify_all_loads_the_claim_table_and_runs(self, tmp_path):
+        from eqchow.verify import CLAIMS
+
+        argv = ["verify-all", "--format", "json"]
+        code, imported, ran = _fresh_run(argv, tmp_path / "out")
+        assert imported & NOT_AT_START_UP == set()
+        assert {"eqchow.verify", "eqchow.properties"} <= ran
+        report = json.loads((tmp_path / "out").read_text())
+        assert code == 0 and report["all_passed"]
+        assert len(report["checks"]) == len(CLAIMS)
