@@ -20,15 +20,16 @@ part of every report.  Monomials, their order and ``monomials_of_degree``
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import reduce
+from operator import or_
 
 from .poly import (
     Mono,
     Polynomial,
     Record,
-    _set_field,
-    _set_values,
     mono_str,
     monomials_of_degree,
+    ring_mask,
     var_key,
 )
 
@@ -43,11 +44,6 @@ class DegreeBoundTooLow(ValueError):
 
 class RoutesDisagree(RuntimeError):
     """Generator containment and the per-degree HNF comparison disagree."""
-
-
-def _basis_index(basis: tuple[Mono, ...]) -> dict[Mono, int]:
-    """Position of each monomial in a graded piece's basis."""
-    return {m: i for i, m in enumerate(basis)}
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -159,14 +155,6 @@ class GradedPiece(Record):
 
     __slots__ = ("degree", "basis", "hnf")
 
-    def __init__(
-        self, degree: int, basis: tuple[Mono, ...], hnf: tuple[tuple[int, ...], ...]
-    ):
-        _set_field(self, "degree", degree)
-        _set_field(self, "basis", basis)
-        _set_field(self, "hnf", hnf)
-        _set_values(self, (degree, basis, hnf))
-
     @property
     def rank(self) -> int:
         return len(self.hnf)
@@ -179,6 +167,8 @@ class GradedIdeal:
         self.variables: tuple[str, ...] = tuple(
             sorted(set(variables), key=var_key)
         )
+        # the bits a monomial outside the ring sets: another variable's field
+        self._outside = ~ring_mask(self.variables)
         gens = []
         for g in generators:
             if isinstance(g, int):
@@ -187,12 +177,13 @@ class GradedIdeal:
                 continue
             if not g.is_homogeneous():
                 raise NotHomogeneous(f"generator is not homogeneous: {g}")
-            unknown = set(g.variables()) - set(self.variables)
-            if unknown:
+            if reduce(or_, g.terms) & self._outside:
+                unknown = set(g.variables()) - set(self.variables)
                 raise ValueError(f"generator uses variables outside the ring: {unknown}")
             gens.append(g)
         self.generators: tuple[Polynomial, ...] = tuple(gens)
-        self._lattices: dict[int, IntegerLattice] = {}
+        # degree -> its lattice and the position of each basis monomial
+        self._lattices: dict[int, tuple[IntegerLattice, dict[Mono, int]]] = {}
 
     def __repr__(self) -> str:
         gens = ", ".join(g.to_text() for g in self.generators)
@@ -234,11 +225,12 @@ class GradedIdeal:
 
     def lattice(self, degree: int) -> IntegerLattice:
         if degree not in self._lattices:
-            index = _basis_index(monomials_of_degree(self.variables, degree))
+            basis = monomials_of_degree(self.variables, degree)
+            index = {m: i for i, m in enumerate(basis)}
             lat = IntegerLattice(len(index))
             self._span(lat, self.generators, degree, index)
-            self._lattices[degree] = lat
-        return self._lattices[degree]
+            self._lattices[degree] = lat, index
+        return self._lattices[degree][0]
 
     def graded_piece(self, degree: int) -> GradedPiece:
         if degree < 0:
@@ -252,11 +244,11 @@ class GradedIdeal:
             return True
         if not p.is_homogeneous():
             raise NotHomogeneous(f"membership query needs a homogeneous input: {p}")
-        degree = p.weighted_degree()
-        index = _basis_index(monomials_of_degree(self.variables, degree))
-        if any(m not in index for m in p.terms):  # a variable outside the ring
+        if reduce(or_, p.terms) & self._outside:
             return False
-        return self.lattice(degree).contains(self._vector(p, index))
+        degree = p.weighted_degree()
+        lat = self.lattice(degree)
+        return lat.contains(self._vector(p, self._lattices[degree][1]))
 
     def simplified_generators(self, max_degree: int) -> tuple[Polynomial, ...]:
         """Small generating set reproducing every graded piece up to the bound.
@@ -275,7 +267,7 @@ class GradedIdeal:
             if not piece.hnf:
                 continue
             basis = piece.basis
-            index = _basis_index(basis)
+            index = self._lattices[d][1]
             partial = IntegerLattice(len(basis))
             self._span(partial, kept, d, index)
             for row in piece.hnf:
@@ -303,26 +295,8 @@ class IdealComparison(Record):
     _repr_fields = ("equal", "max_degree", "first_mismatch")
     __hash__ = None
 
-    def __init__(
-        self,
-        equal: bool,
-        max_degree: int,
-        first_mismatch: int | None,
-        per_degree: list[dict],
-    ):
-        _set_field(self, "equal", equal)
-        _set_field(self, "max_degree", max_degree)
-        _set_field(self, "first_mismatch", first_mismatch)
-        _set_field(self, "per_degree", per_degree)
-        _set_values(self, (equal, max_degree, first_mismatch, per_degree))
-
     def to_json_obj(self) -> dict:
-        return {
-            "equal": self.equal,
-            "max_degree": self.max_degree,
-            "first_mismatch": self.first_mismatch,
-            "per_degree": self.per_degree,
-        }
+        return dict(zip(self.__slots__, self._values))
 
 
 def _generated_within(lhs: GradedIdeal, rhs: GradedIdeal, max_degree: int) -> bool:
@@ -348,9 +322,7 @@ def compare_up_to(lhs: GradedIdeal, rhs: GradedIdeal, max_degree: int) -> IdealC
     if _generated_within(lhs, rhs, max_degree) and _generated_within(
         rhs, lhs, max_degree
     ):
-        return IdealComparison(
-            equal=True, max_degree=max_degree, first_mismatch=None, per_degree=[]
-        )
+        return IdealComparison(True, max_degree, None, [])
     cmp = compare_pieces(lhs, rhs, max_degree)
     if cmp.equal:
         raise RoutesDisagree(
@@ -385,12 +357,8 @@ def compare_pieces(lhs: GradedIdeal, rhs: GradedIdeal, max_degree: int) -> Ideal
                     "rhs_hnf": [list(r) for r in b.hnf],
                 }
             )
-    return IdealComparison(
-        equal=first_mismatch is None,
-        max_degree=max_degree,
-        first_mismatch=first_mismatch,
-        per_degree=per_degree,
-    )
+    equal = first_mismatch is None
+    return IdealComparison(equal, max_degree, first_mismatch, per_degree)
 
 
 def equal_up_to(lhs: GradedIdeal, rhs: GradedIdeal, max_degree: int) -> bool:

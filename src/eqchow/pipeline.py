@@ -32,7 +32,7 @@ from math import comb
 
 from .ideal import GradedIdeal, IdealComparison, compare_up_to
 from .localization import closed_form_pushforward, veronese_pushforward
-from .poly import ONE, Polynomial, Record, ZERO, _set_field, _set_values
+from .poly import ONE, Polynomial, Record, ZERO
 from .poly import parse_polynomial, var, var_index, var_weight
 from .symfunc import HYPERPLANE, RepRoots, build_roots, c_vars, chern_classes
 from .symfunc import chern_polynomial, e_top, torsor_substitute
@@ -67,12 +67,9 @@ class RingPresentation(Record):
         verification: tuple[dict, ...] = (),
         simplified: tuple[Polynomial, ...] | None = None,
     ):
-        _set_field(self, "relations", relations)
-        _set_field(self, "provenance", provenance)
-        _set_field(self, "max_degree", max_degree)
-        _set_field(self, "verification", verification)
-        _set_field(self, "simplified", simplified)
-        _set_values(self, (relations, provenance, max_degree, verification, simplified))
+        Record.__init__(
+            self, relations, provenance, max_degree, verification, simplified
+        )
 
     @property
     def variables(self) -> tuple[tuple[str, int], ...]:
@@ -364,9 +361,7 @@ class AlphaFamily(Record):
         for i, a in enumerate(polys, start=1):
             if a.weighted_degree() != i or not a.is_homogeneous():
                 raise ValueError(f"alpha_{i} is not homogeneous of degree {i}")
-        _set_field(self, "rank", rank)
-        _set_field(self, "polys", polys)
-        _set_values(self, (rank, polys))
+        Record.__init__(self, rank, polys)
 
     def substituted(self, k: int) -> list[Polynomial]:
         return [torsor_substitute(a, k) for a in self.polys]

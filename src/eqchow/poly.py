@@ -53,10 +53,11 @@ denominator and ``reduced`` cancels it one form at a time, which clears it
 when the sum is a polynomial.
 
 ``Record`` is the base of every immutable value class of the package, here
-and in the modules above: fields in ``__slots__``, a plain ``__init__`` that
-validates and sets them, equality and hash over the field tuple for the same
-class only, a ``Name(field=value, ...)`` repr and ``replace``.  It generates
-no code at class creation, so importing the package stays cheap.
+and in the modules above: fields named once, in ``__slots__``, and bound by
+``Record.__init__`` from one value per slot, equality and hash over the field
+tuple for the same class only, a ``Name(field=value, ...)`` repr and
+``replace``.  It generates no code at class creation, so importing the
+package stays cheap.
 
 All values are immutable after construction and safe to share between threads;
 every operation returns a fresh canonical value.
@@ -197,6 +198,12 @@ def make_mono(pairs: Iterable[tuple[str, int]]) -> Mono:
 def mono_exponents(mono: Mono, names) -> list[int]:
     """Exponents of ``mono`` in the variables ``names``, in that order."""
     return [(mono >> _VARS[v].shift) & _FIELD for v in names]
+
+
+def ring_mask(names) -> Mono:
+    """The bits a monomial in the variables ``names`` alone can set: the
+    weight field and their exponent fields."""
+    return reduce(or_, (_FIELD << _VARS[v].shift for v in names), _WEIGHT)
 
 
 def lex_priority(names) -> tuple[str, ...]:
@@ -710,25 +717,34 @@ def divides(q: Polynomial | int, p: Polynomial) -> bool:
 
 # -- immutable records -------------------------------------------------------------
 
-_set_field = object.__setattr__
-
-
 class Record:
     """Base of the immutable value classes.
 
-    A subclass names its fields in ``__slots__``; its ``__init__`` takes them
-    in that order and, after any validation, sets each with ``_set_field``
-    and their tuple, in the same order, with ``_set_values``.  Records
-    of the same class are equal when their field tuples are, and hash that
-    tuple (a class with a mutable field sets ``__hash__ = None``); a record
-    of another class is never equal.  The repr is ``Name(field=value, ...)``
-    over ``_repr_fields``, or every field if a class leaves it empty.
-    ``replace`` builds a copy with some fields changed, through ``__init__``,
-    so its validation runs again.
+    A subclass names its fields once, in ``__slots__``.  ``Record.__init__``
+    takes one value per slot, in slot order (TypeError on any other count),
+    and is the only code that sets a field; a subclass writes an ``__init__``
+    only to validate or to give defaults, then calls ``Record.__init__``.
+    Records of the same class are equal when their field tuples are, and
+    hash that tuple (a class with a mutable field sets ``__hash__ = None``);
+    a record of another class is never equal.  The repr is
+    ``Name(field=value, ...)`` over ``_repr_fields``, or every field if a
+    class leaves it empty.  ``replace`` builds a copy with some fields
+    changed, through the constructor, so its validation runs again.
     """
 
     __slots__ = ("_values",)
     _repr_fields: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        fields = self.__slots__
+        if len(values) != len(fields):
+            raise TypeError(
+                f"{type(self).__qualname__} takes {len(fields)} fields "
+                f"{fields}, got {len(values)}"
+            )
+        for field, value in zip(fields, values):
+            object.__setattr__(self, field, value)
+        object.__setattr__(self, "_values", values)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -754,13 +770,10 @@ class Record:
         return type(self), self._values
 
     def replace(self, **changes):
-        fields = dict(zip(self.__slots__, self._values))
-        fields.update(changes)
-        return type(self)(**fields)
-
-
-# the slot's own setter, cheaper than ``object.__setattr__``
-_set_values = Record._values.__set__
+        values = tuple(changes.pop(f, v) for f, v in zip(self.__slots__, self._values))
+        if changes:
+            raise TypeError(f"{type(self).__qualname__} has no field {min(changes)!r}")
+        return type(self)(*values)
 
 
 # -- structured fractions ----------------------------------------------------------
@@ -794,13 +807,6 @@ class StructuredFraction(Record):
     plain polynomial."""
 
     __slots__ = ("numerator", "denominator")
-
-    def __init__(
-        self, numerator: Polynomial, denominator: tuple[tuple[Polynomial, int], ...]
-    ):
-        _set_field(self, "numerator", numerator)
-        _set_field(self, "denominator", denominator)
-        _set_values(self, (numerator, denominator))
 
     @staticmethod
     def make(

@@ -53,8 +53,6 @@ from .poly import (
     Record,
     ZERO,
     _check_guards,
-    _set_field,
-    _set_values,
     _subtract_shifted,
     const,
     exact_divide,
@@ -130,10 +128,7 @@ class RepRoots(Record):
             raise UnsupportedModule(f"rank must be at least 2, got {rank}")
         if base not in BASES:
             raise UnsupportedModule(f"unsupported module: {base!r}")
-        _set_field(self, "rank", rank)
-        _set_field(self, "base", base)
-        _set_field(self, "k", k)
-        _set_values(self, (rank, base, k))
+        Record.__init__(self, rank, base, k)
 
     @property
     def roots(self) -> tuple[Polynomial, ...]:

@@ -26,7 +26,7 @@ from .pipeline import (
     orthogonal,
     reduced_quadrics,
 )
-from .poly import Record, _set_field, _set_values, var
+from .poly import Record, var
 from .symfunc import HYPERPLANE, RepRoots, c_vars, chern_polynomial, torsor_substitute
 
 REPORT_SCHEMA_ID = "eqchow-verify-report/1"
@@ -48,12 +48,7 @@ class Claim(Record):
         min_cases: int = 0,
         informational: bool = False,
     ):
-        _set_field(self, "name", name)
-        _set_field(self, "criterion", criterion)
-        _set_field(self, "check", check)
-        _set_field(self, "min_cases", min_cases)
-        _set_field(self, "informational", informational)
-        _set_values(self, (name, criterion, check, min_cases, informational))
+        Record.__init__(self, name, criterion, check, min_cases, informational)
 
 
 def _rhat():

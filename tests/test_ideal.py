@@ -20,7 +20,7 @@ from eqchow.ideal import (
     equal_up_to,
     monomials_of_degree,
 )
-from eqchow.poly import Polynomial, ZERO, make_mono, mono_str, var
+from eqchow.poly import Polynomial, ZERO, make_mono, mono_str, var, var_key
 
 c1, c2, c3, c4, H = var("c1"), var("c2"), var("c3"), var("c4"), var("H")
 CV3 = ("c1", "c2", "c3")
@@ -126,6 +126,19 @@ class TestContains:
     def test_generator_outside_the_ring_rejected(self):
         with pytest.raises(ValueError, match="outside the ring"):
             GradedIdeal(CV3, [4 * c3, c1 * H])
+
+    def test_a_variable_with_an_earlier_slot_is_still_outside(self):
+        # zout9 is seen first, so its exponent field lies below those of the
+        # ring's variables, though it comes after them in the variable order
+        outsider = var("zout9")
+        y1, y2 = var("yin1"), var("yin2")
+        assert make_mono([("zout9", 1)]) < make_mono([("yin1", 1)])
+        assert var_key("yin1") < var_key("yin2") < var_key("zout9")
+        ideal = GradedIdeal(["yin1", "yin2"], [y1 * y2])
+        assert ideal.contains(y1**2 * y2)
+        assert not ideal.contains(y1 * y2 * outsider)
+        with pytest.raises(ValueError, match=r"outside the ring: \{'zout9'\}\Z"):
+            GradedIdeal(["yin1", "yin2"], [y1 * y2, y1 * outsider])
 
     def test_pushforward_ideal_contains_bundle_relation(self):
         from eqchow.localization import veronese_pushforward

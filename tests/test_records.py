@@ -124,6 +124,21 @@ class TestRecord:
             assert pickle.loads(pickle.dumps(a)) == a
 
 
+@pytest.mark.parametrize("name", sorted(SAMPLES))
+def test_a_wrong_number_of_fields_builds_nothing(name):
+    a, _, _, _ = _sample(name)
+    cls = type(a)
+    for values in (a._values[:-1], a._values + (None,)):
+        blank = cls.__new__(cls)
+        with pytest.raises(TypeError, match=f"takes {len(a._values)} fields"):
+            Record.__init__(blank, *values)
+        for field in ("_values", *cls.__slots__):
+            assert not hasattr(blank, field)
+        if "__init__" not in cls.__dict__:  # the record's own constructor
+            with pytest.raises(TypeError):
+                cls(*values)
+
+
 def test_repr_names_the_fields_and_hides_the_audit_trail():
     assert repr(RepRoots(3, "E*", 1)) == "RepRoots(rank=3, base='E*', k=1)"
     cmp = IdealComparison(False, 3, 2, [{"degree": 0, "equal": True}])

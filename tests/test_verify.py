@@ -294,6 +294,20 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def test_only_poly_sets_record_fields():
+    # ``Record.__init__`` binds every field; no other module goes around it
+    package = Path(eqchow.__file__).parent
+    setters = ("_set_field", "_set_values", "object.__setattr__")
+    found = [
+        f"{path.name}: {name}"
+        for path in sorted(package.rglob("*.py"))
+        if path.name != "poly.py"
+        for name in setters
+        if name in path.read_text(encoding="utf-8")
+    ]
+    assert found == []
+
+
 @pytest.mark.parametrize("sabotage", sorted(KERNEL_SABOTAGES))
 def test_sabotaged_lattice_or_division_fails_its_claims(sabotage):
     patch, must_fail = KERNEL_SABOTAGES[sabotage]
