@@ -12,8 +12,8 @@ Each takes ``--format text|json|latex`` (default from EQCHOW_FORMAT, else
 text), ``--max-degree`` to override the certification horizon (at least the
 presentation's maximal generator degree), and ``--out`` to write to a file
 instead of stdout.  Exit codes: 0 success, 1 usage error or an unwritable
-``--out`` path (checked before computing), 2 a verification check failed (the
-report is still emitted).
+``--out`` path (checked before computing), 2 a failed check or any other error
+(its ``verification_failure`` report is still emitted, never a traceback).
 
 Identical invocations produce byte-identical output, except for the timing
 fields of verify-all reports.
@@ -268,6 +268,12 @@ def run(argv=None) -> int:
         return _usage_error(f"--max-degree: {exc}")
     except VerificationFailure as exc:
         text, code = _render_failure(exc, fmt), 2
+    except Exception as exc:  # a bug, not a usage error: reported as a failed check
+        from traceback import format_exc  # only on failure, so start-up skips it
+
+        error = f"{type(exc).__name__}: {exc}"
+        report = {"name": "unexpected-error", "error": error, "traceback": format_exc()}
+        text, code = _render_failure(VerificationFailure(error, report), fmt), 2
     if not args.out:
         sys.stdout.write(text)
         return code

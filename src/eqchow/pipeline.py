@@ -35,7 +35,7 @@ from .localization import closed_form_pushforward, veronese_pushforward
 from .poly import ONE, Polynomial, Record, ZERO
 from .poly import parse_polynomial, var, var_index, var_weight
 from .symfunc import HYPERPLANE, RepRoots, build_roots, c_vars, chern_classes
-from .symfunc import chern_polynomial, e_top, torsor_substitute
+from .symfunc import chern_polynomial, e_top, elementary_of_shifted, torsor_substitute
 from .symfunc import symmetric_to_chern  # noqa: F401, read by bench/test_bench.py
 
 
@@ -369,21 +369,12 @@ class AlphaFamily(Record):
 
 @lru_cache(maxsize=None)
 def alpha_family(n: int) -> AlphaFamily:
-    """alpha_i(H) = sum_{j<i} binom(n-j, i-j) (-1)^j c_j H^(i-j), minus 2c_i
-    for odd i (c_0 = 1)."""
+    """alpha_i(H) = e_i(H + l1, ..., H + ln) - c_i, that is
+    sum_{j<i} binom(n-j, i-j) (-1)^j c_j H^(i-j), minus 2c_i for odd i."""
     if n < 2:
         raise ValueError("need n >= 2")
-    H = var(HYPERPLANE)
-    cs = chern_classes(n)
-    polys = []
-    for i in range(1, n + 1):
-        a = ZERO
-        for j in range(i):
-            a = a + comb(n - j, i - j) * (-1) ** j * cs[j] * H ** (i - j)
-        if i % 2:
-            a = a - 2 * cs[i]
-        polys.append(a)
-    return AlphaFamily(n, tuple(polys))
+    e, cs = elementary_of_shifted(n, 1), chern_classes(n)
+    return AlphaFamily(n, tuple(e[i] - cs[i] for i in range(1, n + 1)))
 
 
 def chern_series_divide(n: int) -> tuple[Polynomial, ...]:
@@ -396,21 +387,14 @@ def chern_series_divide(n: int) -> tuple[Polynomial, ...]:
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    H = var(HYPERPLANE)
-    cs = chern_classes(n)
-    P = ZERO
-    for j in range(n + 1):
-        P = P + (-1) ** j * cs[j] * (1 + H) ** (n - j)
+    H, cs = var(HYPERPLANE), chern_classes(n)
+    P = sum(((-1) ** j * cs[j] * (1 + H) ** (n - j) for j in range(n + 1)), start=ZERO)
     P_parts = P.homogeneous_components()
-    betas: dict[int, Polynomial] = {0: ONE}
+    betas = [ONE]
     for i in range(1, n + 1):
-        b = P_parts.get(i, ZERO)
-        for j in range(i):
-            m = i - j
-            if m <= n:
-                b = b - betas[j] * cs[m]
-        betas[i] = b
-    return tuple(betas[i] for i in range(1, n + 1))
+        lower = sum((betas[j] * cs[i - j] for j in range(i)), start=ZERO)
+        betas.append(P_parts.get(i, ZERO) - lower)
+    return tuple(betas[1:])
 
 
 # Largest rank at which ``orthogonal`` checks alpha against the series division

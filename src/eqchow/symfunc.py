@@ -13,13 +13,14 @@ and its label ``det^k*base`` are derived from those three fields, and
 
 ``chern_polynomial`` is the one owner of a module's total Chern polynomial
 c_H(V) = prod (H + m) over its roots m, in c1..cn.  It never leaves
-Z[c1..cn, H]: the power sums of E* follow from c by Newton's identities, those
-of Sym2(E*) and Wedge2(E*) by the plethysm (sum_a C(m,a) P_a P_(m-a) +-
-2^m P_m)/2, and Newton's identities, with checked exact division, give back
-the elementary symmetric functions of the roots (Macdonald, *Symmetric
-Functions and Hall Polynomials*, I.2 and I.8).  A det^k twist shifts every
-root by k*c1 (c1 = -e1), so it is H -> H + k*c1, and ``e_top`` is
-c_H(Wedge2(E*)) at H = k*c1, the torsor substitution ``torsor_substitute``.
+Z[c1..cn, H]: with x_i = H + 2*l_i, 2^C(n,2) c_H(Wedge2(E*)) is
+prod_(i<j) (x_i + x_j), the staircase Schur polynomial of the x_i, one dual
+Jacobi-Trudi determinant (Macdonald, *Symmetric Functions and Hall
+Polynomials*, I.3), and c_H(Sym2(E*)) is c_H(Wedge2(E*)) prod_i x_i; each
+result is checked against the integer product over its roots at seeded
+points.  A det^k twist shifts every root by k*c1 (c1 = -e1), so it is
+H -> H + k*c1, and ``e_top`` is c_H(Wedge2(E*)) at H = k*c1, the torsor
+substitution ``torsor_substitute``.
 
 The independent route is in l1..ln: ``total_chern_poly`` expands the product
 over the roots, and ``symmetric_to_chern`` rewrites it by the classical
@@ -54,7 +55,6 @@ from .poly import (
     ZERO,
     _check_guards,
     _subtract_shifted,
-    const,
     exact_divide,
     lex_priority,
     make_mono,
@@ -147,14 +147,12 @@ class RepRoots(Record):
 def _module_roots(module: RepRoots) -> tuple[Polynomial, ...]:
     ls = [var(v) for v in l_vars(module.rank)]
     pairs = [a + b for a, b in itertools.combinations(ls, 2)]
-    if module.base == "E":
-        roots = [-l for l in ls]
-    elif module.base == "E*":
-        roots = ls
-    elif module.base == "Sym2(E*)":
-        roots = [2 * l for l in ls] + pairs
-    else:  # Wedge2(E*)
-        roots = pairs
+    roots = {
+        "E": [-l for l in ls],
+        "E*": ls,
+        "Sym2(E*)": [2 * l for l in ls] + pairs,
+        "Wedge2(E*)": pairs,
+    }[module.base]
     det = -elementary_symmetric(module.rank, 1) * module.k
     return tuple(sorted((r + det for r in roots), key=poly_sort_key))
 
@@ -293,72 +291,83 @@ def total_chern_poly(module: RepRoots) -> Polynomial:
     return prod((x + r for r in module.roots), start=ONE)
 
 
-def _power_sums(e: list[Polynomial], top: int) -> list[Polynomial]:
-    """p_0..p_top of the roots whose elementary symmetric functions are
-    ``e`` (e[0] = 1, one more entry than roots), by Newton's identities."""
-    p = [const(len(e) - 1)]
-    for m in range(1, top + 1):
-        s = e[m] * ((-1) ** (m - 1) * m) if m < len(e) else ZERO
-        for j in range(1, min(m, len(e))):
-            s = s + e[j] * p[m - j] * (-1) ** (j - 1)
-        p.append(s)
-    return p
+def elementary_of_shifted(n: int, scale: int) -> list[Polynomial]:
+    """e_0..e_n of the n shifted roots H + scale*l_i, in c1..cn and H:
+    e_k = sum_j C(n-j, k-j) (-scale)^j c_j H^(k-j), as c_j = (-1)^j e_j(l)."""
+    x = var(HYPERPLANE)
+    scaled = [cj * (-scale) ** j for j, cj in enumerate(chern_classes(n))]
+    return [
+        sum(
+            (scaled[j] * comb(n - j, k - j) * x ** (k - j) for j in range(k + 1)),
+            start=ZERO,
+        )
+        for k in range(n + 1)
+    ]
 
 
-def _square_power_sums(P: list[Polynomial], sign: int) -> list[Polynomial]:
-    """p_0..p_d of Sym2 (sign 1) or Wedge2 (sign -1) of the roots x_i with
-    power sums P = P_0..P_d, d the dimension of the square:
-    p_m = (sum_a C(m,a) P_a P_(m-a) + sign 2^m P_m)/2, the sum over ordered
-    pairs of (x_i + x_j)^m with the diagonal (2 x_i)^m added or taken away,
-    halved by a checked exact division."""
-    p = []
-    for m in range(len(P)):
-        s = P[m] * (sign * 2**m)
-        for a in range(m // 2 + 1):  # the terms a and m - a are equal
-            s = s + P[a] * P[m - a] * (comb(m, a) * (1 if 2 * a == m else 2))
-        p.append(exact_divide(s, 2))
-    return p
+def _staircase(e: list[Polynomial]) -> Polynomial:
+    """prod_(i<j) (x_i + x_j) over the roots x with elementary symmetric
+    functions e = [1, e_1, ..., e_n]: the staircase Schur polynomial, by the
+    dual Jacobi-Trudi identity (Macdonald I.3) det(e_(n-2i+j)) of size n-1,
+    expanded along its rows with each minor memoized by its column subset."""
+    n = len(e) - 1
+
+    @lru_cache(maxsize=None)
+    def minor(cols: tuple[int, ...]) -> Polynomial:
+        row = n - 1 - len(cols)  # 0-based, so entry (row, col) is e_(n-2*row+col-1)
+        total = ZERO if cols else ONE
+        for pos, col in enumerate(cols):
+            k = n - 2 * row + col - 1
+            if 0 <= k <= n:
+                total = total + e[k] * minor(cols[:pos] + cols[pos + 1 :]) * (-1) ** pos
+        return total
+
+    return minor(tuple(range(n - 1)))
 
 
-def _elementary(p: list[Polynomial]) -> list[Polynomial]:
-    """e_0..e_d of d roots from their power sums p_0..p_d, by Newton's
-    identities; each division by i is a checked exact division."""
-    e = [ONE]
-    for i in range(1, len(p)):
-        s = ZERO
-        for j in range(1, i + 1):
-            s = s + e[i - j] * p[j] * (-1) ** (j - 1)
-        e.append(exact_divide(s, i))
-    return e
+def _check_at_roots(module: RepRoots, p: Polynomial) -> None:
+    """Raise ArithmeticError unless p at c_i = (-1)^i e_i(l), H = h equals the
+    integer prod (h + m(l)) over the module's roots m at two points from a
+    seeded generator mod the prime 2^61 - 1; a wrong p of degree d passes one
+    with probability at most d / 2^61 (Schwartz 1980; Zippel 1979)."""
+    n, state = module.rank, 20060601
+    for _ in range(2):
+        values = [
+            state := state * 437799614237992725 % (2**61 - 1) for _ in range(n + 1)
+        ]
+        lpoint, h = dict(zip(l_vars(n), values)), values[n]
+        point = {HYPERPLANE: h}
+        for i in range(1, n + 1):
+            point[f"c{i}"] = (-1) ** i * elementary_symmetric(n, i).evaluate(lpoint)
+        if p.evaluate(point) != prod(h + m.evaluate(lpoint) for m in module.roots):
+            raise ArithmeticError(
+                f"c_H({module.label}) disagrees with its roots at {lpoint}, H = {h}"
+            )
 
 
 @lru_cache(maxsize=None)
 def chern_polynomial(module: RepRoots) -> Polynomial:
     """c_H(V) = prod over the roots m of (H + m), in c1..cn, for the module V.
 
-    Computed in Z[c1..cn, H] as sum_i e_i(V) H^(d-i).  For E and E* the e_i
-    are read off c (e_i(l1..ln) = (-1)^i c_i); for Sym2(E*) and Wedge2(E*)
-    the power sums of E* give those of V (``_square_power_sums``), and
-    Newton's identities give back the e_i.  A det^k twist is H -> H + k*c1 on
-    the untwisted module's polynomial.  ``total_chern_poly`` with
-    ``symmetric_to_chern`` is the independent route through l1..ln.
+    From the e_k of the shifted roots x_i = H + s*l_i (``elementary_of_shifted``):
+    c_H(E*) and c_H(E) are e_n(x) at s = 1 and -1; at s = 2, c_H(Wedge2(E*))
+    is the staircase (``_staircase``) divided by 2^C(n,2), and c_H(Sym2(E*))
+    is that times e_n(x).  A det^k twist is H -> H + k*c1.  Each result passes
+    ``_check_at_roots`` before it is returned.
     """
-    x = var(HYPERPLANE)
+    x, n = var(HYPERPLANE), module.rank
     if module.k:
         untwisted = chern_polynomial(module.replace(k=0))
-        return untwisted.substitute(HYPERPLANE, x + var("c1") * module.k)
-    c = chern_classes(module.rank)
-    dual = [ci * (-1) ** i for i, ci in enumerate(c)]
-    if module.base == "E":
-        e = c
-    elif module.base == "E*":
-        e = dual
+        p = untwisted.substitute(HYPERPLANE, x + var("c1") * module.k)
+    elif module.base in ("E", "E*"):
+        p = elementary_of_shifted(n, 1 if module.base == "E*" else -1)[n]
     else:
-        sign = 1 if module.base == "Sym2(E*)" else -1
-        P = _power_sums(dual, module.dimension)
-        e = _elementary(_square_power_sums(P, sign))
-    d = len(e) - 1
-    return sum((e[i] * x ** (d - i) for i in range(d + 1)), start=ZERO)
+        e = elementary_of_shifted(n, 2)
+        p = exact_divide(_staircase(e), 2 ** comb(n, 2))
+        if module.base == "Sym2(E*)":
+            p = p * e[n]
+    _check_at_roots(module, p)
+    return p
 
 
 @lru_cache(maxsize=None)

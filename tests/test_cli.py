@@ -95,6 +95,37 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(out)["verification_failure"]["name"] == "synthetic"
 
+    def test_unexpected_error_exits_2_with_report(self, capsys, monkeypatch):
+        import eqchow.cli as cli
+        from eqchow.localization import InternalInconsistency
+
+        def boom(n, r):
+            raise InternalInconsistency("induced")
+
+        monkeypatch.setattr(cli, "veronese_pushforward", boom)
+        argv = ["pushforward", "--n", "3", "--r", "1", "--format", "json"]
+        code, out, err = capture(capsys, argv)
+        assert code == 2 and err == ""
+        record = json.loads(out)["verification_failure"]
+        assert record["name"] == "unexpected-error"
+        assert record["error"] == "InternalInconsistency: induced"
+        assert "Traceback" in record["traceback"]
+
+    def test_failed_root_check_exits_2_with_report(self, capsys, monkeypatch):
+        # a wrong staircase is caught inside chern_polynomial, below any
+        # pipeline check, and still ends as a failed check's record
+        from eqchow import symfunc
+
+        staircase = symfunc._staircase
+        monkeypatch.setattr(symfunc, "_staircase", lambda e: staircase(e) * 3)
+        symfunc.chern_polynomial.cache_clear()
+        try:
+            code, out, err = capture(capsys, ["quadrics", "--n", "3", "--k", "1"])
+        finally:
+            symfunc.chern_polynomial.cache_clear()
+        assert code == 2 and err == ""
+        assert out.startswith("verification failure: ArithmeticError: c_H(Sym2(E*))")
+
 
 class TestFormats:
     def test_m01_latex_contains_quotient(self, capsys):
@@ -182,14 +213,11 @@ class TestPresentationContent:
 
 
 def test_outputs_match_recorded_digests(capsys):
-    """The benchmark's recorded sha256 of each CLI output without ``--force``
-    still matches, byte for byte."""
+    """The benchmark's recorded sha256 of each CLI output, ``--force`` jobs
+    included, still matches, byte for byte."""
     expected = json.loads(BENCH_EXPECTED.read_text(encoding="utf-8"))
-    quick = {
-        job: digest for job, digest in expected.items() if "--force" not in job.split()
-    }
-    assert len(quick) == 12
-    for job, digest in quick.items():
+    assert len(expected) == 15
+    for job, digest in expected.items():
         code, out, _ = capture(capsys, job.split())
         assert code == 0, job
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, job

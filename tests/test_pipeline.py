@@ -315,6 +315,16 @@ class TestReducedQuadrics:
             "b6c5714cbb33756e1f9dbbc2089b5698850ad530401451f8b81a3e1ae46c0d18"
         )
 
+    def test_golden_quadrics_rank7(self, capsys):
+        # the staircase determinant makes the rank-7 bundle relation a few
+        # hundredths of a second, so rank 7 is pinned next to rank 6
+        argv = ["quadrics", "--n", "7", "--k", "1", "--force", "--format", "json"]
+        assert run(argv) == 0
+        out = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(out).hexdigest() == (
+            "8671064df579c50ab468e6e31cdd1ce6ad8a51d545b8958c12f276199fde1916"
+        )
+
 
 class TestAlphaFamily:
     def test_rank4_first_generator(self):

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from math import comb
 
 import pytest
 
@@ -15,6 +16,8 @@ from eqchow.poly import (
     ONE,
     ZERO,
     Polynomial,
+    const,
+    exact_divide,
     make_mono,
     mono_exponents,
     poly_sort_key,
@@ -26,6 +29,7 @@ from eqchow.symfunc import (
     RepRoots,
     UnsupportedModule,
     build_roots,
+    chern_classes,
     chern_polynomial,
     chern_to_roots,
     e_top,
@@ -323,6 +327,58 @@ class TestTotalChernPoly:
             assert sym2 == doubled * pairs
 
 
+# A second Chern-ring route, used only here as an oracle: the power sums of
+# E* follow from c by Newton's identities, those of Sym2(E*) and Wedge2(E*) by
+# the plethysm (sum_a C(m,a) P_a P_(m-a) +- 2^m P_m)/2, and Newton's
+# identities, with checked exact division, give back the elementary symmetric
+# functions of the roots (Macdonald, *Symmetric Functions and Hall
+# Polynomials*, I.2 and I.8).
+def _power_sums(e, top):
+    """p_0..p_top of the roots whose elementary symmetric functions are
+    ``e`` (e[0] = 1, one more entry than roots), by Newton's identities."""
+    p = [const(len(e) - 1)]
+    for m in range(1, top + 1):
+        s = e[m] * ((-1) ** (m - 1) * m) if m < len(e) else ZERO
+        for j in range(1, min(m, len(e))):
+            s = s + e[j] * p[m - j] * (-1) ** (j - 1)
+        p.append(s)
+    return p
+
+
+def _square_power_sums(P, sign):
+    """p_0..p_d of Sym2 (sign 1) or Wedge2 (sign -1) of the roots x_i with
+    power sums P = P_0..P_d: the sum over ordered pairs of (x_i + x_j)^m with
+    the diagonal (2 x_i)^m added or taken away, halved exactly."""
+    p = []
+    for m in range(len(P)):
+        s = P[m] * (sign * 2**m)
+        for a in range(m // 2 + 1):  # the terms a and m - a are equal
+            s = s + P[a] * P[m - a] * (comb(m, a) * (1 if 2 * a == m else 2))
+        p.append(exact_divide(s, 2))
+    return p
+
+
+def _elementary(p):
+    """e_0..e_d of d roots from their power sums p_0..p_d, by Newton's
+    identities; each division by i is a checked exact division."""
+    e = [ONE]
+    for i in range(1, len(p)):
+        s = ZERO
+        for j in range(1, i + 1):
+            s = s + e[i - j] * p[j] * (-1) ** (j - 1)
+        e.append(exact_divide(s, i))
+    return e
+
+
+def chern_polynomial_by_newton(module):
+    """c_H of an untwisted Sym2(E*) or Wedge2(E*) by Newton's plethysm."""
+    sign = 1 if module.base == "Sym2(E*)" else -1
+    dual = [ci * (-1) ** i for i, ci in enumerate(chern_classes(module.rank))]
+    e = _elementary(_square_power_sums(_power_sums(dual, module.dimension), sign))
+    d = len(e) - 1
+    return sum((e[i] * H ** (d - i) for i in range(d + 1)), start=ZERO)
+
+
 class TestChernPolynomial:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("base", ["E", "E*", "Sym2(E*)", "Wedge2(E*)"])
@@ -332,6 +388,46 @@ class TestChernPolynomial:
         roots = build_roots(n, f"det^{k}*{base}")
         expected = symmetric_to_chern(total_chern_poly(roots), n)
         assert chern_polynomial(roots) == expected
+
+    @pytest.mark.parametrize(
+        "n, base",
+        [(n, "Wedge2(E*)") for n in range(2, 9)]
+        + [(n, "Sym2(E*)") for n in range(2, 8)],
+    )
+    def test_agrees_with_newtons_plethysm(self, n, base):
+        # the staircase against the power-sum route, past the root rewrite's reach
+        module = RepRoots(n, base)
+        assert chern_polynomial(module) == chern_polynomial_by_newton(module)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_staircase_is_the_product_over_pairs(self, n):
+        # det(e_(n-2i+j)) is prod_(i<j) (x_i + x_j) of the roots with
+        # elementary symmetric functions e_k, here x = l1..ln themselves
+        e = [elementary_symmetric(n, k) for k in range(n + 1)]
+        ls = [var(v) for v in l_vars(n)]
+        pairs = _prod([a + b for a, b in itertools.combinations(ls, 2)] or [ONE])
+        assert symfunc._staircase(e) == pairs
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("scale", [-1, 1, 2])
+    def test_elementary_of_shifted_roots(self, n, scale):
+        # e_k(H + s*l_1, ..., H + s*l_n), expanded in l1..ln and rewritten
+        shifted = [H + scale * var(v) for v in l_vars(n)]
+        for k, e in enumerate(symfunc.elementary_of_shifted(n, scale)):
+            expanded = sum(
+                (_prod(combo) for combo in itertools.combinations(shifted, k)),
+                start=ZERO,
+            )
+            assert e == symmetric_to_chern(expanded, n)
+
+    @pytest.mark.parametrize("base", ["E", "E*", "Sym2(E*)", "Wedge2(E*)"])
+    def test_root_check_rejects_one_wrong_term(self, base):
+        module = RepRoots(4, base, 1)
+        right = chern_polynomial(module)
+        symfunc._check_at_roots(module, right)
+        wrong = right + 2 * c2 * c1 ** (module.dimension - 2)
+        with pytest.raises(ArithmeticError, match="disagrees with its roots"):
+            symfunc._check_at_roots(module, wrong)
 
 
 class TestETop:

@@ -69,11 +69,11 @@ runpy.run_module("eqchow.cli", run_name="__main__")
 # gcd; the broken membership test accepts every vector, so generator
 # containment alone would certify any two ideals equal; the broken division
 # drops the smallest term of every quotient with two or more terms, which the
-# Newton route of ``chern_polynomial`` also divides through; the broken
-# fraction reduction never cancels the last factor of a denominator, so a
-# localization sum keeps a denominator it should clear; the broken elementary
-# symmetric products drop their smallest term, so the symmetric rewrite
-# subtracts the wrong polynomial.
+# staircase of ``chern_polynomial`` also divides through, so its root check
+# raises; the broken fraction reduction never cancels the last factor of a
+# denominator, so a localization sum keeps a denominator it should clear; the
+# broken elementary symmetric products drop their smallest term, so the
+# symmetric rewrite subtracts the wrong polynomial.
 KERNEL_SABOTAGES = {
     "contains-accepts-everything": (
         """
@@ -183,6 +183,63 @@ from eqchow.verify import CLAIMS, run_claim
 {patch}
 names = sys.argv[1:]
 print(json.dumps({{c.name: run_claim(c)["status"] for c in CLAIMS if c.name in names}}))
+"""
+
+# Two broken Chern polynomials of Wedge2(E*), each made below the root check
+# of ``chern_polynomial``, so Sym2(E*) = Wedge2(E*) * prod (H + 2 l_i) inherits
+# the fault and the redundancy containment of the bundle relation holds
+# regardless.  The extra homogeneous term 2*c2*c1^(C(n,2)-2), scaled through
+# the staircase's exact division, is one that the named quadrics checks cannot
+# see; the wrong staircase entry is e_(n-1) of the roots H - 2*l_i in place of
+# H + 2*l_i.  Under each, ``quadrics --n N --k 1 --force`` must exit 2 at
+# every N = 3..8, with and without that containment.
+CHERN_SABOTAGES = {
+    "wedge2-extra-term": """
+staircase = symfunc._staircase
+
+def wrong_staircase(e):
+    n = len(e) - 1
+    extra = 2 * poly.var("c2") * poly.var("c1") ** (comb(n, 2) - 2)
+    return staircase(e) + extra * 2 ** comb(n, 2)
+
+symfunc._staircase = wrong_staircase
+""",
+    "wrong-staircase-entry": """
+shifted = symfunc.elementary_of_shifted
+
+def wrong_shifted(n, scale):
+    e = shifted(n, scale)
+    if scale == 2:
+        e[n - 1] = e[n - 1].substitute("H", -poly.var("H")) * (-1) ** (n - 1)
+    return e
+
+symfunc.elementary_of_shifted = wrong_shifted
+""",
+}
+SABOTAGED_QUADRICS = """
+import contextlib, io, json, sys
+from math import comb
+from eqchow import cli, pipeline, poly, symfunc
+{patch}
+def drop_unchecked(pres, index):
+    gens = pres.relations.generators
+    if index is not None:
+        gens = gens[:index] + gens[index + 1 :]
+    relations = pipeline.GradedIdeal(pres.relations.variables, gens)
+    return pipeline._after(
+        pres, "drop_redundant_bundle_relation", {{"index": index}}, relations
+    )
+
+if sys.argv[1] == "skip-containment":
+    pipeline._drop_redundant_bundle_relation = drop_unchecked
+codes = []
+for n in range(3, 9):
+    argv = ["quadrics", "--n", str(n), "--k", "1", "--force", "--format", "json"]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.run(argv)
+    failure = json.loads(out.getvalue()).get("verification_failure", {{}})
+    codes.append([code, failure.get("name")])
+print(json.dumps(codes))
 """
 
 
@@ -322,3 +379,19 @@ def test_sabotaged_lattice_or_division_fails_its_claims(sabotage):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == dict.fromkeys(must_fail, "fail")
+
+
+@pytest.mark.parametrize("containment", ["keep-containment", "skip-containment"])
+@pytest.mark.parametrize("sabotage", sorted(CHERN_SABOTAGES))
+def test_sabotaged_chern_polynomial_fails_quadrics(sabotage, containment):
+    src = os.path.dirname(os.path.dirname(eqchow.__file__))
+    script = SABOTAGED_QUADRICS.format(patch=CHERN_SABOTAGES[sabotage])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, containment],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[2, "unexpected-error"]] * 6
