@@ -78,11 +78,15 @@ class IntegerLattice:
     def rank(self) -> int:
         return len(self.rows)
 
-    def insert(self, vec: list[int]) -> bool:
-        """Add a vector to the lattice; returns True if the lattice changed."""
+    def _copy(self, vec: list[int]) -> list[int]:
+        """A copy of ``vec``; ValueError unless it has ``dim`` entries."""
         if len(vec) != self.dim:
             raise ValueError("vector has the wrong dimension")
-        vec = list(vec)
+        return list(vec)
+
+    def insert(self, vec: list[int]) -> bool:
+        """Add a vector to the lattice; returns True if the lattice changed."""
+        vec = self._copy(vec)
         changed = False
         j = 0
         while True:
@@ -115,7 +119,7 @@ class IntegerLattice:
     def _walk(self, vec: list[int], exact: bool, start: int = 0) -> list[int] | None:
         """``vec`` reduced into [0, pivot) at the pivots of the rows from
         ``start`` on; None if ``exact`` and an entry is not a multiple."""
-        out = list(vec)
+        out = self._copy(vec)
         for i, j in enumerate(self.pivot_cols[start:], start):
             v = out[j]
             if not v:

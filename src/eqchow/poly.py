@@ -35,11 +35,10 @@ This module alone knows how variable names are read and monomials laid out:
   so only results every monomial order gives alike read it: exact division
   and the symmetric rewrite of ``eqchow.symfunc``, on one remainder heap (a
   dict and a heap of negated ints, updated by ``_subtract_shifted``).  Bytes
-  and determinism rest on the canonical order (``_unpack``), which
-  ``sorted_terms``, ``monomials_of_degree``, ``poly_sort_key`` and
-  ``_normalize_linear_factor`` read through ``term_key``, a bounded cache of
-  order keys; text, LaTeX and JSON sort by keys built from the pairs they
-  read anyway.
+  and determinism rest on the canonical order, ``_unpack``'s key, in which
+  ``monomials_of_degree`` builds its basis; ``poly_sort_key`` and
+  ``_normalize_linear_factor`` key their few terms with ``term_key``, and
+  text, LaTeX and JSON sort by keys built from the pairs they read anyway.
 * A polynomial maps monomials to nonzero int coefficients; all arithmetic is
   exact.  ``Polynomial(terms)`` also takes a tuple of (variable, exponent)
   pairs as a key and packs it; that is the only other spelling of a
@@ -230,11 +229,10 @@ def _slot_pairs(mono: Mono) -> list[tuple[str, int]]:
 
 def _unpack(mono: Mono) -> tuple[tuple[int, tuple], tuple[tuple[str, int], ...]]:
     """The sort key of a monomial and its (variable, exponent) pairs in the
-    variable order, uncached.  The key is its weighted degree and its order
-    key (variable key, -exponent, variable key, ...); it realizes the
-    canonical total order on monomials: weighted degree, then lexicographic
-    with earlier variables dominant (bigger exponent on an earlier variable
-    compares larger, hence smaller in the order key)."""
+    variable order.  The key, the weighted degree and then (variable key,
+    -exponent, variable key, ...), is the canonical total order: weighted
+    degree, then lexicographic with earlier variables dominant (a bigger
+    exponent on an earlier variable sorts first)."""
     pairs = mono_pairs(mono)
     key = []
     for v, e in pairs:
@@ -242,13 +240,8 @@ def _unpack(mono: Mono) -> tuple[tuple[int, tuple], tuple[tuple[str, int], ...]]
     return (mono & _WEIGHT, tuple(key)), pairs
 
 
-_CACHE_SIZE = 1 << 16
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
 def term_key(mono: Mono) -> tuple[int, tuple]:
-    """The sort key of a monomial (see ``_unpack``), behind a bounded cache:
-    the one cached unpack, read by the sites that need the canonical order."""
+    """The sort key of a monomial, the canonical order (see ``_unpack``)."""
     return _unpack(mono)[0]
 
 
@@ -269,10 +262,12 @@ def mono_str(mono: Mono) -> str:
 
 @lru_cache(maxsize=None)
 def monomials_of_degree(variables: tuple[str, ...], degree: int) -> tuple[Mono, ...]:
-    """All monomials of exact weighted degree, in canonical monomial order.
-
-    ``variables`` must be sorted by the fixed variable order.
-    """
+    """All monomials of exact weighted degree, in the canonical order, which
+    the loop builds: the first variable's exponent runs downward and each
+    tail is in order by recursion.  ``variables`` must be strictly sorted by
+    the fixed variable order (ValueError if not)."""
+    if any(var_key(a) >= var_key(b) for a, b in zip(variables, variables[1:])):
+        raise ValueError(f"variables not strictly in the variable order: {variables}")
     if degree < 0:
         return ()
     if degree == 0:
@@ -287,7 +282,6 @@ def monomials_of_degree(variables: tuple[str, ...], degree: int) -> tuple[Mono, 
     for e in range(degree // w, -1, -1):
         for tail in monomials_of_degree(rest, degree - e * w):
             out.append(e * unit + tail)
-    out.sort(key=term_key)
     return tuple(out)
 
 
@@ -486,17 +480,11 @@ class Polynomial:
 
     # -- serialization --------------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[Mono, int]]:
-        return sorted(self._terms.items(), key=lambda mc: term_key(mc[0]))
-
     def _sorted_pairs(self) -> list[tuple[tuple[tuple[str, int], ...], int]]:
-        """(pairs, coefficient) of each term, in the monomial order.  Each
-        monomial is unpacked once and its key stays out of the ``term_key``
-        cache, since output reads a polynomial once."""
-        rows = sorted(
-            ((_unpack(m), c) for m, c in self._terms.items()), key=lambda r: r[0][0]
-        )
-        return [(pairs, c) for (_, pairs), c in rows]
+        """(pairs, coefficient) of each term, in the canonical order: the one
+        term sorter, unpacking each monomial once for its key and its pairs."""
+        rows = sorted(_unpack(m) + (c,) for m, c in self._terms.items())
+        return [(pairs, c) for _, pairs, c in rows]
 
     def to_text(self) -> str:
         """Canonical text form, e.g. ``4*c3 + 2*c1*c3``."""
@@ -707,8 +695,15 @@ def exact_divide(p: Polynomial, q: Polynomial | int) -> Polynomial:
     q = _coerce(q)
     result = _try_exact_divide(p, q)
     if result is None:
-        raise NotDivisible(f"({p}) is not divisible by ({q})")
+        raise NotDivisible(f"{_summary(p)} is not divisible by {_summary(q)}")
     return result
+
+
+def _summary(p: Polynomial) -> str:
+    """A nonzero polynomial in a bounded message: its term count and the term
+    its canonical text leads with."""
+    lead = min(p.terms, key=term_key)
+    return f"a {len(p)}-term polynomial led by {_trusted({lead: p.terms[lead]})}"
 
 
 def divides(q: Polynomial | int, p: Polynomial) -> bool:
@@ -781,7 +776,7 @@ class Record:
 
 def poly_sort_key(p: Polynomial) -> tuple:
     """Deterministic total order on polynomials (term list order, then coeffs)."""
-    return tuple((term_key(m), c) for m, c in p.sorted_terms())
+    return tuple(sorted((term_key(m), c) for m, c in p.terms.items()))
 
 
 def _normalize_linear_factor(f: Polynomial) -> tuple[Polynomial, int]:

@@ -398,6 +398,18 @@ class TestLatticeInvariants:
         lat.insert([-3, 5])
         assert lat.rows == [[3, -5]]
 
+    @pytest.mark.parametrize("vec", [[1, 2, 3, 4], [1, 2]], ids=["longer", "shorter"])
+    def test_wrong_length_queries_rejected(self, vec):
+        # a longer vector must not pass on its first three entries, nor a
+        # shorter one read past its end
+        lat = IntegerLattice(3)
+        lat.insert([1, 2, 3])
+        lat.insert([0, 0, 5])
+        for query in (lat.insert, lat.contains, lat.reduce):
+            with pytest.raises(ValueError, match="wrong dimension"):
+                query(vec)
+        assert lat.contains([1, 2, 8]) and lat.reduce([1, 2, 9]) == [0, 0, 1]
+
     def test_generator_shuffle_preserves_pieces(self):
         rng = random.Random(43)
         gens = THEOREM_IDEAL + [c1 * c2 * c3, 6 * c2**2]

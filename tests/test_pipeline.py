@@ -325,6 +325,17 @@ class TestReducedQuadrics:
             "8671064df579c50ab468e6e31cdd1ce6ad8a51d545b8958c12f276199fde1916"
         )
 
+    def test_golden_quadrics_rank8(self, capsys):
+        # the lattice columns at rank 8 run over c1..c8, weights up to 8, in
+        # the order monomials_of_degree builds them: a wrong generation
+        # order would change these bytes
+        argv = ["quadrics", "--n", "8", "--k", "1", "--force", "--format", "json"]
+        assert run(argv) == 0
+        out = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(out).hexdigest() == (
+            "4daa9a513df1b36a937f37b7660ca70270c173db80234dddb5c7b94d982bd9ec"
+        )
+
 
 class TestAlphaFamily:
     def test_rank4_first_generator(self):

@@ -335,7 +335,8 @@ class TestPackedLayout:
         assert p.to_text() == "3*l10 + c29*H + c29^2*l10"
         assert p.to_latex() == "3l_{10} + c_{29}H + c_{29}^{2}l_{10}"
         assert p.to_json_obj()[2] == {"coeff": "1", "exps": {"c29": 2, "l10": 1}}
-        assert p.sorted_terms()[-1] == (make_mono([("c29", 2), ("l10", 1)]), 1)
+        last = max(p.terms, key=term_key)
+        assert (last, p.terms[last]) == (make_mono([("c29", 2), ("l10", 1)]), 1)
         assert mono_str(make_mono([("l10", 1), ("c29", 2)])) == "c29^2*l10"
         assert parse_polynomial(p.to_text()) == p
 
@@ -431,11 +432,10 @@ def test_the_weight_field_is_the_weighted_degree(a, b, name, image, names, degre
     assert all(m & poly._WEIGHT == degree for m in members)
 
 
-class TestTermKeyCache:
-    def test_weight_and_name_reads_add_no_entries(self):
+class TestValuesAfterOrdering:
+    def test_weight_and_name_reads(self):
         # (a weight-1 + a weight-2 + a weight-4 term)^3 plus a weight-3 term
         p = (c1 + 2 * H * l1 - c3 * l2) ** 3 + var("xi") * c2
-        term_key.cache_clear()
         assert p.evaluate({v: 2 for v in p.variables()}) == p.rename(
             {"l1": "l2", "l2": "l1"}
         ).evaluate({v: 2 for v in p.variables()})
@@ -444,18 +444,12 @@ class TestTermKeyCache:
         assert p.weighted_degree() == 12
         assert not p.is_homogeneous()
         assert sorted(p.homogeneous_components()) == [3, 4, 5, 6, 7, 8, 9, 10, 12]
-        assert term_key.cache_info().currsize == 0
-        # the ordering sites are what fills it
-        p.sorted_terms()
-        assert term_key.cache_info().currsize == len(p)
 
-    def test_division_and_the_symmetric_rewrite_add_no_entries(self):
-        # both order their terms by the packed int, not by term_key
+    def test_division_and_the_symmetric_rewrite(self):
         f = (H + 2 * l1 - l2) * (K + l1 * l3) + c2
         g = (l1 - l3) ** 2 + H * l2
         product = f * g
         q = chern_to_roots(c1 * c2 - 3 * c3 + c1**3, 3) * (H + K) ** 2
-        term_key.cache_clear()
         assert exact_divide(product, g) == f
         assert divides(f, product) and not divides(f + 1, product)
         with pytest.raises(NotDivisible):
@@ -463,4 +457,47 @@ class TestTermKeyCache:
         assert symmetric_to_chern(q, 3) == (c1 * c2 - 3 * c3 + c1**3) * (H + K) ** 2
         with pytest.raises(NotSymmetric):
             symmetric_to_chern(q + l1**3, 3)
-        assert term_key.cache_info().currsize == 0
+
+
+class TestNotDivisibleMessage:
+    def test_a_large_dividend_gives_a_short_message(self):
+        # the message names term counts and leading terms, never whole operands
+        p = (c1 + c2 + c3 + H + l1 + l2 + l3) ** 9 + 1
+        q = H + 2 * l1
+        assert len(p) > 5000
+        with pytest.raises(NotDivisible) as caught:
+            exact_divide(p, q)
+        message = str(caught.value)
+        assert len(message) < 200
+        assert message == (
+            f"a {len(p)}-term polynomial led by 1 is not divisible by "
+            "a 2-term polynomial led by H"
+        )
+
+
+# Multi-digit indices, c-weights above 1 and unindexed stems, so that the
+# variable order differs from both the name order and the first-use order.
+ORDER_POOL = (
+    "c1", "c2", "c3", "c10", "c12", "H", "K", "xi",
+    "l1", "l2", "l9", "l10", "l11", "t3", "t12", "u", "zeta", "w2",
+)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.sampled_from(ORDER_POOL), min_size=1, max_size=5, unique=True),
+    st.integers(0, 12),
+)
+def test_monomial_basis_comes_in_the_canonical_order(names, degree):
+    ordered = tuple(sorted(names, key=var_key))
+    basis = monomials_of_degree(ordered, degree)
+    assert list(basis) == sorted(basis, key=term_key)
+    assert len(set(basis)) == len(basis)
+    if ordered != tuple(names):
+        with pytest.raises(ValueError, match="variable order"):
+            monomials_of_degree(tuple(names), degree)
+
+
+def test_a_repeated_variable_is_rejected():
+    with pytest.raises(ValueError, match="variable order"):
+        monomials_of_degree(("c1", "c1", "H"), 2)
