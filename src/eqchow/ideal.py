@@ -213,19 +213,18 @@ class GradedIdeal:
                 f"degree {needed}"
             )
 
-    def _vector(self, p: Polynomial, index: dict[Mono, int]) -> list[int]:
-        vec = [0] * len(index)
-        for m, c in p.terms.items():
-            vec[index[m]] = c
-        return vec
-
     def _span(self, lat: IntegerLattice, gens, degree: int, index) -> None:
         """Insert every degree-``degree`` multiple (generator x monomial) of
         ``gens`` into ``lat``: generators in order, monomials in canonical
-        order, which fixes the echelon rows."""
+        order, which fixes the echelon rows.  Each term t of a generator goes
+        to the entry of t + m, a basis monomial with no exponent at the field
+        limit (``monomials_of_degree`` checks), so no guard check is needed."""
         for g in gens:
             for m in monomials_of_degree(self.variables, degree - g.weighted_degree()):
-                lat.insert(self._vector(g.mono_shift(m), index))
+                vec = [0] * len(index)
+                for t, c in g.terms.items():
+                    vec[index[t + m]] = c
+                lat.insert(vec)
 
     def lattice(self, degree: int) -> IntegerLattice:
         if degree not in self._lattices:
@@ -251,8 +250,11 @@ class GradedIdeal:
         if reduce(or_, p.terms) & self._outside:
             return False
         degree = p.weighted_degree()
-        lat = self.lattice(degree)
-        return lat.contains(self._vector(p, self._lattices[degree][1]))
+        lat, index = self.lattice(degree), self._lattices[degree][1]
+        vec = [0] * len(index)
+        for m, c in p.terms.items():
+            vec[index[m]] = c
+        return lat.contains(vec)
 
     def simplified_generators(self, max_degree: int) -> tuple[Polynomial, ...]:
         """Small generating set reproducing every graded piece up to the bound.

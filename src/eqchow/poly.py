@@ -462,13 +462,22 @@ class Polynomial:
 
     def evaluate(self, assignment: Mapping[str, int]) -> int:
         """Evaluate at integer values; every variable present must be assigned."""
-        total = 0
+        return self.evaluate_at([assignment])[0]
+
+    def evaluate_at(self, points: list[Mapping[str, int]]) -> list[int]:
+        """The values at each of several points, in one pass over the terms,
+        with each power of each variable computed once per point."""
+        powers, values = [{} for _ in points], [0] * len(points)
         for m, c in self._terms.items():
-            prod = c
-            for v, e in _slot_pairs(m):
-                prod *= assignment[v] ** e
-            total += prod
-        return total
+            pairs = _slot_pairs(m)
+            for j, point in enumerate(points):
+                term, known = c, powers[j]
+                for pair in pairs:
+                    if pair not in known:
+                        known[pair] = point[pair[0]] ** pair[1]
+                    term *= known[pair]
+                values[j] += term
+        return values
 
     def rename(self, mapping: Mapping[str, str]) -> Polynomial:
         """Rename variables (used for symmetry checks); result re-canonicalized."""

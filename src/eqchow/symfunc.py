@@ -329,17 +329,17 @@ def _check_at_roots(module: RepRoots, p: Polynomial) -> None:
     """Raise ArithmeticError unless p at c_i = (-1)^i e_i(l), H = h equals the
     integer prod (h + m(l)) over the module's roots m at two points from a
     seeded generator mod the prime 2^61 - 1; a wrong p of degree d passes one
-    with probability at most d / 2^61 (Schwartz 1980; Zippel 1979)."""
-    n, state = module.rank, 20060601
+    with probability at most d / 2^61 (Schwartz 1980; Zippel 1979).  The values
+    stay exact: mod the prime, a wrong coefficient divisible by it would pass."""
+    n, state, points = module.rank, 20060601, []
     for _ in range(2):
-        values = [
-            state := state * 437799614237992725 % (2**61 - 1) for _ in range(n + 1)
-        ]
-        lpoint, h = dict(zip(l_vars(n), values)), values[n]
-        point = {HYPERPLANE: h}
+        vals = [state := state * 437799614237992725 % (2**61 - 1) for _ in range(n + 1)]
+        lpoint, point = dict(zip(l_vars(n), vals)), {HYPERPLANE: vals[n]}
         for i in range(1, n + 1):
             point[f"c{i}"] = (-1) ** i * elementary_symmetric(n, i).evaluate(lpoint)
-        if p.evaluate(point) != prod(h + m.evaluate(lpoint) for m in module.roots):
+        points.append((lpoint, vals[n], point))
+    for (lpoint, h, _), value in zip(points, p.evaluate_at([q for *_, q in points])):
+        if value != prod(h + m.evaluate(lpoint) for m in module.roots):
             raise ArithmeticError(
                 f"c_H({module.label}) disagrees with its roots at {lpoint}, H = {h}"
             )

@@ -1,6 +1,10 @@
-"""Command-line interface: exit codes, formats, determinism, report schema."""
+"""Command-line interface: grammar, exit codes, formats, determinism, report
+schema."""
 
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -10,7 +14,8 @@ from pathlib import Path
 import pytest
 
 import eqchow
-from eqchow.cli import run
+from eqchow import cli
+from eqchow.cli import MAX_RANK, MAX_TWIST, run
 
 BENCH_EXPECTED = Path(__file__).resolve().parents[1] / "bench" / "expected.json"
 
@@ -55,7 +60,7 @@ class TestExitCodes:
         assert code == 0
 
     def test_unwritable_out_is_an_error(self, capsys, tmp_path):
-        for path in (tmp_path / "missing" / "x", tmp_path):
+        for path in (tmp_path / "missing" / "x", tmp_path, ""):
             code, out, err = capture(capsys, ["m01", "--out", str(path)])
             assert code == 1 and out == ""
             assert err.startswith(f"eqchow: error: cannot write {path}: ")
@@ -125,6 +130,226 @@ class TestExitCodes:
             symfunc.chern_polynomial.cache_clear()
         assert code == 2 and err == ""
         assert out.startswith("verification failure: ArithmeticError: c_H(Sym2(E*))")
+
+
+# The argparse grammar the CLI had before its command table, kept as the
+# reference its parser must agree with.
+class _ReferenceError(Exception):
+    pass
+
+
+class _ReferenceParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _ReferenceError(message)
+
+
+def build_parser() -> _ReferenceParser:
+    parser = _ReferenceParser(prog="eqchow", description="Command-line front end.")
+    version = f"eqchow {eqchow.__version__}"
+    parser.add_argument("--version", action="version", version=version)
+    common = _ReferenceParser(add_help=False)
+    common.add_argument("--format", choices=("text", "json", "latex"), default=None)
+    common.add_argument("--max-degree", type=int, default=None)
+    common.add_argument("--out", default=None)
+    common.add_argument("--force", action="store_true")
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=_ReferenceParser
+    )
+    sub.add_parser("m01", parents=[common])
+    p = sub.add_parser("quadrics", parents=[common])
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--k", type=int, required=True)
+    p = sub.add_parser("orthogonal", parents=[common])
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--k", type=int, required=True)
+    p = sub.add_parser("pushforward", parents=[common])
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--r", type=int, required=True)
+    sub.add_parser("verify-all", parents=[common])
+    return parser
+
+
+def _validate(args) -> None:
+    n = getattr(args, "n", None)
+    k = getattr(args, "k", None)
+    r = getattr(args, "r", None)
+    if n is not None and n < 2:
+        raise _ReferenceError("--n must be at least 2")
+    if k is not None and k < 0:
+        raise _ReferenceError("--k must be non-negative")
+    if r is not None and not 0 <= r <= (n - 1):
+        raise _ReferenceError("--r must satisfy 0 <= r <= n-1")
+    if not args.force:
+        if n is not None and n > MAX_RANK:
+            raise _ReferenceError(
+                f"--n {n} exceeds the desk-scale limit {MAX_RANK}; pass --force"
+            )
+        if k is not None and k > MAX_TWIST:
+            raise _ReferenceError(
+                f"--k {k} exceeds the desk-scale limit {MAX_TWIST}; pass --force"
+            )
+
+
+def _reference(argv):
+    """What the reference makes of argv: "help", "version", "error", or the
+    command and option values by option name."""
+    printed = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(printed):
+            args = build_parser().parse_args(argv)
+        _validate(args)
+    except _ReferenceError:
+        return "error"
+    except SystemExit:
+        return "version" if printed.getvalue().startswith("eqchow ") else "help"
+    values = vars(args)
+    values["max-degree"] = values.pop("max_degree")
+    return values
+
+
+def _table(argv):
+    """The same for the CLI's command-table parser."""
+    try:
+        values = cli._parse(list(argv))
+    except cli._UsageError:
+        return "error"
+    return values["command"][2:] if values["command"].startswith("--") else values
+
+
+USAGE = (
+    "usage: eqchow {m01 | quadrics --n N --k K | orthogonal --n N --k K"
+    " | pushforward --n N --r R | verify-all}"
+    " [--format text|json|latex] [--max-degree D] [--out PATH] [--force]\n"
+)
+QN = ["quadrics", "--n", "3", "--k", "1"]
+GRAMMAR_CASES = [
+    # every command
+    ["m01"],
+    QN,
+    ["orthogonal", "--n", "4", "--k", "0"],
+    ["pushforward", "--n", "3", "--r", "2"],
+    ["verify-all"],
+    # exact, =, prefixed, ambiguous and repeated options
+    ["m01", "--format", "json", "--max-degree", "12", "--out", "x.txt", "--force"],
+    ["m01", "--format=latex", "--max-degree=12", "--out=x.txt"],
+    ["quadrics", "--n=3", "--k=1"],
+    ["quadrics", "--k", "1", "--n", "3"],
+    ["m01", "--form", "json", "--forc", "--m", "9", "--o", "y"],
+    ["m01", "--max", "9", "--form=text", "--o=y"],
+    ["m01", "--fo", "json"],
+    ["m01", "--for", "json"],
+    ["m01", "--f"],
+    ["m01", "--fo=json"],
+    ["quadrics", "--n", "3", "--n", "4", "--k", "1"],
+    ["m01", "--format", "json", "--format=text"],
+    ["m01", "--out=x", "--out", "y"],
+    ["m01", "--force", "--force"],
+    # negative, non-integer and empty values
+    ["quadrics", "--n", "-3", "--k", "1"],
+    ["quadrics", "--n=-3", "--k", "1"],
+    ["quadrics", "--n", "3", "--k", "-1"],
+    ["pushforward", "--n", "3", "--r", "-1"],
+    ["pushforward", "--n", "3", "--r", "3"],
+    ["m01", "--max-degree", "-5"],
+    ["quadrics", "--n", "x", "--k", "1"],
+    ["quadrics", "--n", "3.0", "--k", "1"],
+    ["quadrics", "--n", "-3.5", "--k", "1"],
+    ["quadrics", "--n", " 3", "--k", "+1"],
+    ["quadrics", "--n", "", "--k", "1"],
+    ["quadrics", "--n=", "--k", "1"],
+    ["m01", "--max-degree", "1e3"],
+    ["m01", "--out", ""],
+    ["m01", "--out="],
+    ["m01", "--out", "-"],
+    ["m01", "--out", "-2"],
+    ["m01", "--out", "-.5"],
+    ["m01", "--out", "-a b"],
+    ["m01", "--out", "--a b"],
+    ["m01", "--out=-x"],
+    ["m01", "--out", "-x"],
+    ["m01", "--out", "--force"],
+    ["m01", "--out", "--fo"],
+    ["m01", "--out", "--format=a b"],
+    ["m01", "--out", "--"],
+    ["m01", "--out"],
+    ["m01", "--format", ""],
+    ["m01", "--format", "JSON"],
+    ["m01", "--format", "js"],
+    ["m01", "--force=1"],
+    ["m01", "--force="],
+    # stray tokens and another command's options
+    ["m01", "extra"],
+    ["m01", "3"],
+    ["m01", "-x"],
+    ["m01", "-"],
+    ["m01", "--"],
+    ["m01", "--bogus"],
+    [*QN, "4"],
+    ["m01", "--n", "3"],
+    [*QN, "--r", "1"],
+    ["pushforward", "--n", "3", "--r", "1", "--k", "1"],
+    ["m01", "--version"],
+    ["--format", "json", "m01"],
+    # missing required options and commands
+    ["quadrics"],
+    ["quadrics", "--n", "3"],
+    ["pushforward", "--r", "1"],
+    ["frobnicate"],
+    ["M01"],
+    ["m0"],
+    # range checks and the desk-scale limits
+    ["orthogonal", "--n", "1", "--k", "0"],
+    ["orthogonal", "--n", "7", "--k", "0"],
+    ["orthogonal", "--n", "7", "--k", "0", "--force"],
+    ["quadrics", "--n", "3", "--k", "6"],
+    ["quadrics", "--n", "3", "--k", "6", "--forc"],
+    ["quadrics", "--n", "9", "--k", "-1", "--force"],
+    ["pushforward", "--n", "7", "--r", "6"],
+    ["pushforward", "--n", "7", "--r", "6", "--force"],
+    # -h/--help at any position, --version and the empty argv
+    ["-h"],
+    ["--help"],
+    ["--he"],
+    ["m01", "-h"],
+    ["m01", "--h"],
+    ["quadrics", "--help"],
+    [*QN, "--format", "json", "-h"],
+    ["quadrics", "-h", "--n", "x"],
+    ["m01", "extra", "-h"],
+    ["--bogus", "--help"],
+    ["-h", "--version"],
+    ["--version"],
+    ["--vers"],
+    ["--version", "m01"],
+    ["--version", "-h"],
+    ["--version=1"],
+    [],
+]
+
+
+class TestGrammar:
+    @pytest.mark.parametrize("argv", GRAMMAR_CASES, ids=" ".join)
+    def test_table_parser_agrees_with_argparse(self, argv):
+        assert _table(argv) == _reference(argv)
+
+    def test_usage_line_is_unchanged(self):
+        assert cli.USAGE == USAGE
+
+    @pytest.mark.parametrize(
+        "argv", [a for a in GRAMMAR_CASES if _reference(a) == "error"], ids=" ".join
+    )
+    def test_usage_error_exits_1_with_the_usage_line(self, argv, capsys, tmp_path):
+        # --out into an empty directory, so no accepted prefix writes here
+        code, out, err = capture(capsys, [*argv, "--out", str(tmp_path / "x")])
+        assert (code, out) == (1, "")
+        assert err.startswith("eqchow: error: ") and err.endswith(USAGE)
+
+    @pytest.mark.parametrize("argv", [["-h"], ["m01", "--out", "x", "--help"]])
+    def test_help_prints_the_module_docstring(self, argv, capsys):
+        assert capture(capsys, argv) == (0, cli.__doc__, "")
+
+    def test_version(self, capsys):
+        assert capture(capsys, ["--version"]) == (0, "eqchow 0.1.0\n", "")
 
 
 class TestFormats:
@@ -238,8 +463,17 @@ import json
 print(json.dumps([code, sorted(imported - started), sorted(ran - imported)]))
 """
 # Modules no pipeline command runs: the claim table and property suites of
-# verify-all, and the standard modules only replay and a dataclass would need.
-NOT_AT_START_UP = {"dataclasses", "inspect", "eqchow.verify", "eqchow.properties"}
+# verify-all, the standard modules only replay and a dataclass would need, and
+# argparse with the gettext and locale modules it loads.
+NOT_AT_START_UP = {
+    "dataclasses",
+    "inspect",
+    "eqchow.verify",
+    "eqchow.properties",
+    "argparse",
+    "gettext",
+    "locale",
+}
 
 
 def _fresh_run(argv, out):
@@ -280,7 +514,7 @@ class TestStartUp:
         argv = ["verify-all", "--format", "json"]
         code, imported, ran = _fresh_run(argv, tmp_path / "out")
         assert imported & NOT_AT_START_UP == set()
-        assert {"eqchow.verify", "eqchow.properties"} <= ran
+        assert ran & NOT_AT_START_UP == {"eqchow.verify", "eqchow.properties"}
         report = json.loads((tmp_path / "out").read_text())
         assert code == 0 and report["all_passed"]
         assert len(report["checks"]) == len(CLAIMS)
