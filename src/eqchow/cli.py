@@ -7,9 +7,10 @@
     eqchow verify-all                 run the whole verification suite
 
 Every command takes --format text|json|latex (default from EQCHOW_FORMAT, else
-text), --max-degree D to override the certification horizon (at least the
-presentation's maximal generator degree), --out PATH to write to a file, and
---force to pass the desk-scale limits n <= 6 and k <= 5.  Options are spelled
+text), --out PATH to write to a file, and --force to pass the desk-scale limits
+n <= 6 and k <= 5.  m01, quadrics and orthogonal also take --max-degree D to
+override the certification horizon (at least the presentation's maximal
+generator degree); pushforward and verify-all reject it.  Options are spelled
 --name VALUE, --name=VALUE or by a unique prefix (--max 9, --o PATH); the last
 repeat wins.  -h or --help anywhere prints this text, and --version first the
 version.  Exit codes: 0 success, 1 usage error or an unwritable --out path
@@ -69,6 +70,9 @@ COMMANDS = {
     "pushforward": (("n", "r"), lambda p, d: _pushforward(**p)),
     "verify-all": ((), lambda p, d: run_verify_all()),
 }
+# The commands that certify a presentation up to a degree bound; the others
+# reject --max-degree rather than run without it.
+BOUNDED = ("m01", "quadrics", "orthogonal")
 # The options every command takes: the usage line's placeholder and the reader
 # of the value (KeyError or ValueError on a bad one); the flag --force has none.
 COMMON = {
@@ -137,6 +141,8 @@ def _parse(argv: list[str]) -> dict:
             values[name] = readers[name](text) if readers[name] else True
         except (KeyError, ValueError):
             raise _UsageError(f"--{name}: invalid value {text!r}") from None
+    if values["max-degree"] is not None and argv[0] not in BOUNDED:
+        raise _UsageError(f"{argv[0]} takes no --max-degree")
     for o in ints:
         (least, limit), value = BOUNDS[o], values[o]
         if value is None:

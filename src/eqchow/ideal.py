@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import reduce
+from itertools import compress, count
 from operator import or_
 
 from .poly import (
@@ -63,15 +64,19 @@ class IntegerLattice:
     Rows are kept in integer echelon form, one positive pivot per column and
     rows ordered by pivot column; ``hnf`` walks each row by the rows below
     it, which reduces the entries above each pivot into [0, pivot), a form
-    unique for the lattice.
+    unique for the lattice.  Next to each dense row, ``supports`` keeps its
+    nonzero columns in ascending order, the pivot first (the entries before
+    the pivot are zero); every row operation loops over a support and
+    updates in place, so it costs the nonzeros it touches, not the width.
     """
 
-    __slots__ = ("dim", "rows", "pivot_cols", "_hnf")
+    __slots__ = ("dim", "rows", "pivot_cols", "supports", "_hnf")
 
     def __init__(self, dim: int):
         self.dim = dim
         self.rows: list[list[int]] = []
         self.pivot_cols: list[int] = []
+        self.supports: list[list[int]] = []
         self._hnf: tuple[tuple[int, ...], ...] | None = None
 
     @property
@@ -85,32 +90,47 @@ class IntegerLattice:
         return list(vec)
 
     def insert(self, vec: list[int]) -> bool:
-        """Add a vector to the lattice; returns True if the lattice changed."""
+        """Add a vector to the lattice; returns True if the lattice changed.
+
+        ``nonzero`` scans the working vector once, reading each entry only
+        after every step at an earlier column has updated it, so it yields
+        the column each step clears.  An exact step subtracts a multiple of
+        the row over its support; a gcd step first writes the vector's
+        columns outside the support, then merges the two over the support."""
         vec = self._copy(vec)
         changed = False
-        j = 0
-        while True:
-            while j < self.dim and not vec[j]:
-                j += 1
-            if j >= self.dim:
-                break
+        nonzero = compress(count(), vec)
+        for j in nonzero:
             i = bisect_left(self.pivot_cols, j)
             if i == len(self.pivot_cols) or self.pivot_cols[i] != j:
-                self.rows.insert(i, vec if vec[j] > 0 else [-u for u in vec])
+                support = [j, *nonzero]
+                if vec[j] < 0:
+                    for k in support:
+                        vec[k] = -vec[k]
+                self.rows.insert(i, vec)
                 self.pivot_cols.insert(i, j)
+                self.supports.insert(i, support)
                 changed = True
                 break
-            row = self.rows[i]
+            row, support = self.rows[i], self.supports[i]
             a, b = row[j], vec[j]
             if b % a == 0:
                 q = b // a
-                vec[j:] = [u - q * v for u, v in zip(vec[j:], row[j:])]
+                for k in support:
+                    vec[k] -= q * row[k]
             else:
                 x, y, g = _xgcd(a, b)
                 ag, bg = a // g, b // g
-                new_row = [x * u + y * v for u, v in zip(row[j:], vec[j:])]
-                vec[j:] = [ag * v - bg * u for u, v in zip(row[j:], vec[j:])]
-                row[j:] = new_row
+                added = [k for k in compress(range(j, self.dim), vec[j:]) if not row[k]]
+                for k in added:
+                    v = vec[k]
+                    row[k] = y * v
+                    vec[k] = ag * v
+                for k in support:
+                    u, v = row[k], vec[k]
+                    row[k] = x * u + y * v
+                    vec[k] = ag * v - bg * u
+                self.supports[i] = [k for k in sorted(support + added) if row[k]]
                 changed = True
         if changed:
             self._hnf = None
@@ -124,13 +144,13 @@ class IntegerLattice:
             v = out[j]
             if not v:
                 continue
-            p = self.rows[i][j]
-            q, rem = divmod(v, p)
+            row = self.rows[i]
+            q, rem = divmod(v, row[j])
             if exact and rem:
                 return None
             if q:
-                row = self.rows[i]
-                out[j:] = [u - q * w for u, w in zip(out[j:], row[j:])]
+                for k in self.supports[i]:
+                    out[k] -= q * row[k]
         return out
 
     def contains(self, vec: list[int]) -> bool:
@@ -261,10 +281,12 @@ class GradedIdeal:
 
         Walks degrees upward; in each degree keeps only the HNF basis vectors
         not already generated by the output so far, each reduced modulo the
-        lattice of the previously kept ones.  Ties inside a degree follow the
-        canonical basis order.  The walk stops at the maximal generator
-        degree: by then the kept set reproduces the piece of every generator,
-        so it generates the whole ideal and no higher degree keeps anything.
+        lattice of the previously kept ones; a vector is generated exactly
+        when that canonical remainder is zero, so one ``reduce`` decides both.
+        Ties inside a degree follow the canonical basis order.  The walk
+        stops at the maximal generator degree: by then the kept set
+        reproduces the piece of every generator, so it generates the whole
+        ideal and no higher degree keeps anything.
         """
         self.require_degree_bound(max_degree)
         kept: list[Polynomial] = []
@@ -277,9 +299,8 @@ class GradedIdeal:
             partial = IntegerLattice(len(basis))
             self._span(partial, kept, d, index)
             for row in piece.hnf:
-                row = list(row)
-                if not partial.contains(row):
-                    red = partial.reduce(row)
+                red = partial.reduce(row)
+                if any(red):
                     kept.append(
                         Polynomial({basis[i]: c for i, c in enumerate(red) if c})
                     )

@@ -47,6 +47,23 @@ class TestExitCodes:
         code, out, _ = capture(capsys, ["quadrics", "--n", "4", "--k", "1", "--max-degree", "9"])
         assert code == 0 and "certified up to degree 9" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pushforward", "--n", "3", "--r", "1", "--max-degree", "0"],
+            ["pushforward", "--n", "3", "--r", "1", "--max=9"],
+            ["verify-all", "--max-degree", "12"],
+        ],
+        ids=" ".join,
+    )
+    def test_max_degree_rejected_where_nothing_is_certified(self, argv, capsys, monkeypatch):
+        # a degree bound these commands would not use is a usage error, given
+        # before anything runs
+        monkeypatch.setattr(cli, "run_verify_all", lambda: 1 // 0)
+        code, out, err = capture(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err == f"eqchow: error: {argv[0]} takes no --max-degree\n{USAGE}"
+
     def test_usage_error_on_small_rank(self, capsys):
         code, _, err = capture(capsys, ["orthogonal", "--n", "1", "--k", "0"])
         assert code == 1

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import random
+from bisect import bisect_left
 
 import pytest
 
@@ -15,6 +16,7 @@ from eqchow.ideal import (
     IntegerLattice,
     NotHomogeneous,
     RoutesDisagree,
+    _xgcd,
     compare_pieces,
     compare_up_to,
     equal_up_to,
@@ -439,3 +441,141 @@ class TestLatticeInvariants:
             ]
             # brute-force certificate implies lattice membership
             assert lat.contains(list(target))
+
+
+# The slice-based row operations IntegerLattice had before it kept each row's
+# support, kept as the reference its in-place kernel must agree with.
+class ReferenceLattice(IntegerLattice):
+    __slots__ = ()
+
+    def insert(self, vec):
+        vec = self._copy(vec)
+        changed = False
+        j = 0
+        while True:
+            while j < self.dim and not vec[j]:
+                j += 1
+            if j >= self.dim:
+                break
+            i = bisect_left(self.pivot_cols, j)
+            if i == len(self.pivot_cols) or self.pivot_cols[i] != j:
+                self.rows.insert(i, vec if vec[j] > 0 else [-u for u in vec])
+                self.pivot_cols.insert(i, j)
+                changed = True
+                break
+            row = self.rows[i]
+            a, b = row[j], vec[j]
+            if b % a == 0:
+                q = b // a
+                vec[j:] = [u - q * v for u, v in zip(vec[j:], row[j:])]
+            else:
+                x, y, g = _xgcd(a, b)
+                ag, bg = a // g, b // g
+                new_row = [x * u + y * v for u, v in zip(row[j:], vec[j:])]
+                vec[j:] = [ag * v - bg * u for u, v in zip(row[j:], vec[j:])]
+                row[j:] = new_row
+                changed = True
+        if changed:
+            self._hnf = None
+        return changed
+
+    def _walk(self, vec, exact, start=0):
+        out = self._copy(vec)
+        for i, j in enumerate(self.pivot_cols[start:], start):
+            v = out[j]
+            if not v:
+                continue
+            p = self.rows[i][j]
+            q, rem = divmod(v, p)
+            if exact and rem:
+                return None
+            if q:
+                row = self.rows[i]
+                out[j:] = [u - q * w for u, w in zip(out[j:], row[j:])]
+        return out
+
+
+def _dense_case(rng):
+    """Dim 6-10, entries in [-9, 9], up to 10 vectors."""
+    dim = rng.randint(6, 10)
+    vecs = [
+        [rng.randint(-9, 9) * (rng.random() < 0.8) for _ in range(dim)]
+        for _ in range(rng.randint(1, 10))
+    ]
+    return dim, vecs
+
+
+def _sparse_case(rng):
+    """Dim up to 2,000, at most 12 nonzeros per vector, entries up to 2^40;
+    the columns come from a pool of a few dozen, so pivots collide and rows
+    merge, and some vectors are combinations of earlier ones."""
+    dim = rng.randint(200, 2000)
+    pool = sorted(rng.sample(range(dim), rng.randint(12, 40)))
+    vecs = []
+    for _ in range(rng.randint(1, 12)):
+        vec = [0] * dim
+        for k in rng.sample(pool, rng.randint(1, 12)):
+            vec[k] = rng.choice([-1, 1]) * rng.randint(1, 2**rng.choice([3, 20, 40]))
+        vecs.append(vec)
+    if len(vecs) > 1:
+        a, b = rng.sample(vecs, 2)
+        s, t = rng.randint(-5, 5), rng.randint(-5, 5)
+        vecs.append([s * u + t * v for u, v in zip(a, b)])
+    return dim, vecs
+
+
+def _queries(rng, dim, vecs):
+    """Members (integer combinations of the vectors), the members with one
+    entry moved, and random vectors on the vectors' columns."""
+    cols = sorted({k for v in vecs for k, u in enumerate(v) if u}) or [0]
+    queries = []
+    for _ in range(4):
+        coeffs = [rng.randint(-3, 3) for _ in vecs]
+        member = [sum(c * v[k] for c, v in zip(coeffs, vecs)) for k in range(dim)]
+        moved = list(member)
+        moved[rng.choice(cols)] += rng.choice([-1, 1])
+        loose = [0] * dim
+        for k in cols:
+            loose[k] = rng.randint(-50, 50)
+        queries += [member, moved, loose]
+    return queries
+
+
+class TestRowSupports:
+    """The in-place kernel against the slice-based reference: the same echelon
+    rows after every insert, the same HNF, memberships and remainders."""
+
+    @pytest.mark.parametrize("shape", [_dense_case, _sparse_case], ids=["dense", "sparse"])
+    def test_kernel_matches_the_reference(self, shape):
+        rng = random.Random(46)
+        for _ in range(150 if shape is _dense_case else 40):
+            dim, vecs = shape(rng)
+            lat, ref = IntegerLattice(dim), ReferenceLattice(dim)
+            for vec in vecs:
+                assert lat.insert(vec) == ref.insert(vec)
+                assert lat.rows == ref.rows and lat.pivot_cols == ref.pivot_cols
+                self.assert_supports_exact(lat)
+            assert lat.hnf() == ref.hnf()
+            for query in _queries(rng, dim, vecs):
+                assert lat.contains(query) == ref.contains(query)
+                assert lat.reduce(query) == ref.reduce(query)
+
+    @staticmethod
+    def assert_supports_exact(lat):
+        # each support is its row's nonzero columns from the pivot on, and
+        # the row is zero before the pivot
+        assert len(lat.supports) == lat.rank
+        for row, j, support in zip(lat.rows, lat.pivot_cols, lat.supports):
+            assert not any(row[:j]) and row[j] > 0
+            assert support == [k for k in range(j, lat.dim) if row[k]]
+
+    def test_inputs_are_left_alone(self):
+        # rows are negated, merged and walked in place, on copies: the
+        # vectors given keep their entries
+        vec, other = [0, -4, 6, 0], [0, 6, 3, 1]
+        lat = IntegerLattice(4)
+        lat.insert(vec)
+        lat.insert(other)
+        assert lat.rows == [[0, 2, 9, 1], [0, 0, 24, 2]]
+        assert lat.reduce(vec) == [0, 0, 0, 0] and lat.contains(other)
+        assert vec == [0, -4, 6, 0] and other == [0, 6, 3, 1]

@@ -336,6 +336,16 @@ class TestReducedQuadrics:
             "4daa9a513df1b36a937f37b7660ca70270c173db80234dddb5c7b94d982bd9ec"
         )
 
+    def test_golden_orthogonal_rank11_twist3(self, capsys):
+        # dense lattices of dim up to 56 whose echelon entries reach about
+        # 10,000 bits in the gcd merges: the dense side of the lattice kernel
+        argv = ["orthogonal", "--n", "11", "--k", "3", "--force", "--format", "json"]
+        assert run(argv) == 0
+        out = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(out).hexdigest() == (
+            "dabde601cf7c3036cc6e5fd39467e206135336199cb7d38e2f9dc4dfb1c836f3"
+        )
+
 
 class TestAlphaFamily:
     def test_rank4_first_generator(self):

@@ -62,12 +62,14 @@ sys.argv = ["eqchow", "verify-all", "--format", "json"]
 runpy.run_module("eqchow.cli", run_name="__main__")
 """
 
-# Five broken kernels below the multiplication, each checked under
+# Six broken kernels below the multiplication, each checked under
 # ``python -O`` by running only the claims that must notice it: a whole
 # verify-all would also run rows that still pass, the oracle's included.  The
 # broken insert drops a vector whenever merging it would need the extended
 # gcd; the broken membership test accepts every vector, so generator
-# containment alone would certify any two ideals equal; the broken division
+# containment alone would certify any two ideals equal; the stale support
+# loses the last column of every row a gcd merge rewrites, so later row
+# operations skip a nonzero entry of that row; the broken division
 # drops the smallest term of every quotient with two or more terms, which the
 # staircase of ``chern_polynomial`` also divides through, so its root check
 # raises; the broken fraction reduction never cancels the last factor of a
@@ -75,11 +77,13 @@ runpy.run_module("eqchow.cli", run_name="__main__")
 # broken elementary symmetric products drop their smallest term, so the
 # symmetric rewrite subtracts the wrong polynomial.
 KERNEL_SABOTAGES = {
+    # m01's relations still come out right: simplification decides by
+    # ``reduce`` alone
     "contains-accepts-everything": (
         """
 ideal.IntegerLattice.contains = lambda self, vec: True
 """,
-        ["m01-theorem-presentation", "property-simplify-preserves-ideal"],
+        ["property-simplify-preserves-ideal"],
     ),
     "insert-drops-gcd-merges": (
         """
@@ -102,6 +106,30 @@ ideal.IntegerLattice.insert = wrong_insert
 """,
         [
             "m01-theorem-presentation",
+            "quadrics-presentations",
+            "orthogonal-presentations",
+            "property-hnf-idempotence-order-invariance",
+            "property-contains-vs-bruteforce",
+            "property-simplify-preserves-ideal",
+            "property-bundle-relation-membership",
+        ],
+    ),
+    "merged-support-drops-last-column": (
+        """
+insert = ideal.IntegerLattice.insert
+
+def wrong_insert(self, vec):
+    before = {id(row): support for row, support in zip(self.rows, self.supports)}
+    changed = insert(self, vec)
+    for row, support in zip(self.rows, self.supports):
+        # a gcd merge rewrites a row in place and gives it a new support
+        if before.get(id(row), support) is not support and len(support) > 1:
+            support.pop()
+    return changed
+
+ideal.IntegerLattice.insert = wrong_insert
+""",
+        [
             "quadrics-presentations",
             "orthogonal-presentations",
             "property-hnf-idempotence-order-invariance",
