@@ -27,18 +27,19 @@ This module alone knows how variable names are read and monomials laid out:
   field that borrows clears its own guard bit and stops there), and the
   quotient, weight included, is that difference ``^ _GUARD``.
   ``make_mono`` packs (variable, exponent) pairs, the weight is
-  ``mono & _WEIGHT``, ``mono_exponents`` is masks and shifts, and
-  evaluation and renaming walk the exponent fields.
+  ``mono & _WEIGHT``, ``mono_exponents`` and ``substitute`` mask out named
+  fields, and every other read of the fields goes through ``_decoder``.
 * Two orders.  The packed ints compare as a monomial order (a < b implies
   a + m < b + m): lexicographic, the latest slot first (``lex_priority``;
   the weight field is lowest and never decides).  Slots follow first use,
   so only results every monomial order gives alike read it: exact division
   and the symmetric rewrite of ``eqchow.symfunc``, on one remainder heap (a
   dict and a heap of negated ints, updated by ``_subtract_shifted``).  Bytes
-  and determinism rest on the canonical order, ``_unpack``'s key, in which
-  ``monomials_of_degree`` builds its basis; ``poly_sort_key`` and
-  ``_normalize_linear_factor`` key their few terms with ``term_key``, and
-  text, LaTeX and JSON sort by keys built from the pairs they read anyway.
+  and determinism rest on the canonical order, ``term_key``, in which
+  ``monomials_of_degree`` builds its basis.  Text, LaTeX and JSON sort the
+  decoded exponent tuples descending, then stably by weight: the same
+  order, as every variable weighs at least 1, so at equal weight no
+  monomial's exponents extend another's and the first difference decides.
 * A polynomial maps monomials to nonzero int coefficients; all arithmetic is
   exact.  ``Polynomial(terms)`` also takes a tuple of (variable, exponent)
   pairs as a key and packs it; that is the only other spelling of a
@@ -66,9 +67,11 @@ from __future__ import annotations
 
 import heapq
 import re
+import sys
 import threading
 from functools import lru_cache, reduce
-from operator import or_
+from itertools import compress
+from operator import itemgetter, or_
 from typing import Iterable, Mapping, NamedTuple
 
 Mono = int
@@ -87,10 +90,9 @@ _FIELD = (1 << _FIELD_BITS) - 1
 _LIMIT = 1 << (_FIELD_BITS - 1)  # the guard bit; every exponent stays below it
 # the guard bits of the weight field and of every slot given out so far
 _GUARD = 1 << (_WEIGHT_BITS - 1)
-_SLOT_NAMES: list[str] = []  # slot -> variable name
-# the slots in the variable order; replaced, never mutated, before a new
-# name's entry is published, so it covers every slot a monomial can hold
-_SLOT_ORDER: tuple[int, ...] = ()
+# ``_decoder``'s value, replaced whole before a new name's entry is
+# published, so it covers every slot a monomial can hold
+_DECODER = ((), lambda mono: ())
 _SLOT_LOCK = threading.Lock()
 
 
@@ -113,7 +115,7 @@ class _NameTable(dict):
     lookup."""
 
     def __missing__(self, name: str) -> _Var:
-        global _GUARD, _SLOT_ORDER
+        global _GUARD, _DECODER
         m = _NAME_RE.match(name)
         if m is None:
             parsed = ((9, 0, name), 1, name, None, name)
@@ -134,15 +136,31 @@ class _NameTable(dict):
         with _SLOT_LOCK:
             if name in self:  # another thread gave it a slot first
                 return self[name]
-            slot = len(_SLOT_NAMES)
-            shift = _WEIGHT_BITS + slot * _FIELD_BITS
+            names = _DECODER[0]
+            shift = _WEIGHT_BITS + len(names) * _FIELD_BITS
             entry = _Var(*parsed, shift, (1 << shift) + parsed[1])
-            keys = [self[v].key for v in _SLOT_NAMES] + [entry.key]
-            _SLOT_NAMES.append(name)
-            _SLOT_ORDER = tuple(sorted(range(slot + 1), key=keys.__getitem__))
+            _DECODER = _decoder([(v, self[v]) for v in names] + [(name, entry)])
             _GUARD |= _LIMIT << shift
             self[name] = entry
         return entry
+
+
+def _decoder(slotted: list[tuple[str, _Var]]):
+    """(names, exponents) for the (name, entry) pairs of every slot: the names
+    in the variable order, and the one function giving a monomial's exponents
+    of them, picked in C from its bytes as 16-bit words (the weight field is
+    words 0..2 from the least significant end, slot s word 3 + s)."""
+    slotted.sort(key=lambda ve: ve[1].key)
+    order, nbytes = sys.byteorder, 2 * (3 + len(slotted))
+    words = [e.shift // _FIELD_BITS for _, e in slotted]
+    if order == "big":  # the most significant word comes first
+        words = [nbytes // 2 - 1 - w for w in words]
+    get = itemgetter(*words) if len(words) > 1 else lambda w: (w[words[0]],)
+
+    def exponents(mono: Mono) -> tuple[int, ...]:
+        return get(memoryview(mono.to_bytes(nbytes, order)).cast("H"))
+
+    return tuple(v for v, _ in slotted), exponents
 
 
 _VARS = _NameTable()
@@ -211,53 +229,28 @@ def lex_priority(names) -> tuple[str, ...]:
     return tuple(sorted(names, key=lambda v: _VARS[v].shift, reverse=True))
 
 
-def _fields(mono: Mono) -> list[int]:
-    """The exponent fields of a monomial, slot 0 first, up to the last
-    nonzero one."""
-    fields = []
-    mono >>= _WEIGHT_BITS
-    while mono:
-        fields.append(mono & _FIELD)
-        mono >>= _FIELD_BITS
-    return fields
-
-
-def _slot_pairs(mono: Mono) -> list[tuple[str, int]]:
-    """(variable, exponent) pairs of a monomial, in slot order."""
-    return [(_SLOT_NAMES[s], e) for s, e in enumerate(_fields(mono)) if e]
-
-
-def _unpack(mono: Mono) -> tuple[tuple[int, tuple], tuple[tuple[str, int], ...]]:
-    """The sort key of a monomial and its (variable, exponent) pairs in the
-    variable order.  The key, the weighted degree and then (variable key,
-    -exponent, variable key, ...), is the canonical total order: weighted
-    degree, then lexicographic with earlier variables dominant (a bigger
-    exponent on an earlier variable sorts first)."""
-    pairs = mono_pairs(mono)
-    key = []
-    for v, e in pairs:
-        key += (_VARS[v].key, -e)
-    return (mono & _WEIGHT, tuple(key)), pairs
-
-
-def term_key(mono: Mono) -> tuple[int, tuple]:
-    """The sort key of a monomial, the canonical order (see ``_unpack``)."""
-    return _unpack(mono)[0]
+def _pairs(names: tuple[str, ...], exponents: tuple[int, ...]) -> tuple:
+    """(variable, exponent) pairs of the nonzero ``exponents`` of ``names``."""
+    return tuple(zip(compress(names, exponents), filter(None, exponents)))
 
 
 def mono_pairs(mono: Mono) -> tuple[tuple[str, int], ...]:
     """(variable, exponent) pairs of a monomial, in the variable order."""
-    fields = _fields(mono)
-    n = len(fields)
-    return tuple(
-        [(_SLOT_NAMES[s], fields[s]) for s in _SLOT_ORDER if s < n and fields[s]]
-    )
+    names, exponents = _DECODER
+    return _pairs(names, exponents(mono))
+
+
+def term_key(mono: Mono) -> tuple[int, tuple]:
+    """The canonical order: weighted degree, then (variable key, -exponent,
+    ...), lexicographic with a bigger exponent on an earlier variable first."""
+    key = []
+    for v, e in mono_pairs(mono):
+        key += (_VARS[v].key, -e)
+    return mono & _WEIGHT, tuple(key)
 
 
 def mono_str(mono: Mono) -> str:
-    if not mono:
-        return "1"
-    return "*".join(v if e == 1 else f"{v}^{e}" for v, e in mono_pairs(mono))
+    return _trusted({mono: 1}).to_text()
 
 
 @lru_cache(maxsize=None)
@@ -340,8 +333,9 @@ class Polynomial:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
+        if self._hash is None:  # a constant hashes as the int it equals
+            t = self._terms
+            self._hash = hash(frozenset(t.items()) if any(t) else t.get(_EMPTY_MONO, 0))
         return self._hash
 
     def variables(self) -> tuple[str, ...]:
@@ -469,13 +463,14 @@ class Polynomial:
         with each power of each variable computed once per point."""
         powers, values = [{} for _ in points], [0] * len(points)
         for m, c in self._terms.items():
-            pairs = _slot_pairs(m)
+            pairs = mono_pairs(m)
             for j, point in enumerate(points):
                 term, known = c, powers[j]
                 for pair in pairs:
-                    if pair not in known:
-                        known[pair] = point[pair[0]] ** pair[1]
-                    term *= known[pair]
+                    power = known.get(pair)
+                    if power is None:
+                        power = known[pair] = point[pair[0]] ** pair[1]
+                    term *= power
                 values[j] += term
         return values
 
@@ -483,7 +478,7 @@ class Polynomial:
         """Rename variables (used for symmetry checks); result re-canonicalized."""
         out: dict[Mono, int] = {}
         for m, c in self._terms.items():
-            nm = make_mono((mapping.get(v, v), e) for v, e in _slot_pairs(m))
+            nm = make_mono((mapping.get(v, v), e) for v, e in mono_pairs(m))
             out[nm] = out.get(nm, 0) + c
         return Polynomial(out)
 
@@ -491,9 +486,13 @@ class Polynomial:
 
     def _sorted_pairs(self) -> list[tuple[tuple[tuple[str, int], ...], int]]:
         """(pairs, coefficient) of each term, in the canonical order: the one
-        term sorter, unpacking each monomial once for its key and its pairs."""
-        rows = sorted(_unpack(m) + (c,) for m, c in self._terms.items())
-        return [(pairs, c) for _, pairs, c in rows]
+        term sorter.  One decoder read serves the call, so the exponent tuples
+        it sorts all have one length."""
+        names, exponents = _DECODER
+        rows = [(exponents(m), m & _WEIGHT, c) for m, c in self._terms.items()]
+        rows.sort(reverse=True)
+        rows.sort(key=itemgetter(1))
+        return [(_pairs(names, e), c) for e, _, c in rows]
 
     def to_text(self) -> str:
         """Canonical text form, e.g. ``4*c3 + 2*c1*c3``."""

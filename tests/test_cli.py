@@ -507,6 +507,39 @@ def _fresh_run(argv, out):
     return code, set(imported), set(ran)
 
 
+# The package modules each pipeline command loads, all of them at import.
+# ``eqchow/__init__`` imports every layer but verify and properties, so a
+# command loads modules it never calls: orthogonal loads localization.  A
+# lazy import that changes this must change the pin with it.
+EVERY_LAYER = {
+    "eqchow",
+    "eqchow.cli",
+    "eqchow.ideal",
+    "eqchow.localization",
+    "eqchow.pipeline",
+    "eqchow.poly",
+    "eqchow.symfunc",
+}
+PACKAGE_MODULES = {
+    "m01": EVERY_LAYER,
+    "quadrics": EVERY_LAYER,
+    "orthogonal": EVERY_LAYER,
+    "pushforward": EVERY_LAYER,
+}
+# The standard modules the package adds to a fresh interpreter's; any other
+# (``array`` or ``struct``, say) would be a new cost at every start-up.
+STANDARD_AT_START_UP = {
+    "__future__",
+    "heapq",
+    "_heapq",
+    "json",
+    "json.decoder",
+    "json.encoder",
+    "json.scanner",
+    "_json",
+}
+
+
 class TestStartUp:
     @pytest.mark.parametrize(
         "argv",
@@ -524,6 +557,10 @@ class TestStartUp:
         assert "eqchow.cli" in imported
         assert imported & NOT_AT_START_UP == set()
         assert ran & NOT_AT_START_UP == set()
+        package = {m for m in imported | ran if m.split(".")[0] == "eqchow"}
+        assert package == PACKAGE_MODULES[argv[0]]
+        assert imported - package <= STANDARD_AT_START_UP
+        assert ran == set()
 
     def test_verify_all_loads_the_claim_table_and_runs(self, tmp_path):
         from eqchow.verify import CLAIMS

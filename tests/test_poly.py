@@ -97,6 +97,28 @@ class TestSubstitute:
             assert subbed.evaluate(point) == p.evaluate(point_h)
 
 
+class TestEvaluateAt:
+    def test_several_points_agree_with_evaluate_at_each(self):
+        rng = random.Random(29)
+        names = ["c1", "c2", "c3", "H", "l1", "l2", "l3"]
+        for _ in range(40):
+            p = rand_poly(rng, names, max_terms=8)
+            points = [{v: rng.randint(-9, 9) for v in names} for _ in range(3)]
+            assert p.evaluate_at(points) == [p.evaluate(q) for q in points]
+        assert ZERO.evaluate_at([{}, {"c1": 2}]) == [0, 0]
+        assert (const(-7) + 0 * c1).evaluate_at([{}]) == [-7]
+        assert (c1 + H).evaluate_at([]) == []
+
+    def test_only_the_variables_present_need_values(self):
+        # c3 and l3 have slots (this file makes them) but are absent from p
+        p = 3 * c1**2 * H - l2 + 5
+        assert p.evaluate_at([{"c1": 2, "H": -1, "l2": 4}]) == [-11]
+        with pytest.raises(KeyError):
+            p.evaluate_at([{"c1": 2, "H": -1, "l2": 4}, {"c1": 2, "l2": 4}])
+        with pytest.raises(KeyError):
+            p.evaluate({"c1": 1, "H": 1})
+
+
 class TestExactDivide:
     def test_linear_factor(self):
         assert exact_divide((l2 - l1) * (l3 - l1), l2 - l1) == l3 - l1
@@ -205,6 +227,14 @@ class TestCanonicalForm:
     def test_hash_consistency(self):
         assert hash(c1 + c2) == hash(c2 + c1)
         assert len({c1 + c2, c2 + c1}) == 1
+
+    @pytest.mark.parametrize("c", [0, 1, -2, 2**70])
+    def test_a_constant_hashes_as_the_int_it_equals(self, c):
+        for p in (const(c), (c1 + c) - c1):
+            assert p == c and hash(p) == hash(c)
+            assert p in {c} and c in {p}
+            assert {c: "x"}.get(p) == "x"
+        assert ONE in {1} and ZERO in {0}
 
     def test_big_coefficients_stay_exact(self):
         p = (const(2**64) * c1 + ONE) ** 3
@@ -346,12 +376,18 @@ class TestPackedLayout:
         names = [f"zslot{i}" for i in range(1, 41)]
         seen = []
         read = []  # each name read back at once, while others may be new
+        # a polynomial rendered while the names arrive; they sort before
+        # zslot99, so each one moves zslot99's place in the decoder
+        fixed = (c1 + 2 * H * var("zslot99") - c3 * l2) ** 3 + var("xi") * c2
+        text, obj = fixed.to_text(), fixed.to_json_obj()
+        renders = []
 
         def meet(order):
             monos = {}
             for v in order:
                 monos[v] = make_mono([(v, 1)])
                 read.append(mono_pairs(monos[v]) == ((v, 1),))
+                renders.append(fixed.to_text() == text and fixed.to_json_obj() == obj)
             seen.append(monos)
 
         threads = [
@@ -370,6 +406,7 @@ class TestPackedLayout:
         assert not any(t.is_alive() for t in threads)
         assert len(seen) == len(threads)
         assert len(read) == len(threads) * len(names) and all(read)
+        assert len(renders) == len(read) and all(renders)
         assert all(s == seen[0] for s in seen)
         assert len(set(seen[0].values())) == len(names)
         for v in names:
@@ -483,12 +520,24 @@ ORDER_POOL = (
 )
 
 
+_order_polys = st.dictionaries(
+    st.dictionaries(st.sampled_from(ORDER_POOL), st.integers(0, 3), max_size=4).map(
+        lambda exps: make_mono(exps.items())
+    ),
+    st.integers(-9, 9),
+    max_size=12,
+).map(Polynomial)
+
+
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(
     st.lists(st.sampled_from(ORDER_POOL), min_size=1, max_size=5, unique=True),
     st.integers(0, 12),
+    _order_polys,
+    # few names, so the slot table stays small; the first draw of each is new
+    st.integers(900, 907).map(lambda i: f"c{i}"),
 )
-def test_monomial_basis_comes_in_the_canonical_order(names, degree):
+def test_monomial_basis_comes_in_the_canonical_order(names, degree, p, fresh):
     ordered = tuple(sorted(names, key=var_key))
     basis = monomials_of_degree(ordered, degree)
     assert list(basis) == sorted(basis, key=term_key)
@@ -496,6 +545,18 @@ def test_monomial_basis_comes_in_the_canonical_order(names, degree):
     if ordered != tuple(names):
         with pytest.raises(ValueError, match="variable order"):
             monomials_of_degree(tuple(names), degree)
+    # rendering sorts by the decoded exponents; term_key defines the order
+    def in_term_key_order(q):
+        pairs = [mono_pairs(m) for m in sorted(q.terms, key=term_key)]
+        return [pairs for pairs, _ in q._sorted_pairs()] == pairs
+
+    text = p.to_text()
+    assert in_term_key_order(p)
+    # a c-name met after p is built takes the next slot, yet sorts before
+    # every non-c variable of p: p's text must not move
+    late = var(fresh)
+    assert p.to_text() == text
+    assert in_term_key_order(p) and in_term_key_order(p * (late + 1) + late * late)
 
 
 def test_a_repeated_variable_is_rejected():
