@@ -62,12 +62,18 @@ class IntegerLattice:
     """Sublattice of Z^dim spanned by inserted integer vectors.
 
     Rows are kept in integer echelon form, one positive pivot per column and
-    rows ordered by pivot column; ``hnf`` walks each row by the rows below
-    it, which reduces the entries above each pivot into [0, pivot), a form
-    unique for the lattice.  Next to each dense row, ``supports`` keeps its
-    nonzero columns in ascending order, the pivot first (the entries before
-    the pivot are zero); every row operation loops over a support and
+    rows ordered by pivot column.  Next to each dense row, ``supports`` keeps
+    its nonzero columns in ascending order, the pivot first (the entries
+    before the pivot are zero); every row operation loops over a support and
     updates in place, so it costs the nonzeros it touches, not the width.
+
+    ``hnf`` builds the canonical rows from the bottom up: each echelon row is
+    walked by the canonical rows below it, whose entries at later pivots are
+    already in [0, pivot), so the walk multiplies by bounded entries and not
+    by the echelon rows' unbounded ones.  The canonical rows and their
+    supports are published together in one assignment to ``_hnf``; from then
+    on ``contains`` and ``reduce`` walk them, until an insert clears it.  The
+    echelon rows are never rewritten by ``hnf``.
     """
 
     __slots__ = ("dim", "rows", "pivot_cols", "supports", "_hnf")
@@ -77,7 +83,8 @@ class IntegerLattice:
         self.rows: list[list[int]] = []
         self.pivot_cols: list[int] = []
         self.supports: list[list[int]] = []
-        self._hnf: tuple[tuple[int, ...], ...] | None = None
+        # the canonical rows and their supports, or None until ``hnf``
+        self._hnf: tuple[tuple, tuple] | None = None
 
     @property
     def rank(self) -> int:
@@ -136,41 +143,55 @@ class IntegerLattice:
             self._hnf = None
         return changed
 
-    def _walk(self, vec: list[int], exact: bool, start: int = 0) -> list[int] | None:
-        """``vec`` reduced into [0, pivot) at the pivots of the rows from
-        ``start`` on; None if ``exact`` and an entry is not a multiple."""
+    def _walk(self, vec: list[int], exact: bool, rows=None) -> list[int] | None:
+        """``vec`` reduced into [0, pivot) at the pivots of ``rows``, (pivot
+        column, row, support) triples in pivot order, each row subtracted
+        its floor quotient times; None if ``exact`` and an entry is not a
+        multiple of its pivot.  ``rows`` defaults to the canonical rows
+        once ``hnf`` has published them, else the echelon rows; ``_hnf`` is
+        read once, so a concurrent ``hnf`` cannot pair a row with another
+        row's support."""
+        if rows is None:
+            rows = zip(self.pivot_cols, *(self._hnf or (self.rows, self.supports)))
         out = self._copy(vec)
-        for i, j in enumerate(self.pivot_cols[start:], start):
+        for j, row, support in rows:
             v = out[j]
-            if not v:
-                continue
-            row = self.rows[i]
-            q, rem = divmod(v, row[j])
-            if exact and rem:
-                return None
-            if q:
-                for k in self.supports[i]:
-                    out[k] -= q * row[k]
+            if v:
+                q = v // row[j]
+                if q:
+                    for k in support:
+                        out[k] -= q * row[k]
+                if exact and out[j]:
+                    return None
         return out
 
     def contains(self, vec: list[int]) -> bool:
-        out = self._walk(vec, exact=True)
-        return out is not None and not any(out)
+        out = self._walk(vec, True)
+        return not (out is None or any(out))
 
     def reduce(self, vec: list[int]) -> list[int]:
         """Canonical coset representative (entries at pivot columns reduced
-        into [0, pivot))."""
-        return self._walk(vec, exact=False)
+        into [0, pivot)); the same for every echelon basis of the lattice."""
+        return self._walk(vec, False)
 
     def hnf(self) -> tuple[tuple[int, ...], ...]:
-        """The Hermite normal form; a row never touches an earlier pivot
-        column, so walking by later rows leaves every pivot in place."""
-        if self._hnf is None:
-            self._hnf = tuple(
-                tuple(self._walk(row, exact=False, start=i + 1))
-                for i, row in enumerate(self.rows)
-            )
-        return self._hnf
+        """The Hermite normal form.  A row never touches an earlier pivot
+        column, so walking by later rows leaves every pivot in place; a row
+        the walk leaves unchanged keeps its echelon support."""
+        canon = self._hnf
+        if canon is None:
+            pivots, rows, supports = self.pivot_cols, [], []
+            for i in range(len(pivots) - 1, -1, -1):
+                row, support = self.rows[i], self.supports[i]
+                if rows:
+                    out = self._walk(row, False, zip(pivots[i + 1 :], rows, supports))
+                    if out != row:
+                        j = pivots[i]
+                        row, support = out, list(compress(range(j, self.dim), out[j:]))
+                rows.insert(0, tuple(row))
+                supports.insert(0, support)
+            canon = self._hnf = tuple(rows), tuple(supports)
+        return canon[0]
 
 
 class GradedPiece(Record):

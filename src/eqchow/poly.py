@@ -4,7 +4,10 @@ This module alone knows how variable names are read and monomials laid out:
 
 * A variable name is a stem with an optional decimal index (``c3``, ``l10``,
   ``H``, ``xi``); an index with a leading zero (``l01``, ``l0``) would tie
-  with another spelling in the order and is rejected.  ``c<i>`` has weight i,
+  with another spelling in the order and is rejected, and so is a name that
+  is not the parser's name token, an ASCII letter or underscore and then
+  letters, digits and underscores (not ``""``, ``c1^2`` or ``a b``): its
+  text form would not read back.  ``c<i>`` has weight i,
   every other variable (H, K, xi, l1..ln, t1..tn, ...) weight 1.  The fixed
   variable order is c1 < c2 < ... < H < K < xi < l1 < l2 < ... < t1 < ...
   < other names, indices compared as integers.  Each name is parsed once, on
@@ -82,6 +85,9 @@ _EMPTY_MONO: Mono = 0
 
 _STEM_ORDER = {"c": 0, "H": 1, "K": 2, "xi": 3, "l": 4, "t": 5}
 _NAME_RE = re.compile(r"([A-Za-z_]+?)(\d*)\Z")
+# the parser's name token; a variable name must be one, so its text reads back
+_NAME_TOKEN = r"[A-Za-z_]\w*"
+_IS_NAME = re.compile(_NAME_TOKEN + r"\Z", re.ASCII).match
 
 _WEIGHT_BITS = 48
 _WEIGHT = (1 << _WEIGHT_BITS) - 1  # the weighted-degree field
@@ -116,6 +122,8 @@ class _NameTable(dict):
 
     def __missing__(self, name: str) -> _Var:
         global _GUARD, _DECODER
+        if not _IS_NAME(name):
+            raise ValueError(f"not a name token {_NAME_TOKEN}: {name!r}")
         m = _NAME_RE.match(name)
         if m is None:
             parsed = ((9, 0, name), 1, name, None, name)
@@ -566,7 +574,9 @@ def const(value: int) -> Polynomial:
 
 # -- parsing -------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_]\w*)|(\^)|(\*)|(\+)|(-)|(\()|(\)))")
+_TOKEN_RE = re.compile(
+    rf"\s*(?:(\d+)|({_NAME_TOKEN})|(\^)|(\*)|(\+)|(-)|(\()|(\)))", re.ASCII
+)
 
 
 def parse_polynomial(text: str) -> Polynomial:
@@ -620,8 +630,10 @@ def parse_polynomial(text: str) -> Polynomial:
         elif tok == "-":
             inner, i = parse_factor(i + 1)
             return -inner, i
-        else:
+        elif _IS_NAME(tok):
             base, i = Polynomial.variable(tok), i + 1
+        else:
+            raise ValueError(f"expected a factor, found {tok!r}")
         if i < len(tokens) and tokens[i] == "^":
             if i + 1 >= len(tokens) or not tokens[i + 1].isdigit():
                 raise ValueError("exponent must be a literal integer")

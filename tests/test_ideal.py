@@ -5,6 +5,8 @@ import hashlib
 import itertools
 import json
 import random
+import sys
+import threading
 from bisect import bisect_left
 
 import pytest
@@ -479,20 +481,34 @@ class ReferenceLattice(IntegerLattice):
             self._hnf = None
         return changed
 
-    def _walk(self, vec, exact, start=0):
+    def _walk(self, vec, exact, rows=None):
+        if rows is None:
+            rows = zip(self.pivot_cols, self.rows)
         out = self._copy(vec)
-        for i, j in enumerate(self.pivot_cols[start:], start):
+        for j, row in rows:
             v = out[j]
             if not v:
                 continue
-            p = self.rows[i][j]
+            p = row[j]
             q, rem = divmod(v, p)
             if exact and rem:
                 return None
             if q:
-                row = self.rows[i]
                 out[j:] = [u - q * w for u, w in zip(out[j:], row[j:])]
         return out
+
+    def hnf(self):
+        # top down: each echelon row walked by the echelon rows below it
+        if self._hnf is None:
+            pairs = list(zip(self.pivot_cols, self.rows))
+            self._hnf = (
+                tuple(
+                    tuple(self._walk(row, False, pairs[i + 1 :]))
+                    for i, (_, row) in enumerate(pairs)
+                ),
+                (),
+            )
+        return self._hnf[0]
 
 
 def _dense_case(rng):
@@ -560,14 +576,40 @@ class TestRowSupports:
                 assert lat.contains(query) == ref.contains(query)
                 assert lat.reduce(query) == ref.reduce(query)
 
+    @pytest.mark.parametrize("shape", [_dense_case, _sparse_case], ids=["dense", "sparse"])
+    def test_canonical_rows_between_inserts(self, shape):
+        # hnf() publishes canonical rows that later queries walk and the next
+        # insert drops: whether it ran or not, after every step the answers
+        # are the reference's
+        rng = random.Random(47)
+        for _ in range(100 if shape is _dense_case else 30):
+            dim, vecs = shape(rng)
+            queries = _queries(rng, dim, vecs)
+            lat, ref = IntegerLattice(dim), ReferenceLattice(dim)
+            for vec in vecs:
+                assert lat.insert(vec) == ref.insert(vec)
+                assert lat.rows == ref.rows and lat.pivot_cols == ref.pivot_cols
+                self.assert_supports_exact(lat)
+                if rng.random() < 0.6:
+                    assert lat.hnf() == ref.hnf()
+                    self.assert_supports_exact(lat, canonical=True)
+                for query in rng.sample(queries, 3):
+                    assert lat.contains(query) == ref.contains(query)
+                    assert lat.reduce(query) == ref.reduce(query)
+
     @staticmethod
-    def assert_supports_exact(lat):
+    def assert_supports_exact(lat, canonical=False):
         # each support is its row's nonzero columns from the pivot on, and
-        # the row is zero before the pivot
-        assert len(lat.supports) == lat.rank
-        for row, j, support in zip(lat.rows, lat.pivot_cols, lat.supports):
+        # the row is zero before the pivot; a canonical row's entries at the
+        # later pivots lie in [0, pivot)
+        rows, supports = lat._hnf if canonical else (lat.rows, lat.supports)
+        assert len(rows) == len(supports) == lat.rank
+        for row, j, support in zip(rows, lat.pivot_cols, supports):
             assert not any(row[:j]) and row[j] > 0
             assert support == [k for k in range(j, lat.dim) if row[k]]
+            if canonical:
+                later = [(p, r[p]) for p, r in zip(lat.pivot_cols, rows) if p > j]
+                assert all(0 <= row[p] < pivot for p, pivot in later)
 
     def test_inputs_are_left_alone(self):
         # rows are negated, merged and walked in place, on copies: the
@@ -579,3 +621,60 @@ class TestRowSupports:
         assert lat.rows == [[0, 2, 9, 1], [0, 0, 24, 2]]
         assert lat.reduce(vec) == [0, 0, 0, 0] and lat.contains(other)
         assert vec == [0, -4, 6, 0] and other == [0, 6, 3, 1]
+
+
+def test_threads_share_one_ideal():
+    # Threads build, canonicalize and query the lattices of one ideal at
+    # once, all starting on the same degree; each answer equals the one a
+    # single thread gets from a fresh ideal with the same generators.
+    gens = [
+        4 * c3 + 2 * c1 * c2 - 6 * c1**3,
+        3 * c1 * c3 - 5 * c2**2 + 9 * c1**2 * c2,
+        6 * c2 * c3 + 4 * c1**2 * c3 - 10 * c1 * c2**2,
+    ]
+    rng = random.Random(48)
+    monos = {d: monomials_of_degree(CV3, d) for d in range(9)}
+    probes = {d: [] for d in range(3, 9)}
+    for _ in range(120):
+        g = rng.choice(gens)
+        d = rng.randint(g.weighted_degree(), 8)
+        shifts = [m for m in monos[d - g.weighted_degree()] if rng.random() < 0.5]
+        cofactor = Polynomial({m: rng.randint(-4, 4) for m in shifts})
+        noise = Polynomial({m: 1 for m in monos[d] if rng.random() < 0.2})
+        probes[d].append(g * cofactor + (noise if rng.random() < 0.5 else ZERO))
+    single = GradedIdeal(CV3, gens)
+    expected = {
+        d: (single.graded_piece(d), [single.contains(p) for p in ps])
+        for d, ps in probes.items()
+    }
+    assert any(any(a) and not all(a) for _, a in expected.values())
+    answers = []
+
+    def work(shared, start, order):
+        start.wait(timeout=30)
+        for d in order:
+            answers.append(
+                (d, [shared.contains(p) for p in probes[d]], shared.graded_piece(d))
+            )
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(12):
+            shared, start = GradedIdeal(CV3, gens), threading.Barrier(4)
+            first = rng.choice(sorted(probes))
+            orders = [[first, *rng.sample(sorted(probes), 6)] for _ in range(4)]
+            threads = [
+                threading.Thread(target=work, args=(shared, start, order))
+                for order in orders
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(answers) == 12 * 4 * 7
+    for d, contained, piece in answers:
+        assert (piece, contained) == expected[d]

@@ -346,6 +346,22 @@ class TestReducedQuadrics:
             "dabde601cf7c3036cc6e5fd39467e206135336199cb7d38e2f9dc4dfb1c836f3"
         )
 
+    @pytest.mark.parametrize(
+        "k, digest",
+        [
+            (3, "3311b22551bfe116f0d859b364ea01a779a658e5ffee091b8a6712ca1b6b704b"),
+            (5, "b30e93b9ab79110794bb67ae9113447dc6c1aef3769a54af661a32c58154bec9"),
+        ],
+        ids=["k3", "k5"],
+    )
+    def test_golden_orthogonal_rank12(self, capsys, k, digest):
+        # rank 12, where the echelon entries reach about 92,000 bits at
+        # k = 3; the digests were recorded by the top-down HNF walk
+        argv = ["orthogonal", "--n", "12", "--k", str(k), "--force", "--format", "json"]
+        assert run(argv) == 0
+        out = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(out).hexdigest() == digest
+
 
 class TestAlphaFamily:
     def test_rank4_first_generator(self):

@@ -220,6 +220,14 @@ class TestCanonicalForm:
             assert parse_polynomial(p.to_text()) == p
             assert parse_polynomial(p.to_text()).to_text() == p.to_text()
 
+    @pytest.mark.parametrize("text", [")", "c1*)", "c1**2", "c1^2*(c2+)", "+*c1"])
+    def test_an_operator_where_a_factor_belongs_is_rejected(self, text):
+        # a ")" or an operator is never read as a variable name
+        before = set(poly._VARS)
+        with pytest.raises(ValueError, match="expected a factor"):
+            parse_polynomial(text)
+        assert set(poly._VARS) == before
+
     def test_json_coefficients_are_decimal_strings(self):
         obj = (2**80 * c1).to_json_obj()
         assert obj == [{"coeff": str(2**80), "exps": {"c1": 1}}]
@@ -277,6 +285,24 @@ class TestNameTable:
             var(name)
         with pytest.raises(ValueError, match="leading zero"):
             parse_polynomial(f"{name}*l1")
+
+    @pytest.mark.parametrize(
+        "name", ["", "c1^2", "a b", "1a", "c-1", "x*y", "(H)", "c\u0661", "\u00e9"]
+    )
+    def test_a_name_that_is_not_a_name_token_is_rejected(self, name):
+        # each would render text that reads back as something else, or not
+        # at all; a non-ASCII digit would also tie c\u0661 with c1
+        before = set(poly._VARS)
+        with pytest.raises(ValueError, match="not a name token"):
+            var(name)
+        assert set(poly._VARS) == before
+
+    @pytest.mark.parametrize(
+        "name", ["c1", "c12", "l10", "t3", "H", "K", "xi", "zslot99", "foo_bar", "x1y"]
+    )
+    def test_a_name_token_reads_back(self, name):
+        p = 2 * var(name) ** 2 + 1
+        assert parse_polynomial(p.to_text()) == p
 
     def test_var_index_reads_the_stem(self):
         assert var_index("l10", "l") == 10

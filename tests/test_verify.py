@@ -62,14 +62,16 @@ sys.argv = ["eqchow", "verify-all", "--format", "json"]
 runpy.run_module("eqchow.cli", run_name="__main__")
 """
 
-# Six broken kernels below the multiplication, each checked under
+# Seven broken kernels below the multiplication, each checked under
 # ``python -O`` by running only the claims that must notice it: a whole
 # verify-all would also run rows that still pass, the oracle's included.  The
 # broken insert drops a vector whenever merging it would need the extended
 # gcd; the broken membership test accepts every vector, so generator
 # containment alone would certify any two ideals equal; the stale support
 # loses the last column of every row a gcd merge rewrites, so later row
-# operations skip a nonzero entry of that row; the broken division
+# operations skip a nonzero entry of that row; the short canonical support
+# loses the last column of every row ``hnf`` publishes, so the queries that
+# walk the canonical rows skip a nonzero entry; the broken division
 # drops the smallest term of every quotient with two or more terms, which the
 # staircase of ``chern_polynomial`` also divides through, so its root check
 # raises; the broken fraction reduction never cancels the last factor of a
@@ -136,6 +138,26 @@ ideal.IntegerLattice.insert = wrong_insert
             "property-contains-vs-bruteforce",
             "property-simplify-preserves-ideal",
             "property-bundle-relation-membership",
+        ],
+    ),
+    "canonical-support-drops-last-column": (
+        """
+hnf = ideal.IntegerLattice.hnf
+
+def wrong_hnf(self):
+    fresh = self._hnf is None
+    h = hnf(self)
+    if fresh:
+        rows, supports = self._hnf
+        self._hnf = rows, tuple(s[:-1] if len(s) > 1 else s for s in supports)
+    return h
+
+ideal.IntegerLattice.hnf = wrong_hnf
+""",
+        [
+            "quadrics-presentations",
+            "property-hnf-idempotence-order-invariance",
+            "property-simplify-preserves-ideal",
         ],
     ),
     "divide-drops-smallest-term": (
@@ -265,6 +287,33 @@ for n in range(3, 9):
     argv = ["quadrics", "--n", str(n), "--k", "1", "--force", "--format", "json"]
     with contextlib.redirect_stdout(io.StringIO()) as out:
         code = cli.run(argv)
+    failure = json.loads(out.getvalue()).get("verification_failure", {{}})
+    codes.append([code, failure.get("name")])
+print(json.dumps(codes))
+"""
+
+# A broken simplification, below every named check: it drops the last
+# generator of the simplified set, so the presentation a report prints is not
+# the one its checks certified.  The certificate of the simplified set must
+# make each pipeline command exit 2 through the CLI.
+PRESENTATION_SABOTAGES = {
+    "simplification-drops-last-generator": """
+simplified = ideal.GradedIdeal.simplified_generators
+
+def wrong_simplified(self, max_degree):
+    return simplified(self, max_degree)[:-1]
+
+ideal.GradedIdeal.simplified_generators = wrong_simplified
+""",
+}
+SABOTAGED_PRESENTATIONS = """
+import contextlib, io, json
+from eqchow import cli, ideal
+{patch}
+codes = []
+for command in ("m01", "quadrics --n 4 --k 1", "orthogonal --n 4 --k 1"):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.run([*command.split(), "--format", "json"])
     failure = json.loads(out.getvalue()).get("verification_failure", {{}})
     codes.append([code, failure.get("name")])
 print(json.dumps(codes))
@@ -423,3 +472,18 @@ def test_sabotaged_chern_polynomial_fails_quadrics(sabotage, containment):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[2, "unexpected-error"]] * 6
+
+
+@pytest.mark.parametrize("sabotage", sorted(PRESENTATION_SABOTAGES))
+def test_sabotaged_simplification_fails_every_pipeline(sabotage):
+    src = os.path.dirname(os.path.dirname(eqchow.__file__))
+    script = SABOTAGED_PRESENTATIONS.format(patch=PRESENTATION_SABOTAGES[sabotage])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[2, "simplified-generators"]] * 3
