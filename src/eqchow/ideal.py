@@ -12,7 +12,7 @@ Ideal equality is certified by generator containment: two homogeneous ideals
 have the same graded pieces up to D exactly when each side's generators of
 degree <= D lie in the other ideal, so only the generator degrees need
 lattices.  The per-degree HNF comparison (``compare_pieces``) is the second,
-independent route; it locates and documents every mismatch.  The bound D is
+independent route; it locates and documents the first mismatch.  The bound D is
 part of every report.  Monomials, their order and ``monomials_of_degree``
 (re-exported here) follow the conventions stated once in ``eqchow.poly``.
 """
@@ -333,8 +333,8 @@ class IdealComparison(Record):
     """Equality report between two ideals up to a degree bound.
 
     ``per_degree`` is empty when the ideals are equal (certified by generator
-    containment); otherwise it holds one entry per degree up to the bound,
-    and each mismatching entry carries the monomial basis and both HNF
+    containment); otherwise it holds one entry per degree up to the first
+    mismatch, which ends it and carries the monomial basis and both HNF
     matrices as the audit trail.  The repr leaves the audit trail out; the
     list makes the report unhashable.
     """
@@ -361,7 +361,7 @@ def compare_up_to(lhs: GradedIdeal, rhs: GradedIdeal, max_degree: int) -> IdealC
 
     Equality is certified by mutual generator containment, which builds
     lattices only in the generator degrees.  When containment fails,
-    ``compare_pieces`` walks every degree to find the first mismatch and the
+    ``compare_pieces`` walks the degrees up to the first mismatch and its
     HNF audit trail; if that walk finds every piece equal, the two routes
     disagree and RoutesDisagree is raised rather than a report returned.
     """
@@ -381,9 +381,9 @@ def compare_up_to(lhs: GradedIdeal, rhs: GradedIdeal, max_degree: int) -> IdealC
 
 
 def compare_pieces(lhs: GradedIdeal, rhs: GradedIdeal, max_degree: int) -> IdealComparison:
-    """Compare graded pieces degree by degree by their HNF matrices;
-    mismatching degrees carry the two HNF matrices and the monomial basis as
-    the audit trail."""
+    """Compare graded pieces degree by degree by their HNF matrices, up to
+    the bound or the first mismatch, which ends the walk and carries the two
+    HNF matrices and the monomial basis as the audit trail."""
     if lhs.variables != rhs.variables:
         raise ValueError("ideals live in different ambient rings")
     per_degree: list[dict] = []
@@ -394,8 +394,7 @@ def compare_pieces(lhs: GradedIdeal, rhs: GradedIdeal, max_degree: int) -> Ideal
         if a.hnf == b.hnf:
             per_degree.append({"degree": d, "equal": True, "rank": a.rank})
         else:
-            if first_mismatch is None:
-                first_mismatch = d
+            first_mismatch = d
             per_degree.append(
                 {
                     "degree": d,
@@ -405,6 +404,7 @@ def compare_pieces(lhs: GradedIdeal, rhs: GradedIdeal, max_degree: int) -> Ideal
                     "rhs_hnf": [list(r) for r in b.hnf],
                 }
             )
+            break
     equal = first_mismatch is None
     return IdealComparison(equal, max_degree, first_mismatch, per_degree)
 

@@ -12,9 +12,10 @@ Three assemblies over the lower layers:
 
 The hyperplane class is always H (``symfunc.HYPERPLANE``), the one hyperplane
 variable; the bundle, excision and torsor steps log it as ``"hyperplane": "H"``.
-The excision reads its rank from the ring's Chern variables and logs it too;
-it accepts only the ring of P(Sym2(E*)), untwisted, the target of the
-squaring embedding.
+The excision and the redundancy step read the rank from the ring's Chern
+variables; the excision logs it, and the redundancy step logs the ``index`` of
+the bundle relation it finds and drops.  The excision accepts only the ring of
+P(Sym2(E*)), untwisted, the target of the squaring embedding.
 Every pipeline records a replayable provenance log (step name + parameters).
 ``STEPS`` maps each step name to the one function that performs it, for the
 pipelines and for ``replay_provenance``, which rebuilds the presentation
@@ -131,6 +132,11 @@ def _after(pres, step: str, params: dict, relations: GradedIdeal, simplified=Non
     return RingPresentation(relations, provenance, simplified=simplified)
 
 
+def _rank(pres: RingPresentation) -> int:
+    """The rank n of a ring over the Chern variables c1..cn."""
+    return max((var_index(v, "c") or 0 for v in pres.relations.variables), default=0)
+
+
 def _require_hyperplane(pres: RingPresentation) -> None:
     if HYPERPLANE not in pres.relations.variables:
         raise ValueError(f"presentation has no hyperplane variable {HYPERPLANE}")
@@ -168,7 +174,7 @@ def excise_veronese(
         or bundle.get("module") != RepRoots(bundle["rank"], "Sym2(E*)").label
     ):
         raise ValueError(f"excise_veronese needs P(Sym2(E*)), not the ring of {bundle}")
-    rank = max((var_index(v, "c") or 0 for v in pres.relations.variables), default=0)
+    rank = _rank(pres)
     push = veronese_pushforward if method == "localization" else closed_form_pushforward
     extra = [push(rank, r) for r in range(rank)]
     return _after(
@@ -193,25 +199,20 @@ def torsor_quotient(pres: RingPresentation, k: int) -> RingPresentation:
     )
 
 
-def _drop_redundant_bundle_relation(
-    pres: RingPresentation, index: int | None
-) -> RingPresentation:
-    """Remove relation ``index`` (the residual projective-bundle relation)
-    after checking it is contained in the ideal of the remaining ones.  With
-    ``index`` None (the relation already vanished) nothing is dropped."""
-    relations = pres.relations
-    if index is not None:
-        gens = relations.generators
-        if not 0 <= index < len(gens):
-            raise ValueError(f"no relation at index {index}")
-        relations = GradedIdeal(relations.variables, gens[:index] + gens[index + 1 :])
-        if not relations.contains(gens[index]):
+def _drop_redundant_bundle_relation(pres: RingPresentation) -> RingPresentation:
+    """Remove the residual projective-bundle relation after checking it is
+    contained in the ideal of the others.  After the torsor step it is the
+    first relation exactly when that has degree C(n+1, 2): each excision
+    relation 2^(n-1-r) H^r R(H) has degree C(n, 2) + r.  The logged ``index``
+    is 0, or None when the relation vanished and nothing is dropped."""
+    relations, index = pres.relations, None
+    gens = relations.generators
+    if gens and gens[0].weighted_degree() == comb(_rank(pres) + 1, 2):
+        relations, index = GradedIdeal(relations.variables, gens[1:]), 0
+        if not relations.contains(gens[0]):
             raise VerificationFailure(
                 "projective-bundle relation is not redundant",
-                {
-                    "name": "drop_redundant_bundle_relation",
-                    "relation": gens[index].to_text(),
-                },
+                {"name": "drop_redundant_bundle_relation", "relation": str(gens[0])},
             )
     return _after(pres, "drop_redundant_bundle_relation", {"index": index}, relations)
 
@@ -258,12 +259,12 @@ def default_degree_bound(kind: str, n: int) -> int:
     raise ValueError(f"unknown pipeline kind {kind!r}")
 
 
-def _degree_bound(pres, kind: str, n: int, max_degree: int | None) -> int:
+def _degree_bound(pres, kind: str, max_degree: int | None) -> int:
     """The certification bound of a pipeline whose relations are built: the
-    default unless ``max_degree`` is given, which must reach every generator
-    (checked before the pipeline's own, costlier, checks run)."""
+    default at the ring's rank unless ``max_degree`` is given, which must
+    reach every generator (checked before the pipeline's costlier checks)."""
     if max_degree is None:
-        return default_degree_bound(kind, n)
+        return default_degree_bound(kind, _rank(pres))
     pres.relations.require_degree_bound(max_degree)
     return max_degree
 
@@ -297,7 +298,7 @@ def m01(max_degree: int | None = None) -> RingPresentation:
     pres = projective_bundle(RepRoots(3, "Sym2(E*)"))
     pres = excise_veronese(pres, method="localization")
     pres = torsor_quotient(pres, 1)
-    bound = _degree_bound(pres, "m01", 3, max_degree)
+    bound = _degree_bound(pres, "m01", max_degree)
     literal = GradedIdeal(
         pres.relations.variables, [parse_polynomial(t) for t in M01_RELATIONS]
     )
@@ -332,13 +333,10 @@ def reduced_quadrics(
     if n < 2 or k < 0:
         raise ValueError("need n >= 2 and k >= 0")
     pres = projective_bundle(RepRoots(n, "Sym2(E*)"))
-    bundle_image = torsor_substitute(pres.relations.generators[0], k)
     pres = excise_veronese(pres, method="closed_form")
     pres = torsor_quotient(pres, k)
-    gens = pres.relations.generators
-    index = next((i for i, g in enumerate(gens) if g == bundle_image), None)
-    pres = _drop_redundant_bundle_relation(pres, index)
-    bound = _degree_bound(pres, "quadrics", n, max_degree)
+    pres = _drop_redundant_bundle_relation(pres)
+    bound = _degree_bound(pres, "quadrics", max_degree)
 
     family = quadric_family(n, k)
     targets = {"quadrics-relations-match-generator-family": family}
@@ -418,7 +416,7 @@ def orthogonal(n: int, k: int, max_degree: int | None = None) -> RingPresentatio
         raise ValueError("need n >= 2 and k >= 0")
 
     pres = _alpha_relations(None, n, k)
-    bound = _degree_bound(pres, "orthogonal", n, max_degree)
+    bound = _degree_bound(pres, "orthogonal", max_degree)
     variables = pres.relations.variables
     checks = []
     if n <= SERIES_CROSS_CHECK_MAX_RANK:
@@ -474,10 +472,10 @@ def replay_provenance(steps) -> RingPresentation:
     The log must open with one of ``FIRST_STEPS`` and contain no other; each
     entry is a dict naming a known step, and each logged field has a type in
     ``PARAM_TYPES``.  The fields that are the step's parameters are passed to
-    it; the others (the hyperplane, the excision rank) are derived by the
-    step.  Each step must log exactly the entry it was replayed from, so a
-    missing, unknown or foreign field is rejected.  Any malformed log raises
-    ValueError.  Only construction steps participate;
+    it; the others (the hyperplane, the excision rank, the dropped index)
+    are derived by the step.  Each step must log exactly the entry it was
+    replayed from, so a missing, unknown or foreign field is rejected.  Any
+    malformed log raises ValueError.  Only construction steps participate;
     verification summaries are not part of provenance.  The result's
     relations are bit-exact equal to the original presentation's.
     """

@@ -143,15 +143,12 @@ def _rank4_twist3_remark():
         [10 * c1, 5 * c1**2, c1**3 + 6 * c1 * c2 - 2 * c3, c1**2 * c2 - c1 * c3],
     )
     cmp = compare_up_to(raw, quoted, 10)
-    mismatch_data = next(
-        (entry for entry in cmp.per_degree if not entry["equal"]), None
-    )
     return True, {
         "degree_bound": 10,
         "detail": {
             "equal": cmp.equal,
             "first_mismatch": cmp.first_mismatch,
-            "mismatch": mismatch_data,
+            "mismatch": None if cmp.equal else cmp.per_degree[-1],
             "raw_generators": [g.to_text() for g in raw.generators],
             "quoted_generators": [g.to_text() for g in quoted.generators],
         },

@@ -23,7 +23,7 @@ from eqchow.pipeline import (
     torsor_quotient,
 )
 from eqchow.poly import ONE, ZERO, var
-from eqchow.symfunc import build_roots, e_top
+from eqchow.symfunc import RepRoots, build_roots, e_top, torsor_substitute
 
 H = var("H")
 c1, c2, c3 = var("c1"), var("c2"), var("c3")
@@ -225,6 +225,15 @@ class TestReplayValidation:
         with pytest.raises(ValueError):
             replay_provenance(log)
 
+    @pytest.mark.parametrize("n, k, index", [(3, 0, 1), (3, 0, None), (2, 1, 0)])
+    def test_changed_dropped_index_rejected(self, n, k, index):
+        log = [dict(s) for s in reduced_quadrics(n, k).provenance]
+        assert log[3]["step"] == "drop_redundant_bundle_relation"
+        assert log[3]["index"] != index
+        log[3]["index"] = index
+        with pytest.raises(ValueError, match="drop_redundant_bundle_relation"):
+            replay_provenance(log)
+
     def test_twisted_bundle_replays_bit_exactly(self):
         pres = projective_bundle(build_roots(3, "det^1*Sym2(E*)"))
         assert pres.provenance[0]["module"] == "det^1*Sym2(E*)"
@@ -285,6 +294,24 @@ class TestReducedQuadrics:
             pres = reduced_quadrics(n, k)
             rep = replay_provenance(pres.provenance)
             assert rep.relations.generators == pres.relations.generators
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_dropped_index_is_the_bundle_relations_position(self, n):
+        # the reference rule: where the bundle relation at H = k*c1 stands
+        # among the torsor step's relations
+        bundle = projective_bundle(RepRoots(n, "Sym2(E*)"))
+        excised = excise_veronese(bundle, method="closed_form")
+        for k in range(6):
+            image = torsor_substitute(bundle.relations.generators[0], k)
+            gens = torsor_quotient(excised, k).relations.generators
+            expected = next((i for i, g in enumerate(gens) if g == image), None)
+            (entry,) = [
+                s
+                for s in reduced_quadrics(n, k).provenance
+                if s["step"] == "drop_redundant_bundle_relation"
+            ]
+            assert entry["index"] == expected
+            assert expected == (None if (n, k) == (2, 1) else 0)
 
     def test_rank2_twist1_degenerates_to_free_ring(self):
         pres = reduced_quadrics(2, 1)
