@@ -43,6 +43,7 @@ This module alone knows how variable names are read and monomials laid out:
   decoded exponent tuples descending, then stably by weight: the same
   order, as every variable weighs at least 1, so at equal weight no
   monomial's exponents extend another's and the first difference decides.
+  ``parse_polynomial`` reads back exactly the text form and nothing else.
 * A polynomial maps monomials to nonzero int coefficients; all arithmetic is
   exact.  ``Polynomial(terms)`` also takes a tuple of (variable, exponent)
   pairs as a key and packs it; that is the only other spelling of a
@@ -580,73 +581,51 @@ _TOKEN_RE = re.compile(
 
 
 def parse_polynomial(text: str) -> Polynomial:
-    """Parse the canonical text form (also accepts parenthesized sums/products)."""
+    """Read back the canonical text form ``Polynomial.to_text`` writes: terms
+    joined by ``+`` or ``-``, the first one optionally signed, each a ``*``
+    product of integers and names, a name with an optional literal exponent
+    ``^e``; blank text is ZERO.  Other text (a parenthesis, ``c1*-c2``,
+    ``--c1``, ``2^3``) is a ValueError before any name is looked up."""
     tokens: list[str] = []
     pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            if text[pos:].strip():
-                raise ValueError(f"cannot tokenize polynomial at: {text[pos:]!r}")
-            break
+    while m := _TOKEN_RE.match(text, pos):
         tokens.append(m.group(m.lastindex))
         pos = m.end()
-
-    def parse_sum(i: int) -> tuple[Polynomial, int]:
-        total = ZERO
-        sign = 1
-        if i < len(tokens) and tokens[i] in "+-":
-            sign = -1 if tokens[i] == "-" else 1
-            i += 1
-        while True:
-            term, i = parse_product(i)
-            total = total + term * sign
-            if i < len(tokens) and tokens[i] in "+-":
-                sign = -1 if tokens[i] == "-" else 1
-                i += 1
-            else:
-                return total, i
-
-    def parse_product(i: int) -> tuple[Polynomial, int]:
-        result, i = parse_factor(i)
-        while i < len(tokens) and (tokens[i] == "*" or tokens[i] == "("):
-            if tokens[i] == "*":
-                i += 1
-            factor, i = parse_factor(i)
-            result = result * factor
-        return result, i
-
-    def parse_factor(i: int) -> tuple[Polynomial, int]:
-        if i >= len(tokens):
-            raise ValueError("unexpected end of polynomial text")
-        tok = tokens[i]
-        if tok == "(":
-            inner, i = parse_sum(i + 1)
-            if i >= len(tokens) or tokens[i] != ")":
-                raise ValueError("unbalanced parenthesis")
-            base, i = inner, i + 1
-        elif tok.isdigit():
-            base, i = Polynomial.constant(int(tok)), i + 1
-        elif tok == "-":
-            inner, i = parse_factor(i + 1)
-            return -inner, i
-        elif _IS_NAME(tok):
-            base, i = Polynomial.variable(tok), i + 1
-        else:
-            raise ValueError(f"expected a factor, found {tok!r}")
-        if i < len(tokens) and tokens[i] == "^":
-            if i + 1 >= len(tokens) or not tokens[i + 1].isdigit():
-                raise ValueError("exponent must be a literal integer")
-            base = base ** int(tokens[i + 1])
-            i += 2
-        return base, i
-
+    if text[pos:].strip():
+        raise ValueError(f"cannot tokenize polynomial at: {text[pos:]!r}")
     if not tokens:
         return ZERO
-    result, i = parse_sum(0)
-    if i != len(tokens):
-        raise ValueError(f"trailing tokens in polynomial text: {tokens[i:]}")
-    return result
+    tokens.append("")  # the end
+    terms: list[list] = []  # each term's coefficient, then its (name, exponent)s
+    i = int(tokens[0] in ("+", "-"))
+    op = tokens[0] if i else "+"
+    while op:  # op is the sign or "*" before the factor at tokens[i]
+        if op != "*":
+            terms.append([-1 if op == "-" else 1])
+        tok, i = tokens[i], i + 1
+        if tok.isdigit():
+            terms[-1][0] *= int(tok)
+        elif _IS_NAME(tok):
+            exp = 1
+            if tokens[i] == "^":
+                if not tokens[i + 1].isdigit():
+                    raise ValueError("exponent must be a literal integer")
+                exp, i = int(tokens[i + 1]), i + 2
+            terms[-1].append((tok, exp))
+        elif tok:
+            raise ValueError(f"expected a factor, found {tok!r}")
+        else:
+            raise ValueError("unexpected end of polynomial text")
+        op, i = tokens[i], i + 1
+        if op not in ("+", "-", "*", ""):
+            raise ValueError(f"trailing tokens in polynomial text: {tokens[i - 1:-1]}")
+    total = ZERO
+    for coeff, *pairs in terms:
+        term = Polynomial.constant(coeff)
+        for name, exp in pairs:
+            term = term * Polynomial.variable(name) ** exp
+        total = total + term
+    return total
 
 
 # -- exact division --------------------------------------------------------------

@@ -3,6 +3,7 @@ schema."""
 
 import argparse
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -94,6 +95,18 @@ class TestExitCodes:
         code, out, err = capture(capsys, ["verify-all", "--out", str(path)])
         assert code == 1 and out == ""
         assert err == f"eqchow: error: cannot write {path}: No such file or directory\n"
+
+    def test_out_below_a_regular_file_is_an_error(self, capsys, tmp_path, monkeypatch):
+        def boom(max_degree=None):
+            raise AssertionError("m01 ran before --out was checked")
+
+        monkeypatch.setattr(cli, "m01", boom)
+        regular = tmp_path / "f"
+        regular.write_text("")
+        path = regular / "x"
+        code, out, err = capture(capsys, ["m01", "--out", str(path)])
+        assert (code, out) == (1, "")
+        assert err == f"eqchow: error: cannot write {path}: {os.strerror(errno.ENOTDIR)}\n"
 
     def test_usage_error_creates_no_file(self, capsys, tmp_path):
         path = tmp_path / "x"
@@ -406,6 +419,12 @@ class TestFormats:
         code, out, _ = capture(capsys, ["m01"])
         assert code == 0
         assert json.loads(out)["command"] == "m01"
+
+    def test_unknown_env_format_is_an_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("EQCHOW_FORMAT", "bogus")
+        code, out, err = capture(capsys, ["m01"])
+        assert (code, out) == (1, "")
+        assert err == "eqchow: error: unknown format 'bogus' from EQCHOW_FORMAT\n"
 
     def test_flag_overrides_env(self, capsys, monkeypatch):
         monkeypatch.setenv("EQCHOW_FORMAT", "json")

@@ -193,6 +193,10 @@ class TestEqualUpTo:
         with pytest.raises(ValueError):
             equal_up_to(GradedIdeal(CV3, []), GradedIdeal(("c1",), []), 2)
 
+    def test_piece_walk_rejects_an_ambient_mismatch(self):
+        with pytest.raises(ValueError, match="different ambient rings"):
+            compare_pieces(GradedIdeal(CV3, []), GradedIdeal(("c1",), []), 2)
+
 
 def _random_gens(rng, vs, count):
     gens = []

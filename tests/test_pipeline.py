@@ -22,7 +22,8 @@ from eqchow.pipeline import (
     replay_provenance,
     torsor_quotient,
 )
-from eqchow.poly import ONE, ZERO, var
+from eqchow.localization import veronese_pushforward
+from eqchow.poly import ONE, ZERO, parse_polynomial, var
 from eqchow.symfunc import RepRoots, build_roots, e_top, torsor_substitute
 
 H = var("H")
@@ -144,6 +145,30 @@ class TestM01:
         pres = m01()
         piece = pres.relations.graded_piece(3)
         assert piece.hnf == ((0, 0, 4),)
+
+
+# The presentations each command prints in the ranges below; their relations
+# and simplified generators, and the pushforward polynomials, must read back
+# through ``parse_polynomial``, whose grammar is exactly the text form
+PRINTED = {
+    "m01": lambda: [m01()],
+    "quadrics": lambda: [reduced_quadrics(n, k) for n in range(2, 6) for k in range(4)],
+    "orthogonal": lambda: [orthogonal(n, k) for n in range(2, 7) for k in range(4)],
+}
+
+
+class TestPrintedTextReadsBack:
+    @pytest.mark.parametrize("command", sorted(PRINTED))
+    def test_relations_and_simplified_generators(self, command):
+        for pres in PRINTED[command]():
+            for g in (*pres.relations.generators, *(pres.simplified or ())):
+                assert parse_polynomial(g.to_text()) == g, g.to_text()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_pushforward_polynomials(self, n):
+        for r in range(n):
+            p = veronese_pushforward(n, r)
+            assert parse_polynomial(p.to_text()) == p, (n, r)
 
 
 class TestReplayValidation:

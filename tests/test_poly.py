@@ -220,13 +220,53 @@ class TestCanonicalForm:
             assert parse_polynomial(p.to_text()) == p
             assert parse_polynomial(p.to_text()).to_text() == p.to_text()
 
-    @pytest.mark.parametrize("text", [")", "c1*)", "c1**2", "c1^2*(c2+)", "+*c1"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            ")",
+            "c1*)",
+            "c1**2",
+            "c1^2*(c2+)",
+            "+*c1",
+            # the text form writes no parenthesis and no sign inside a term
+            "(c1)",
+            "fresh_a*(c1 + c2)",
+            "fresh_b*-c2",
+            "--fresh_c",
+            "c1 + -fresh_d",
+        ],
+    )
     def test_an_operator_where_a_factor_belongs_is_rejected(self, text):
-        # a ")" or an operator is never read as a variable name
+        # a ")" or an operator is never read as a variable name, and a
+        # rejected text adds no name, even one read before the fault
         before = set(poly._VARS)
         with pytest.raises(ValueError, match="expected a factor"):
             parse_polynomial(text)
         assert set(poly._VARS) == before
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("c1 $", "cannot tokenize polynomial at: ' \\$'"),
+            ("fresh_e +", "unexpected end"),
+            ("-", "unexpected end"),
+            ("fresh_f^", "exponent must be a literal integer"),
+            ("c1^x", "exponent must be a literal integer"),
+            ("2 fresh_g", "trailing tokens in polynomial text: \\['fresh_g'\\]"),
+            # no implicit product and no power of an integer
+            ("fresh_h(c2)", "trailing tokens"),
+            ("2^3", "trailing tokens"),
+        ],
+    )
+    def test_text_outside_the_text_form_is_rejected(self, text, message):
+        before = set(poly._VARS)
+        with pytest.raises(ValueError, match=message):
+            parse_polynomial(text)
+        assert set(poly._VARS) == before
+
+    @pytest.mark.parametrize("text", ["", "   "])
+    def test_blank_text_is_zero(self, text):
+        assert parse_polynomial(text) == ZERO
 
     def test_json_coefficients_are_decimal_strings(self):
         obj = (2**80 * c1).to_json_obj()

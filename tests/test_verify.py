@@ -257,12 +257,15 @@ def _outcome(record):
 
 # Two broken Chern polynomials of Wedge2(E*), each made below the root check
 # of ``chern_polynomial``, so Sym2(E*) = Wedge2(E*) * prod (H + 2 l_i) inherits
-# the fault and the redundancy containment of the bundle relation holds
-# regardless.  The extra homogeneous term 2*c2*c1^(C(n,2)-2), scaled through
+# the fault.  The extra homogeneous term 2*c2*c1^(C(n,2)-2), scaled through
 # the staircase's exact division, is one that the named quadrics checks cannot
 # see; the wrong staircase entry is e_(n-1) of the roots H - 2*l_i in place of
 # H + 2*l_i.  Under each, ``quadrics --n N --k 1 --force`` must exit 2 at
-# every N = 3..8, with and without that containment.
+# every N = 3..8, the root check or the exact division raising before the
+# redundancy containment of the bundle relation runs (arm keep-containment).
+# With the root check patched out (arm skip-root-check), ``pushforward --n N
+# --r 0`` must still exit 2 at every N = 3..6, through its comparison of the
+# localization and interpolation routes or through the exact division.
 CHERN_SABOTAGES = {
     "wedge2-extra-term": """
 staircase = symfunc._staircase
@@ -286,31 +289,22 @@ def wrong_shifted(n, scale):
 symfunc.elementary_of_shifted = wrong_shifted
 """,
 }
-SABOTAGED_QUADRICS = """
+SABOTAGED_CHERN = """
 import contextlib, io, json, sys
 from math import comb
-from eqchow import cli, pipeline, poly, symfunc
+from eqchow import cli, poly, symfunc
 {patch}
-def drop_unchecked(pres):
-    gens = pres.relations.generators
-    index = None
-    if gens and gens[0].weighted_degree() == comb(pipeline._rank(pres) + 1, 2):
-        gens, index = gens[1:], 0
-    relations = pipeline.GradedIdeal(pres.relations.variables, gens)
-    return pipeline._after(
-        pres, "drop_redundant_bundle_relation", {{"index": index}}, relations
-    )
-
-if sys.argv[1] == "skip-containment":
-    pipeline._drop_redundant_bundle_relation = drop_unchecked
-codes = []
-for n in range(3, 9):
-    argv = ["quadrics", "--n", str(n), "--k", "1", "--force", "--format", "json"]
+if sys.argv[1] == "skip-root-check":
+    symfunc._check_at_roots = lambda module, p: None
+    commands = [f"pushforward --n {{n}} --r 0" for n in range(3, 7)]
+else:
+    commands = [f"quadrics --n {{n}} --k 1 --force" for n in range(3, 9)]
+rows = []
+for command in commands:
     with contextlib.redirect_stdout(io.StringIO()) as out:
-        code = cli.run(argv)
-    failure = json.loads(out.getvalue()).get("verification_failure", {{}})
-    codes.append([code, failure.get("name"), failure.get("error")])
-print(json.dumps(codes))
+        code = cli.run([*command.split(), "--format", "json"])
+    rows.append([code, json.loads(out.getvalue()).get("verification_failure")])
+print(json.dumps(rows))
 """
 
 # The errors the root check and the staircase's exact division raise
@@ -416,6 +410,20 @@ def test_cli_verify_all_text_table(verify_report, capsys, monkeypatch):
     assert any(line.startswith("INFO") for line in out.splitlines())
 
 
+def test_cli_verify_all_latex_itemize(verify_report, capsys, monkeypatch):
+    import eqchow.cli as cli
+
+    monkeypatch.setattr(cli, "run_verify_all", lambda: verify_report)
+    code = cli.run(["verify-all", "--format", "latex"])
+    out = capsys.readouterr().out
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "\\documentclass{article}" and lines[-1] == "\\end{document}"
+    items = lines[lines.index("\\begin{itemize}") + 1 : lines.index("\\end{itemize}")]
+    checks = verify_report["checks"]
+    assert items == [f"\\item \\texttt{{{c['name']}}}: {c['status']}" for c in checks]
+
+
 def test_runner_fails_short_or_raising_claims():
     short = run_claim(Claim("short", 0, lambda: (True, {"cases": 3}), min_cases=5))
     assert short["status"] == "fail"
@@ -491,13 +499,13 @@ def test_sabotaged_lattice_or_division_fails_its_claims(sabotage):
     assert outcomes == dict.fromkeys(must_fail, "fail")
 
 
-@pytest.mark.parametrize("containment", ["keep-containment", "skip-containment"])
+@pytest.mark.parametrize("arm", ["keep-containment", "skip-root-check"])
 @pytest.mark.parametrize("sabotage", sorted(CHERN_SABOTAGES))
-def test_sabotaged_chern_polynomial_fails_quadrics(sabotage, containment):
+def test_sabotaged_chern_polynomial_fails_quadrics(sabotage, arm):
     src = os.path.dirname(os.path.dirname(eqchow.__file__))
-    script = SABOTAGED_QUADRICS.format(patch=CHERN_SABOTAGES[sabotage])
+    script = SABOTAGED_CHERN.format(patch=CHERN_SABOTAGES[sabotage])
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", script, containment],
+        [sys.executable, "-O", "-c", script, arm],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=src),
@@ -505,8 +513,15 @@ def test_sabotaged_chern_polynomial_fails_quadrics(sabotage, containment):
     )
     assert proc.returncode == 0, proc.stderr
     rows = json.loads(proc.stdout)
-    assert [row[:2] for row in rows] == [[2, "unexpected-error"]] * 6
-    assert all(error.startswith(CHERN_ERRORS) for _, _, error in rows), rows
+    if arm == "keep-containment":
+        assert [[c, r["name"]] for c, r in rows] == [[2, "unexpected-error"]] * 6
+        assert all(r["error"].startswith(CHERN_ERRORS) for _, r in rows), rows
+    else:
+        assert [c for c, _ in rows] == [2] * 4
+        for n, (_, report) in enumerate(rows, 3):
+            assert report == {"n": n, "r": 0} or report.get("error", "").startswith(
+                "NotDivisible: "
+            ), report
 
 
 @pytest.mark.parametrize("sabotage", sorted(PRESENTATION_SABOTAGES))
