@@ -15,7 +15,6 @@ from .ideal import (
     IntegerLattice,
     NotHomogeneous,
     compare_up_to,
-    equal_up_to,
     monomials_of_degree,
 )
 from .localization import (
@@ -28,7 +27,6 @@ from .localization import (
     veronese_pushforward,
 )
 from .pipeline import (
-    AlphaFamily,
     RingPresentation,
     VerificationFailure,
     alpha_family,
@@ -46,7 +44,6 @@ from .poly import (
     NotDivisible,
     Polynomial,
     StructuredFraction,
-    const,
     exact_divide,
     parse_polynomial,
     sum_fractions,
@@ -65,7 +62,6 @@ from .symfunc import (
 )
 
 __all__ = [
-    "AlphaFamily",
     "DegreeBoundTooLow",
     "GradedIdeal",
     "GradedPiece",
@@ -87,10 +83,8 @@ __all__ = [
     "chern_series_divide",
     "closed_form_pushforward",
     "compare_up_to",
-    "const",
     "default_degree_bound",
     "e_top",
-    "equal_up_to",
     "exact_divide",
     "excise_veronese",
     "fundamental_class",

@@ -11,10 +11,13 @@ triangular solve.
 Ideal equality is certified by generator containment: two homogeneous ideals
 have the same graded pieces up to D exactly when each side's generators of
 degree <= D lie in the other ideal, so only the generator degrees need
-lattices.  The per-degree HNF comparison (``compare_pieces``) is the second,
-independent route; it locates and documents the first mismatch.  The bound D is
-part of every report.  Monomials, their order and ``monomials_of_degree``
-(re-exported here) follow the conventions stated once in ``eqchow.poly``.
+lattices; ``compare_up_to`` returns the report, whose ``equal`` is the
+verdict.  The per-degree HNF comparison (``compare_pieces``) is the second,
+independent route; it locates and documents the first mismatch.  The bound
+D is part of every report.  An ideal computes each generator's weighted
+degree once, when it is built.  Monomials, their order and
+``monomials_of_degree`` (re-exported here) follow the conventions stated once
+in ``eqchow.poly``.
 """
 
 from __future__ import annotations
@@ -227,6 +230,8 @@ class GradedIdeal:
                 raise ValueError(f"generator uses variables outside the ring: {unknown}")
             gens.append(g)
         self.generators: tuple[Polynomial, ...] = tuple(gens)
+        # each generator with its weighted degree, computed once
+        self._graded = tuple((g, g.weighted_degree()) for g in gens)
         # degree -> its lattice and the position of each basis monomial
         self._lattices: dict[int, tuple[IntegerLattice, dict[Mono, int]]] = {}
 
@@ -243,7 +248,7 @@ class GradedIdeal:
         )
 
     def max_generator_degree(self) -> int:
-        return max((g.weighted_degree() for g in self.generators), default=0)
+        return max((d for _, d in self._graded), default=0)
 
     def require_degree_bound(self, max_degree: int) -> None:
         """Raise DegreeBoundTooLow if a bound misses some generator."""
@@ -254,14 +259,15 @@ class GradedIdeal:
                 f"degree {needed}"
             )
 
-    def _span(self, lat: IntegerLattice, gens, degree: int, index) -> None:
+    def _span(self, lat: IntegerLattice, graded, degree: int, index) -> None:
         """Insert every degree-``degree`` multiple (generator x monomial) of
-        ``gens`` into ``lat``: generators in order, monomials in canonical
-        order, which fixes the echelon rows.  Each term t of a generator goes
-        to the entry of t + m, a basis monomial with no exponent at the field
-        limit (``monomials_of_degree`` checks), so no guard check is needed."""
-        for g in gens:
-            for m in monomials_of_degree(self.variables, degree - g.weighted_degree()):
+        the (generator, degree) pairs ``graded`` into ``lat``: generators in
+        order, monomials in canonical order, which fixes the echelon rows.
+        Each term t of a generator goes to the entry of t + m, a basis
+        monomial with no exponent at the field limit (``monomials_of_degree``
+        checks), so no guard check is needed."""
+        for g, g_degree in graded:
+            for m in monomials_of_degree(self.variables, degree - g_degree):
                 vec = [0] * len(index)
                 for t, c in g.terms.items():
                     vec[index[t + m]] = c
@@ -272,7 +278,7 @@ class GradedIdeal:
             basis = monomials_of_degree(self.variables, degree)
             index = {m: i for i, m in enumerate(basis)}
             lat = IntegerLattice(len(index))
-            self._span(lat, self.generators, degree, index)
+            self._span(lat, self._graded, degree, index)
             self._lattices[degree] = lat, index
         return self._lattices[degree][0]
 
@@ -310,8 +316,8 @@ class GradedIdeal:
         ideal and no higher degree keeps anything.
         """
         self.require_degree_bound(max_degree)
-        kept: list[Polynomial] = []
-        for d in range(min(max_degree, self.max_generator_degree()) + 1):
+        kept: list[tuple[Polynomial, int]] = []
+        for d in range(self.max_generator_degree() + 1):
             piece = self.graded_piece(d)
             if not piece.hnf:
                 continue
@@ -322,11 +328,10 @@ class GradedIdeal:
             for row in piece.hnf:
                 red = partial.reduce(row)
                 if any(red):
-                    kept.append(
-                        Polynomial({basis[i]: c for i, c in enumerate(red) if c})
-                    )
+                    g = Polynomial({basis[i]: c for i, c in enumerate(red) if c})
+                    kept.append((g, d))
                     partial.insert(red)
-        return tuple(kept)
+        return tuple(g for g, _ in kept)
 
 
 class IdealComparison(Record):
@@ -349,11 +354,7 @@ class IdealComparison(Record):
 
 def _generated_within(lhs: GradedIdeal, rhs: GradedIdeal, max_degree: int) -> bool:
     """Whether every generator of ``lhs`` of degree <= max_degree lies in rhs."""
-    return all(
-        rhs.contains(g)
-        for g in lhs.generators
-        if g.weighted_degree() <= max_degree
-    )
+    return all(rhs.contains(g) for g, d in lhs._graded if d <= max_degree)
 
 
 def compare_up_to(lhs: GradedIdeal, rhs: GradedIdeal, max_degree: int) -> IdealComparison:
@@ -407,7 +408,3 @@ def compare_pieces(lhs: GradedIdeal, rhs: GradedIdeal, max_degree: int) -> Ideal
             break
     equal = first_mismatch is None
     return IdealComparison(equal, max_degree, first_mismatch, per_degree)
-
-
-def equal_up_to(lhs: GradedIdeal, rhs: GradedIdeal, max_degree: int) -> bool:
-    return compare_up_to(lhs, rhs, max_degree).equal

@@ -7,8 +7,9 @@ Three assemblies over the lower layers:
 * ``reduced_quadrics`` - the rings of stacks of reduced quadrics for general
                          rank n and twist k,
 * ``orthogonal``       - the rings of the orthogonal-type classifying stacks,
-                         via the closed-form alpha generators and,
-                         independently, a total-Chern-series division.
+                         via the closed-form alpha generators (the tuple
+                         ``alpha_family(n)``) and, independently, a
+                         total-Chern-series division.
 
 The hyperplane class is always H (``symfunc.HYPERPLANE``), the one hyperplane
 variable; the bundle, excision and torsor steps log it as ``"hyperplane": "H"``.
@@ -158,9 +159,7 @@ def _projective_bundle_step(pres, module: str, rank: int):
     return projective_bundle(build_roots(rank, module))
 
 
-def excise_veronese(
-    pres: RingPresentation, method: str = "localization"
-) -> RingPresentation:
+def excise_veronese(pres: RingPresentation, method: str) -> RingPresentation:
     """Append the pushforwards of 1, K, ..., K^(rank-1) along the squaring
     embedding as new relations (excision of the rank-one locus); the rank is
     that of the ring's Chern variables c1..c_rank.  The squaring embedding
@@ -236,11 +235,12 @@ def _simplify_generators(
 
 def _alpha_relations(pres, rank: int, k: int) -> RingPresentation:
     """The orthogonal-type relations: the alpha family at H = k*c1."""
+    alphas = [torsor_substitute(a, k) for a in alpha_family(rank)]
     return _after(
         None,
         "alpha_relations",
         {"rank": rank, "k": k},
-        GradedIdeal(c_vars(rank), alpha_family(rank).substituted(k)),
+        GradedIdeal(c_vars(rank), alphas),
     )
 
 
@@ -353,31 +353,21 @@ def reduced_quadrics(
 # -- orthogonal-type classifying stacks ---------------------------------------------------
 
 
-class AlphaFamily(Record):
-    """The closed-form relation polynomials for the orthogonal-type rings:
-    alpha_i is homogeneous of degree i, with an extra -2c_i term exactly when
-    i is odd, so alpha_i(0) is -2c_i for odd i and 0 for even i."""
-
-    __slots__ = ("rank", "polys")
-
-    def __init__(self, rank: int, polys: tuple[Polynomial, ...]):
-        for i, a in enumerate(polys, start=1):
-            if a.weighted_degree() != i or not a.is_homogeneous():
-                raise ValueError(f"alpha_{i} is not homogeneous of degree {i}")
-        Record.__init__(self, rank, polys)
-
-    def substituted(self, k: int) -> list[Polynomial]:
-        return [torsor_substitute(a, k) for a in self.polys]
-
-
 @lru_cache(maxsize=None)
-def alpha_family(n: int) -> AlphaFamily:
-    """alpha_i(H) = e_i(H + l1, ..., H + ln) - c_i, that is
-    sum_{j<i} binom(n-j, i-j) (-1)^j c_j H^(i-j), minus 2c_i for odd i."""
+def alpha_family(n: int) -> tuple[Polynomial, ...]:
+    """The closed-form relation polynomials alpha_1..alpha_n of the
+    orthogonal-type rings: alpha_i(H) = e_i(H + l1, ..., H + ln) - c_i, that
+    is sum_{j<i} binom(n-j, i-j) (-1)^j c_j H^(i-j), minus 2c_i for odd i, so
+    alpha_i(0) is -2c_i for odd i and 0 for even i.  Each is checked to be
+    homogeneous of degree i."""
     if n < 2:
         raise ValueError("need n >= 2")
     e, cs = elementary_of_shifted(n, 1), chern_classes(n)
-    return AlphaFamily(n, tuple(e[i] - cs[i] for i in range(1, n + 1)))
+    polys = tuple(e[i] - cs[i] for i in range(1, n + 1))
+    for i, a in enumerate(polys, start=1):
+        if a.weighted_degree() != i or not a.is_homogeneous():
+            raise ValueError(f"alpha_{i} is not homogeneous of degree {i}")
+    return polys
 
 
 def chern_series_divide(n: int) -> tuple[Polynomial, ...]:
@@ -421,7 +411,7 @@ def orthogonal(n: int, k: int, max_degree: int | None = None) -> RingPresentatio
     checks = []
     if n <= SERIES_CROSS_CHECK_MAX_RANK:
         hvars = variables + (HYPERPLANE,)
-        alpha_ideal = GradedIdeal(hvars, alpha_family(n).polys)
+        alpha_ideal = GradedIdeal(hvars, alpha_family(n))
         beta_ideal = GradedIdeal(hvars, chern_series_divide(n))
         checks.append(
             _require(

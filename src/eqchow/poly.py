@@ -10,10 +10,11 @@ This module alone knows how variable names are read and monomials laid out:
   text form would not read back.  ``c<i>`` has weight i,
   every other variable (H, K, xi, l1..ln, t1..tn, ...) weight 1.  The fixed
   variable order is c1 < c2 < ... < H < K < xi < l1 < l2 < ... < t1 < ...
-  < other names, indices compared as integers.  Each name is parsed once, on
-  first use, into the name table read by ``var_key``, ``var_weight``,
-  ``var_index`` and the LaTeX form; that first use also gives the name the
-  next free slot, so slots follow first use, not the variable order.
+  < other names, indices compared as integers.  Each name is read once, on
+  first use, by ``_read_name`` into the name table read by ``var_key``,
+  ``var_weight``, ``var_index`` and the LaTeX form; that first use also gives
+  the name the next free slot, so slots follow first use, not the variable
+  order.  ``_read_name`` alone checks a name and gives it no slot.
 * A monomial is a packed exponent vector (Monagan--Pearce, CASC 2007): one
   non-negative int whose lowest 48 bits hold its weighted degree, followed
   by a 16-bit field per slot, the exponent of slot s in bits
@@ -117,31 +118,32 @@ class _Var(NamedTuple):
     unit: int
 
 
+def _read_name(name: str) -> tuple:
+    """What a name says, the fields of its ``_Var`` before ``shift``; a
+    ValueError if it is no variable name.  Gives the name no slot."""
+    if not _IS_NAME(name):
+        raise ValueError(f"not a name token {_NAME_TOKEN}: {name!r}")
+    m = _NAME_RE.match(name)
+    if m is None:
+        return (9, 0, name), 1, name, None, name
+    stem, digits = m.groups()
+    if digits.startswith("0"):
+        raise ValueError(f"variable index with a leading zero: {name!r}")
+    index = int(digits) if digits else None
+    weight = index if stem == "c" and digits else 1
+    if weight > _FIELD:
+        raise ValueError(f"variable weight above {_FIELD}: {name!r}")
+    latex = f"{stem}_{{{digits}}}" if digits else name
+    return (_STEM_ORDER.get(stem, 8), index or 0, stem), weight, stem, index, latex
+
+
 class _NameTable(dict):
-    """name -> _Var, each name parsed, and given the next slot, on its first
-    lookup."""
+    """name -> _Var, each name read by ``_read_name``, and given the next
+    slot, on its first lookup."""
 
     def __missing__(self, name: str) -> _Var:
         global _GUARD, _DECODER
-        if not _IS_NAME(name):
-            raise ValueError(f"not a name token {_NAME_TOKEN}: {name!r}")
-        m = _NAME_RE.match(name)
-        if m is None:
-            parsed = ((9, 0, name), 1, name, None, name)
-        else:
-            stem, digits = m.groups()
-            if digits.startswith("0"):
-                raise ValueError(f"variable index with a leading zero: {name!r}")
-            index = int(digits) if digits else None
-            parsed = (
-                (_STEM_ORDER.get(stem, 8), index or 0, stem),
-                index if stem == "c" and digits else 1,
-                stem,
-                index,
-                f"{stem}_{{{digits}}}" if digits else name,
-            )
-            if parsed[1] > _FIELD:
-                raise ValueError(f"variable weight above {_FIELD}: {name!r}")
+        parsed = _read_name(name)
         with _SLOT_LOCK:
             if name in self:  # another thread gave it a slot first
                 return self[name]
@@ -349,9 +351,6 @@ class Polynomial:
 
     def variables(self) -> tuple[str, ...]:
         return tuple(v for v, _ in mono_pairs(reduce(or_, self._terms, 0)))
-
-    def coefficient(self, mono: Mono) -> int:
-        return self._terms.get(mono, 0)
 
     def weighted_degree(self) -> int:
         """Maximum weighted degree of a term; -1 for the zero polynomial."""
@@ -569,10 +568,6 @@ def var(name: str) -> Polynomial:
     return Polynomial.variable(name)
 
 
-def const(value: int) -> Polynomial:
-    return Polynomial.constant(value)
-
-
 # -- parsing -------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(
@@ -585,7 +580,8 @@ def parse_polynomial(text: str) -> Polynomial:
     joined by ``+`` or ``-``, the first one optionally signed, each a ``*``
     product of integers and names, a name with an optional literal exponent
     ``^e``; blank text is ZERO.  Other text (a parenthesis, ``c1*-c2``,
-    ``--c1``, ``2^3``) is a ValueError before any name is looked up."""
+    ``--c1``, ``2^3``) is a ValueError before any name is looked up, and so
+    is a text with a bad name (``l01``) before any of its names gets a slot."""
     tokens: list[str] = []
     pos = 0
     while m := _TOKEN_RE.match(text, pos):
@@ -619,6 +615,10 @@ def parse_polynomial(text: str) -> Polynomial:
         op, i = tokens[i], i + 1
         if op not in ("+", "-", "*", ""):
             raise ValueError(f"trailing tokens in polynomial text: {tokens[i - 1:-1]}")
+    for _, *pairs in terms:  # every name is checked before any gets a slot
+        for name, _ in pairs:
+            if name not in _VARS:
+                _read_name(name)
     total = ZERO
     for coeff, *pairs in terms:
         term = Polynomial.constant(coeff)

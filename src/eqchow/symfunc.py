@@ -9,7 +9,8 @@ fixed once, here, and everything downstream relies on it.
 A module is one value, ``RepRoots(rank, base, k)``: det^k (x) base for a base
 in ``BASES`` (E, E*, Sym2(E*), Wedge2(E*)).  Its torus characters (``roots``)
 and its label ``det^k*base`` are derived from those three fields, and
-``build_roots`` is the one parser of labels.
+``build_roots`` is the one parser of labels; it reads exactly what ``label``
+writes.
 
 ``chern_polynomial`` is the one owner of a module's total Chern polynomial
 c_H(V) = prod (H + m) over its roots m, in c1..cn.  It never leaves
@@ -138,10 +139,6 @@ class RepRoots(Record):
     def label(self) -> str:
         return f"det^{self.k}*{self.base}" if self.k else self.base
 
-    @property
-    def dimension(self) -> int:
-        return len(self.roots)
-
 
 @lru_cache(maxsize=None)
 def _module_roots(module: RepRoots) -> tuple[Polynomial, ...]:
@@ -164,8 +161,9 @@ _DESCRIPTOR_RE = re.compile(
 
 def build_roots(n: int, descriptor: str) -> RepRoots:
     """The module named by a descriptor: one of ``BASES``, optionally prefixed
-    with ``det^k*``; spaces are ignored.  The one parser of module labels."""
-    m = _DESCRIPTOR_RE.match(descriptor.replace(" ", ""))
+    with ``det^k*``, exactly as ``RepRoots.label`` writes it.  The one parser
+    of module labels."""
+    m = _DESCRIPTOR_RE.match(descriptor)
     if m is None:
         raise UnsupportedModule(f"unsupported module descriptor: {descriptor!r}")
     return RepRoots(n, m.group(2), int(m.group(1) or 0))

@@ -7,7 +7,7 @@ import pickle
 import pytest
 
 from eqchow.ideal import GradedIdeal, GradedPiece, IdealComparison, compare_up_to
-from eqchow.pipeline import AlphaFamily, RingPresentation, alpha_family, m01
+from eqchow.pipeline import RingPresentation, m01
 from eqchow.poly import Record, StructuredFraction, make_mono, var
 from eqchow.symfunc import RepRoots, UnsupportedModule
 from eqchow.verify import Claim
@@ -44,11 +44,6 @@ SAMPLES = {
         ),
         "max_degree",
         5,
-    ),
-    "AlphaFamily": (
-        lambda: AlphaFamily(2, alpha_family(2).polys),
-        "rank",
-        7,
     ),
     "StructuredFraction": (
         lambda: StructuredFraction.make(var("l1"), [var("l1") - var("l2")]),
@@ -148,8 +143,6 @@ def test_repr_names_the_fields_and_hides_the_audit_trail():
 def test_replace_validates_again():
     with pytest.raises(UnsupportedModule):
         RepRoots(3, "E*").replace(rank=1)
-    with pytest.raises(ValueError):
-        alpha_family(3).replace(polys=tuple(reversed(alpha_family(3).polys)))
 
 
 def test_equal_modules_share_one_root_tuple():

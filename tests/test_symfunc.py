@@ -16,7 +16,6 @@ from eqchow.poly import (
     ONE,
     ZERO,
     Polynomial,
-    const,
     exact_divide,
     make_mono,
     mono_exponents,
@@ -68,7 +67,7 @@ class TestBuildRoots:
     def test_sym2_rank3(self):
         roots = build_roots(3, "Sym2(E*)")
         expected = {2 * l1, 2 * l2, 2 * l3, l1 + l2, l1 + l3, l2 + l3}
-        assert set(roots.roots) == expected and roots.dimension == 6
+        assert set(roots.roots) == expected and len(roots.roots) == 6
 
     def test_dual_standard_rank3(self):
         assert set(build_roots(3, "E*").roots) == {l1, l2, l3}
@@ -87,9 +86,9 @@ class TestBuildRoots:
 
     def test_dimensions(self):
         for n in range(2, 7):
-            assert build_roots(n, "E*").dimension == n
-            assert build_roots(n, "Sym2(E*)").dimension == n * (n + 1) // 2
-            assert build_roots(n, "Wedge2(E*)").dimension == n * (n - 1) // 2
+            assert len(build_roots(n, "E*").roots) == n
+            assert len(build_roots(n, "Sym2(E*)").roots) == n * (n + 1) // 2
+            assert len(build_roots(n, "Wedge2(E*)").roots) == n * (n - 1) // 2
 
     def test_label_is_the_descriptor(self):
         for desc in ("E", "Sym2(E*)", "det^2*Wedge2(E*)", "det^-1*E*"):
@@ -101,6 +100,12 @@ class TestBuildRoots:
             build_roots(3, "Sym3(E*)")
         with pytest.raises(UnsupportedModule):
             build_roots(1, "E*")
+
+    @pytest.mark.parametrize("label", ["Sym2 (E*)", "det^1 *E", " E*"])
+    def test_a_label_with_a_space_is_unsupported(self, label):
+        # a label is read exactly as ``RepRoots.label`` writes it
+        with pytest.raises(UnsupportedModule):
+            build_roots(3, label)
 
     def test_module_is_rank_base_and_twist(self):
         assert RepRoots.__slots__ == ("rank", "base", "k")
@@ -336,7 +341,7 @@ class TestTotalChernPoly:
 def _power_sums(e, top):
     """p_0..p_top of the roots whose elementary symmetric functions are
     ``e`` (e[0] = 1, one more entry than roots), by Newton's identities."""
-    p = [const(len(e) - 1)]
+    p = [Polynomial.constant(len(e) - 1)]
     for m in range(1, top + 1):
         s = e[m] * ((-1) ** (m - 1) * m) if m < len(e) else ZERO
         for j in range(1, min(m, len(e))):
@@ -374,7 +379,7 @@ def chern_polynomial_by_newton(module):
     """c_H of an untwisted Sym2(E*) or Wedge2(E*) by Newton's plethysm."""
     sign = 1 if module.base == "Sym2(E*)" else -1
     dual = [ci * (-1) ** i for i, ci in enumerate(chern_classes(module.rank))]
-    e = _elementary(_square_power_sums(_power_sums(dual, module.dimension), sign))
+    e = _elementary(_square_power_sums(_power_sums(dual, len(module.roots)), sign))
     d = len(e) - 1
     return sum((e[i] * H ** (d - i) for i in range(d + 1)), start=ZERO)
 
@@ -425,7 +430,7 @@ class TestChernPolynomial:
         module = RepRoots(4, base, 1)
         right = chern_polynomial(module)
         symfunc._check_at_roots(module, right)
-        wrong = right + 2 * c2 * c1 ** (module.dimension - 2)
+        wrong = right + 2 * c2 * c1 ** (len(module.roots) - 2)
         with pytest.raises(ArithmeticError, match="disagrees with its roots"):
             symfunc._check_at_roots(module, wrong)
 
