@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .ideal import (
     DegreeBoundTooLow,
     GradedIdeal,
-    GradedPiece,
     IntegerLattice,
     NotHomogeneous,
     compare_up_to,
@@ -64,7 +63,6 @@ from .symfunc import (
 __all__ = [
     "DegreeBoundTooLow",
     "GradedIdeal",
-    "GradedPiece",
     "IntegerLattice",
     "InternalInconsistency",
     "NotDivisible",

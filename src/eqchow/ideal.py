@@ -197,17 +197,6 @@ class IntegerLattice:
         return canon[0]
 
 
-class GradedPiece(Record):
-    """Degree-d slice of an ideal: monomial basis plus the HNF of the lattice
-    of ideal elements in that degree."""
-
-    __slots__ = ("degree", "basis", "hnf")
-
-    @property
-    def rank(self) -> int:
-        return len(self.hnf)
-
-
 class GradedIdeal:
     """Homogeneous ideal given by generators in a weighted polynomial ring."""
 
@@ -282,12 +271,6 @@ class GradedIdeal:
             self._lattices[degree] = lat, index
         return self._lattices[degree][0]
 
-    def graded_piece(self, degree: int) -> GradedPiece:
-        if degree < 0:
-            raise ValueError("degree must be non-negative")
-        basis = monomials_of_degree(self.variables, degree)
-        return GradedPiece(degree, basis, self.lattice(degree).hnf())
-
     def contains(self, p: Polynomial) -> bool:
         """Exact ideal membership for a homogeneous polynomial."""
         if not p:
@@ -318,14 +301,14 @@ class GradedIdeal:
         self.require_degree_bound(max_degree)
         kept: list[tuple[Polynomial, int]] = []
         for d in range(self.max_generator_degree() + 1):
-            piece = self.graded_piece(d)
-            if not piece.hnf:
+            hnf = self.lattice(d).hnf()
+            if not hnf:
                 continue
-            basis = piece.basis
+            basis = monomials_of_degree(self.variables, d)
             index = self._lattices[d][1]
             partial = IntegerLattice(len(basis))
             self._span(partial, kept, d, index)
-            for row in piece.hnf:
+            for row in hnf:
                 red = partial.reduce(row)
                 if any(red):
                     g = Polynomial({basis[i]: c for i, c in enumerate(red) if c})
@@ -390,19 +373,19 @@ def compare_pieces(lhs: GradedIdeal, rhs: GradedIdeal, max_degree: int) -> Ideal
     per_degree: list[dict] = []
     first_mismatch: int | None = None
     for d in range(max_degree + 1):
-        a = lhs.graded_piece(d)
-        b = rhs.graded_piece(d)
-        if a.hnf == b.hnf:
-            per_degree.append({"degree": d, "equal": True, "rank": a.rank})
+        a, b = lhs.lattice(d).hnf(), rhs.lattice(d).hnf()
+        if a == b:
+            per_degree.append({"degree": d, "equal": True, "rank": len(a)})
         else:
             first_mismatch = d
+            basis = monomials_of_degree(lhs.variables, d)
             per_degree.append(
                 {
                     "degree": d,
                     "equal": False,
-                    "basis": [mono_str(m) for m in a.basis],
-                    "lhs_hnf": [list(r) for r in a.hnf],
-                    "rhs_hnf": [list(r) for r in b.hnf],
+                    "basis": [mono_str(m) for m in basis],
+                    "lhs_hnf": [list(r) for r in a],
+                    "rhs_hnf": [list(r) for r in b],
                 }
             )
             break

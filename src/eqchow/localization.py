@@ -107,10 +107,10 @@ def _localize(n: int, r: int, point_class, factor: Polynomial = ONE) -> Polynomi
         )
         for j in range(n)
     )
-    if not total.is_polynomial():
+    if total.denominator:
         raise InternalInconsistency(f"localization sum kept a denominator: {total}")
     try:
-        return symmetric_to_chern(total.as_polynomial() * factor, n)
+        return symmetric_to_chern(total.numerator * factor, n)
     except NotSymmetric as exc:
         raise InternalInconsistency(f"localization sum is not symmetric: {exc}")
 

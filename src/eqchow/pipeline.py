@@ -61,18 +61,6 @@ class RingPresentation(Record):
 
     __slots__ = ("relations", "provenance", "max_degree", "verification", "simplified")
 
-    def __init__(
-        self,
-        relations: GradedIdeal,
-        provenance: tuple[dict, ...],
-        max_degree: int | None = None,
-        verification: tuple[dict, ...] = (),
-        simplified: tuple[Polynomial, ...] | None = None,
-    ):
-        Record.__init__(
-            self, relations, provenance, max_degree, verification, simplified
-        )
-
     @property
     def variables(self) -> tuple[tuple[str, int], ...]:
         return tuple((v, var_weight(v)) for v in self.relations.variables)
@@ -126,11 +114,11 @@ def _require(name: str, cmp: IdealComparison) -> dict:
 
 def _after(pres, step: str, params: dict, relations: GradedIdeal, simplified=None):
     """The presentation after one step: new relations, the step appended to
-    the provenance log."""
+    the provenance log; no bound and no checks yet."""
     provenance = ({"step": step, **params},)
     if pres is not None:
         provenance = pres.provenance + provenance
-    return RingPresentation(relations, provenance, simplified=simplified)
+    return RingPresentation(relations, provenance, None, (), simplified)
 
 
 def _rank(pres: RingPresentation) -> int:

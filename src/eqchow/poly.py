@@ -317,10 +317,6 @@ class Polynomial:
     # -- construction -----------------------------------------------------
 
     @staticmethod
-    def variable(name: str) -> Polynomial:
-        return _trusted({_VARS[name].unit: 1})
-
-    @staticmethod
     def constant(value: int) -> Polynomial:
         return Polynomial({_EMPTY_MONO: int(value)})
 
@@ -565,7 +561,8 @@ ONE = Polynomial.constant(1)
 
 
 def var(name: str) -> Polynomial:
-    return Polynomial.variable(name)
+    """The variable ``name``; its first use gives the name a slot."""
+    return _trusted({_VARS[name].unit: 1})
 
 
 # -- parsing -------------------------------------------------------------------
@@ -581,7 +578,9 @@ def parse_polynomial(text: str) -> Polynomial:
     product of integers and names, a name with an optional literal exponent
     ``^e``; blank text is ZERO.  Other text (a parenthesis, ``c1*-c2``,
     ``--c1``, ``2^3``) is a ValueError before any name is looked up, and so
-    is a text with a bad name (``l01``) before any of its names gets a slot."""
+    is a text with a bad name (``l01``) before any of its names gets a slot;
+    a term whose exponents of one name sum to the field limit is the
+    OverflowError of the product, also before any name gets a slot."""
     tokens: list[str] = []
     pos = 0
     while m := _TOKEN_RE.match(text, pos):
@@ -615,15 +614,19 @@ def parse_polynomial(text: str) -> Polynomial:
         op, i = tokens[i], i + 1
         if op not in ("+", "-", "*", ""):
             raise ValueError(f"trailing tokens in polynomial text: {tokens[i - 1:-1]}")
-    for _, *pairs in terms:  # every name is checked before any gets a slot
-        for name, _ in pairs:
+    for _, *pairs in terms:  # every name and exponent is checked before any slot
+        exps: dict[str, int] = {}
+        for name, exp in pairs:
             if name not in _VARS:
                 _read_name(name)
+            exps[name] = exps.get(name, 0) + exp
+            if exps[name] >= _LIMIT:
+                raise _overflow()
     total = ZERO
     for coeff, *pairs in terms:
         term = Polynomial.constant(coeff)
         for name, exp in pairs:
-            term = term * Polynomial.variable(name) ** exp
+            term = term * var(name) ** exp
         total = total + term
     return total
 
@@ -819,14 +822,6 @@ class StructuredFraction(Record):
         if not num:
             return StructuredFraction(ZERO, ())
         return StructuredFraction(num, _ordered(counts))
-
-    def is_polynomial(self) -> bool:
-        return not self.denominator
-
-    def as_polynomial(self) -> Polynomial:
-        if self.denominator:
-            raise ValueError("fraction has a nontrivial denominator")
-        return self.numerator
 
     def reduced(self) -> StructuredFraction:
         """Cancel denominator forms that divide the numerator, one at a time;

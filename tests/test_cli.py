@@ -381,6 +381,15 @@ class TestGrammar:
     def test_version(self, capsys):
         assert capture(capsys, ["--version"]) == (0, "eqchow 0.1.0\n", "")
 
+    def test_the_package_metadata_reads_the_one_version_string(self):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+        with open(BENCH_EXPECTED.parents[1] / "pyproject.toml", "rb") as f:
+            project = tomllib.load(f)
+        assert "version" not in project["project"]
+        assert project["project"]["dynamic"] == ["version"]
+        version = project["tool"]["setuptools"]["dynamic"]["version"]
+        assert version == {"attr": "eqchow.__version__"}
+
 
 class TestFormats:
     def test_m01_latex_contains_quotient(self, capsys):

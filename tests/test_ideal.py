@@ -59,37 +59,36 @@ class TestMonomialEnumeration:
 class TestGradedPiece:
     def test_degree3_is_four_times_c3(self):
         ideal = GradedIdeal(CV3, THEOREM_IDEAL)
-        piece = ideal.graded_piece(3)
-        assert [mono_str(m) for m in piece.basis] == ["c1^3", "c1*c2", "c3"]
-        assert piece.hnf == ((0, 0, 4),)
+        basis = monomials_of_degree(CV3, 3)
+        assert [mono_str(m) for m in basis] == ["c1^3", "c1*c2", "c3"]
+        assert ideal.lattice(3).hnf() == ((0, 0, 4),)
 
     def test_zero_ideal(self):
         ideal = GradedIdeal(CV3, [])
         for d in range(6):
-            assert ideal.graded_piece(d).hnf == ()
+            assert ideal.lattice(d).hnf() == ()
 
     def test_degree5_hermite_structure(self):
         # unit pivot on c1^2*c3 (absorbing 2*c1*c1c3), pivot 4 on c2*c3
         ideal = GradedIdeal(CV3, THEOREM_IDEAL)
-        piece = ideal.graded_piece(5)
-        basis = [mono_str(m) for m in piece.basis]
+        basis = [mono_str(m) for m in monomials_of_degree(CV3, 5)]
         assert basis == ["c1^5", "c1^3*c2", "c1^2*c3", "c1*c2^2", "c2*c3"]
-        assert piece.hnf == ((0, 0, 1, 0, 0), (0, 0, 0, 0, 4))
+        assert ideal.lattice(5).hnf() == ((0, 0, 1, 0, 0), (0, 0, 0, 0, 4))
 
     def test_degree5_against_bruteforce_span(self):
         # every HNF row must be an integer combination of the raw products,
         # and conversely every raw product reduces into the lattice
         ideal = GradedIdeal(CV3, THEOREM_IDEAL)
-        piece = ideal.graded_piece(5)
+        basis = monomials_of_degree(CV3, 5)
         products = []
-        index = {m: i for i, m in enumerate(piece.basis)}
+        index = {m: i for i, m in enumerate(basis)}
         for g in ideal.generators:
             for m in monomials_of_degree(CV3, 5 - g.weighted_degree()):
-                vec = [0] * len(piece.basis)
+                vec = [0] * len(basis)
                 for mono, coeff in g.mono_shift(m).terms.items():
                     vec[index[mono]] = coeff
                 products.append(vec)
-        for row in piece.hnf:
+        for row in ideal.lattice(5).hnf():
             found = False
             for combo in itertools.product(range(-4, 5), repeat=len(products)):
                 if all(
@@ -188,7 +187,13 @@ class TestEqualUpTo:
         assert by_degree[3]["equal"] is False
         assert by_degree[3]["lhs_hnf"] == [[0, 0, 2]]
         assert by_degree[3]["rhs_hnf"] == [[0, 0, 4]]
+        assert by_degree[3]["basis"] == ["c1^3", "c1*c2", "c3"]
         assert by_degree[2]["equal"] is True
+        # an equal degree carries its rank: c1 spans degree 1, c1^2 degree 2
+        wider = compare_pieces(
+            GradedIdeal(CV3, [c1, 2 * c3]), GradedIdeal(CV3, [c1, 4 * c3]), 4
+        )
+        assert [e.get("rank") for e in wider.per_degree] == [0, 1, 1, None]
 
     def test_ambient_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -428,7 +433,7 @@ class TestLatticeInvariants:
             rng.shuffle(shuffled)
             other = GradedIdeal(CV3, shuffled)
             for d in range(9):
-                assert other.graded_piece(d).hnf == base.graded_piece(d).hnf
+                assert other.lattice(d).hnf() == base.lattice(d).hnf()
 
     def test_membership_against_bruteforce(self):
         rng = random.Random(44)
@@ -649,7 +654,7 @@ def test_threads_share_one_ideal():
         probes[d].append(g * cofactor + (noise if rng.random() < 0.5 else ZERO))
     single = GradedIdeal(CV3, gens)
     expected = {
-        d: (single.graded_piece(d), [single.contains(p) for p in ps])
+        d: (single.lattice(d).hnf(), [single.contains(p) for p in ps])
         for d, ps in probes.items()
     }
     assert any(any(a) and not all(a) for _, a in expected.values())
@@ -659,7 +664,7 @@ def test_threads_share_one_ideal():
         start.wait(timeout=30)
         for d in order:
             answers.append(
-                (d, [shared.contains(p) for p in probes[d]], shared.graded_piece(d))
+                (d, [shared.contains(p) for p in probes[d]], shared.lattice(d).hnf())
             )
 
     interval = sys.getswitchinterval()

@@ -6,9 +6,9 @@ import pickle
 
 import pytest
 
-from eqchow.ideal import GradedIdeal, GradedPiece, IdealComparison, compare_up_to
+from eqchow.ideal import GradedIdeal, IdealComparison, compare_up_to
 from eqchow.pipeline import RingPresentation, m01
-from eqchow.poly import Record, StructuredFraction, make_mono, var
+from eqchow.poly import Record, StructuredFraction, var
 from eqchow.symfunc import RepRoots, UnsupportedModule
 from eqchow.verify import Claim
 
@@ -24,13 +24,6 @@ def _other_check():
 # Per class: a factory called twice for two equal but distinct values, and
 # one field with a different value for ``replace``.
 SAMPLES = {
-    "GradedPiece": (
-        lambda: GradedPiece(
-            2, (make_mono([("c1", 2)]), make_mono([("c2", 1)])), ((1, 0),)
-        ),
-        "hnf",
-        ((0, 1),),
-    ),
     "IdealComparison": (
         lambda: IdealComparison(False, 3, 2, [{"degree": 0, "equal": True}]),
         "first_mismatch",
@@ -41,6 +34,8 @@ SAMPLES = {
             GradedIdeal(["c1", "c2"], [var("c1") ** 2]),
             ({"step": "projective_bundle", "rank": 2},),
             4,
+            (),
+            None,
         ),
         "max_degree",
         5,

@@ -215,10 +215,11 @@ class TestSymmetricToChern:
     def test_errors_name_the_leading_term(self, monkeypatch):
         with pytest.raises(NotSymmetric, match=r"leading term l1\^2\*l2\Z"):
             symmetric_to_chern(l1**2 * l2, 3)
-        # a product that cancels nothing leaves the leading term in place
+        # a product that cancels nothing leaves the leading term in place; a
+        # single monomial leads in every slot order
         monkeypatch.setattr(symfunc, "_e_product", lambda n, powers: ZERO)
-        with pytest.raises(ArithmeticError, match=r"leading term l2 did not cancel"):
-            symmetric_to_chern(l1 + l2, 2)
+        with pytest.raises(ArithmeticError, match=r"leading term l1\*l2 did not cancel"):
+            symmetric_to_chern(l1 * l2, 2)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_incomplete_orbit_is_not_symmetric(self, n):
@@ -544,17 +545,23 @@ print(json.dumps(out))
 """
 
 
-def _run_with_history(names):
+def _run_fresh(script, *args):
+    """The standard output of ``script`` run with ``args`` in a fresh
+    interpreter, which must exit cleanly."""
     src = os.path.dirname(os.path.dirname(eqchow.__file__))
     proc = subprocess.run(
-        [sys.executable, "-c", HISTORY_RUN, *names],
+        [sys.executable, "-c", script, *args],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=src),
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    return proc.stdout
+
+
+def _run_with_history(names):
+    return json.loads(_run_fresh(HISTORY_RUN, *names))
 
 
 def test_results_do_not_depend_on_the_slot_history():
@@ -568,3 +575,24 @@ def test_results_do_not_depend_on_the_slot_history():
     assert len(default["checks"]) == 4 * 5 * 5 + 4 * 5
     assert all(default["checks"]) and all(reverse["checks"])
     assert reverse["values"] == default["values"]
+
+
+# Packs the names after the test file's path first, then loads this file and
+# runs the error-message test in that interpreter.
+LEADING_TERM_RUN = """
+import importlib.util, sys
+import pytest
+from eqchow.poly import var
+for name in sys.argv[2:]:
+    var(name)
+spec = importlib.util.spec_from_file_location("fresh_test_symfunc", sys.argv[1])
+tests = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tests)
+with pytest.MonkeyPatch.context() as mp:
+    tests.TestSymmetricToChern().test_errors_name_the_leading_term(mp)
+"""
+
+
+@pytest.mark.parametrize("names", [("l1", "l2"), ("l2", "l1")], ids=["l1-first", "l2-first"])
+def test_leading_term_messages_do_not_depend_on_the_slot_order(names):
+    _run_fresh(LEADING_TERM_RUN, __file__, *names)
