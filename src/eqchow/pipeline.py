@@ -18,11 +18,13 @@ variables; the excision logs it, and the redundancy step logs the ``index`` of
 the bundle relation it finds and drops.  The excision accepts only the ring of
 P(Sym2(E*)), untwisted, the target of the squaring embedding.
 Every pipeline records a replayable provenance log (step name + parameters).
-``STEPS`` maps each step name to the one function that performs it, for the
-pipelines and for ``replay_provenance``, which rebuilds the presentation
-bit-exactly and checks each step against its own log entry, so a logged field
-the step derives rather than takes must come back unchanged.  Every pipeline
-runs its verification checks as it goes.  A failed check raises
+``STEPS`` is the one step table: each row gives the function that performs a
+step, the logged fields it takes as parameters with their JSON types, and
+whether the step opens a log.  ``replay_provenance`` folds over it to rebuild
+the presentation bit-exactly, and requires each step to log exactly the entry
+it was replayed from, types included, so a logged field the step derives
+rather than takes must come back unchanged.  Every pipeline runs its
+verification checks as it goes.  A failed check raises
 VerificationFailure carrying the full per-degree lattice report; mismatches
 are data, not crashes.
 """
@@ -106,10 +108,9 @@ def _require(name: str, cmp: IdealComparison) -> dict:
 
 # -- construction steps ---------------------------------------------------------
 #
-# Each step is a function ``step(pres, **params) -> RingPresentation`` whose
-# keyword parameters are exactly the ones it records in the provenance log, so
-# ``replay_provenance`` is a fold over ``STEPS``.  The first step of a log
-# ignores ``pres``.
+# A step that opens a log is a function ``step(**params)``; every other step
+# is ``step(pres, **params)``.  Either returns the new presentation with its
+# own entry appended to the provenance log.
 
 
 def _after(pres, step: str, params: dict, relations: GradedIdeal, simplified=None):
@@ -140,11 +141,6 @@ def projective_bundle(module: RepRoots) -> RingPresentation:
         {"module": module.label, "rank": module.rank, "hyperplane": HYPERPLANE},
         GradedIdeal(c_vars(module.rank) + (HYPERPLANE,), [chern_polynomial(module)]),
     )
-
-
-def _projective_bundle_step(pres, module: str, rank: int):
-    """``projective_bundle`` from its logged parameters (a log's first step)."""
-    return projective_bundle(build_roots(rank, module))
 
 
 def excise_veronese(pres: RingPresentation, method: str) -> RingPresentation:
@@ -221,7 +217,7 @@ def _simplify_generators(
     )
 
 
-def _alpha_relations(pres, rank: int, k: int) -> RingPresentation:
+def _alpha_relations(rank: int, k: int) -> RingPresentation:
     """The orthogonal-type relations: the alpha family at H = k*c1."""
     alphas = [torsor_substitute(a, k) for a in alpha_family(rank)]
     return _after(
@@ -393,7 +389,7 @@ def orthogonal(n: int, k: int, max_degree: int | None = None) -> RingPresentatio
     if n < 2 or k < 0:
         raise ValueError("need n >= 2 and k >= 0")
 
-    pres = _alpha_relations(None, n, k)
+    pres = _alpha_relations(n, k)
     bound = _degree_bound(pres, "orthogonal", max_degree)
     variables = pres.relations.variables
     checks = []
@@ -420,69 +416,66 @@ def orthogonal(n: int, k: int, max_degree: int | None = None) -> RingPresentatio
 
 # -- provenance replay -----------------------------------------------------------------
 
+# step name: (function, {logged parameter: its JSON type}, whether it opens a log)
 STEPS = {
-    "projective_bundle": _projective_bundle_step,
-    "excise_veronese": excise_veronese,
-    "torsor_quotient": torsor_quotient,
-    "drop_redundant_bundle_relation": _drop_redundant_bundle_relation,
-    "simplify_generators": _simplify_generators,
-    "alpha_relations": _alpha_relations,
+    "projective_bundle": (
+        lambda module, rank: projective_bundle(build_roots(rank, module)),
+        {"module": str, "rank": int},
+        True,
+    ),
+    "excise_veronese": (excise_veronese, {"method": str}, False),
+    "torsor_quotient": (torsor_quotient, {"k": int}, False),
+    "drop_redundant_bundle_relation": (_drop_redundant_bundle_relation, {}, False),
+    "simplify_generators": (
+        _simplify_generators,
+        {"max_degree": int, "record_only": bool},
+        False,
+    ),
+    "alpha_relations": (_alpha_relations, {"rank": int, "k": int}, True),
 }
-# The steps that start a log; every other step transforms the one before it.
-FIRST_STEPS = frozenset({"projective_bundle", "alpha_relations"})
-# The JSON types a logged field may have (exact types, so a bool is no int)
-PARAM_TYPES = {
-    "hyperplane": (str,),
-    "rank": (int,),
-    "k": (int,),
-    "max_degree": (int,),
-    "index": (int, type(None)),
-    "module": (str,),
-    "method": (str,),
-    "record_only": (bool,),
-}
+
+
+def _typed(entry: dict) -> dict:
+    """A log entry with each value paired with its exact type, so ``0``,
+    ``False`` and ``0.0`` compare unequal."""
+    return {key: (type(value), value) for key, value in entry.items()}
 
 
 def replay_provenance(steps) -> RingPresentation:
     """Rebuild a presentation from its provenance log by running each logged
     step again, the redundancy containment check included.
 
-    The log must open with one of ``FIRST_STEPS`` and contain no other; each
-    entry is a dict naming a known step, and each logged field has a type in
-    ``PARAM_TYPES``.  The fields that are the step's parameters are passed to
-    it; the others (the hyperplane, the excision rank, the dropped index)
-    are derived by the step.  Each step must log exactly the entry it was
-    replayed from, so a missing, unknown or foreign field is rejected.  Any
-    malformed log raises ValueError.  Only construction steps participate;
-    verification summaries are not part of provenance.  The result's
-    relations are bit-exact equal to the original presentation's.
+    Each entry is a dict naming a step of ``STEPS``; the log opens with a
+    step whose row opens a log and contains no other.  Each parameter the
+    row lists must be logged with exactly its type, and exactly those are
+    passed to the step.  The entry the step then logs must equal the given
+    entry field by field, types included: that covers the fields the step
+    derives (the hyperplane, the excision rank, the dropped index) and
+    rejects a missing, unknown or foreign field.  Any malformed log raises
+    ValueError.  Only construction steps participate; verification summaries
+    are not part of provenance.  The result's relations are bit-exact equal
+    to the original presentation's.
     """
-    from inspect import signature  # only replay needs it; the CLI start-up skips it
-
     pres: RingPresentation | None = None
     for step in steps:
         if not isinstance(step, dict):
             raise ValueError(f"provenance entry {step!r} is not a dict")
-        params = dict(step)
-        name = params.pop("step", None)
+        name = step.get("step")
         if not isinstance(name, str) or name not in STEPS:
             raise ValueError(f"unknown provenance step {name!r} in {step}")
-        if (pres is None) != (name in FIRST_STEPS):
+        fn, param_types, opens = STEPS[name]
+        if (pres is None) != opens:
             where = "start" if pres is None else "follow another step"
             raise ValueError(f"step {name!r} cannot {where} a provenance log")
-        for key, value in params.items():
-            if type(value) not in PARAM_TYPES.get(key, ()):
+        for key, expected in param_types.items():
+            if type(step.get(key)) is not expected:
                 raise ValueError(
-                    f"step {name!r} logs {key} = {value!r}: unknown field or wrong type"
+                    f"step {name!r} needs {key} of type {expected.__name__}, "
+                    f"not {step.get(key)!r}"
                 )
-        sig = signature(STEPS[name])
-        params = {k: v for k, v in params.items() if k in sig.parameters}
-        try:
-            sig.bind(pres, **params)
-        except TypeError as exc:
-            raise ValueError(f"step {name!r} has wrong parameters: {exc}") from None
-        pres = STEPS[name](pres, **params)
-        if pres.provenance[-1] != step:
+        params = {key: step[key] for key in param_types}
+        pres = fn(**params) if opens else fn(pres, **params)
+        if _typed(pres.provenance[-1]) != _typed(step):
             raise ValueError(
                 f"step {name!r} logs {pres.provenance[-1]}, not its entry {step}"
             )

@@ -367,15 +367,18 @@ def oracle_equivalence() -> int:
     return checked
 
 
+# Each suite verify-all runs, by name, with the fewest cases its claim
+# accepts: simplify-preserves-ideal is bounded by construction cost, the other
+# suites run the full randomized volume.
 ALL_SUITES = {
-    "ring-axioms": ring_axioms,
-    "exact-divide-roundtrip": exact_divide_roundtrip,
-    "fraction-sum-permutation-invariance": sum_fractions_permutation_invariance,
-    "symmetric-rewrite-roundtrip": symmetric_roundtrip,
-    "symmetric-rewrite-homomorphism": symmetric_homomorphism,
-    "fixed-point-restriction-consistency": restriction_consistency,
-    "hnf-idempotence-order-invariance": hnf_properties,
-    "contains-vs-bruteforce": contains_vs_bruteforce,
-    "simplify-preserves-ideal": simplify_preserves_ideal,
-    "bundle-relation-membership": pr_ideal_membership,
+    "ring-axioms": (ring_axioms, 200),
+    "exact-divide-roundtrip": (exact_divide_roundtrip, 200),
+    "fraction-sum-permutation-invariance": (sum_fractions_permutation_invariance, 200),
+    "symmetric-rewrite-roundtrip": (symmetric_roundtrip, 200),
+    "symmetric-rewrite-homomorphism": (symmetric_homomorphism, 200),
+    "fixed-point-restriction-consistency": (restriction_consistency, 200),
+    "hnf-idempotence-order-invariance": (hnf_properties, 200),
+    "contains-vs-bruteforce": (contains_vs_bruteforce, 200),
+    "simplify-preserves-ideal": (simplify_preserves_ideal, 50),
+    "bundle-relation-membership": (pr_ideal_membership, 200),
 }

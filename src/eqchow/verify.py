@@ -174,15 +174,8 @@ CLAIMS = (
         informational=True,
     ),
     *(
-        # simplify-preserves-ideal is bounded by construction cost, the other
-        # suites run the full randomized volume
-        Claim(
-            f"property-{name}",
-            9,
-            _property(fn),
-            min_cases=50 if name == "simplify-preserves-ideal" else 200,
-        )
-        for name, fn in properties.ALL_SUITES.items()
+        Claim(f"property-{name}", 9, _property(fn), min_cases=fewest)
+        for name, (fn, fewest) in properties.ALL_SUITES.items()
     ),
 )
 

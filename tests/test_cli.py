@@ -508,8 +508,8 @@ import json
 print(json.dumps([code, sorted(imported - started), sorted(ran - imported)]))
 """
 # Modules no pipeline command runs: the claim table and property suites of
-# verify-all, the standard modules only replay and a dataclass would need, and
-# argparse with the gettext and locale modules it loads.
+# verify-all, the standard modules `inspect` and `dataclasses`, which no
+# command needs, and argparse with the gettext and locale modules it loads.
 NOT_AT_START_UP = {
     "dataclasses",
     "inspect",

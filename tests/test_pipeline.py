@@ -10,6 +10,7 @@ from eqchow import pipeline
 from eqchow.cli import run
 from eqchow.ideal import DegreeBoundTooLow, GradedIdeal, compare_up_to
 from eqchow.pipeline import (
+    VerificationFailure,
     alpha_family,
     chern_series_divide,
     default_degree_bound,
@@ -201,6 +202,7 @@ class TestReplayValidation:
         "bool-rank": (1, "rank", True),
         "list-step": (1, "step", ["excise_veronese"]),
         "string-k": (2, "k", "1"),
+        "float-k": (2, "k", 1.0),
         "string-max-degree": (3, "max_degree", "12"),
         "int-record-only": (3, "record_only", 0),
     }
@@ -216,7 +218,10 @@ class TestReplayValidation:
             "none-entry",
             "excision-rank-2",
             "excision-rank-missing",
+            "excision-rank-float",
+            "int-key",
             "bool-index",
+            "false-index",
             "index-out-of-range",
             *WRONG_TYPES,
         ],
@@ -239,12 +244,17 @@ class TestReplayValidation:
             log[1]["rank"] = 2
         elif malform == "excision-rank-missing":
             del log[1]["rank"]
+        elif malform == "excision-rank-float":
+            log[1]["rank"] = 3.0
+        elif malform == "int-key":
+            log[1][1] = "H"
         elif malform in self.WRONG_TYPES:
             entry, key, value = self.WRONG_TYPES[malform]
             log[entry][key] = value
         else:
             log = [dict(s) for s in reduced_quadrics(3, 0).provenance]
-            log[3]["index"] = True if malform == "bool-index" else 99
+            # the real index is 0, which equals False under plain ==
+            log[3]["index"] = {"bool-index": True, "false-index": False}.get(malform, 99)
         with pytest.raises(ValueError):
             replay_provenance(log)
 
@@ -336,6 +346,20 @@ class TestReducedQuadrics:
             ]
             assert entry["index"] == expected
             assert expected == (None if (n, k) == (2, 1) else 0)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_bundle_relation_outside_a_wrong_excision_fails_the_drop(
+        self, monkeypatch, n, k
+    ):
+        # with every excision relation doubled, the ideal of the others
+        # misses the bundle relation at odd k (at even k it still holds it),
+        # so the containment check before the drop must fail
+        push = pipeline.closed_form_pushforward
+        monkeypatch.setattr(pipeline, "closed_form_pushforward", lambda n, r: 2 * push(n, r))
+        with pytest.raises(VerificationFailure) as failure:
+            reduced_quadrics(n, k)
+        assert failure.value.report["name"] == "drop_redundant_bundle_relation"
 
     def test_rank2_twist1_degenerates_to_free_ring(self):
         pres = reduced_quadrics(2, 1)
