@@ -30,7 +30,6 @@ from .pipeline import (
     VerificationFailure,
     alpha_family,
     chern_series_divide,
-    default_degree_bound,
     m01,
     orthogonal,
     projective_bundle,
@@ -81,7 +80,6 @@ __all__ = [
     "chern_series_divide",
     "closed_form_pushforward",
     "compare_up_to",
-    "default_degree_bound",
     "e_top",
     "exact_divide",
     "excise_veronese",

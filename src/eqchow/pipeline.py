@@ -19,14 +19,13 @@ the bundle relation it finds and drops.  The excision accepts only the ring of
 P(Sym2(E*)), untwisted, the target of the squaring embedding.
 Every pipeline records a replayable provenance log (step name + parameters).
 ``STEPS`` is the one step table: each row gives the function that performs a
-step, the logged fields it takes as parameters with their JSON types, and
-whether the step opens a log.  ``replay_provenance`` folds over it to rebuild
-the presentation bit-exactly, and requires each step to log exactly the entry
-it was replayed from, types included, so a logged field the step derives
-rather than takes must come back unchanged.  Every pipeline runs its
-verification checks as it goes.  A failed check raises
-VerificationFailure carrying the full per-degree lattice report; mismatches
-are data, not crashes.
+step, the logged fields it takes as parameters with their JSON types, and the
+steps it must follow (None if it opens a log).  ``replay_provenance`` folds
+over it to rebuild the presentation bit-exactly, and requires each step to log
+exactly the entry it was replayed from, types included, so a logged field the
+step derives rather than takes must come back unchanged.  Every pipeline runs
+its verification checks as it goes.  A failed check raises VerificationFailure
+carrying the full per-degree lattice report; mismatches are data, not crashes.
 """
 
 from __future__ import annotations
@@ -231,26 +230,14 @@ def _alpha_relations(rank: int, k: int) -> RingPresentation:
 # -- degree bounds ------------------------------------------------------------------
 
 
-def default_degree_bound(kind: str, n: int) -> int:
-    """Certification horizons, printed in every report: the underlying ideal
-    identities hold in all degrees, the artifact certifies a finite range."""
-    if kind == "m01":
-        return 12
-    if kind == "quadrics":
-        return 2 * comb(n, 2) + n
-    if kind == "orthogonal":
-        return 2 * n + 2
-    raise ValueError(f"unknown pipeline kind {kind!r}")
-
-
-def _degree_bound(pres, kind: str, max_degree: int | None) -> int:
-    """The certification bound of a pipeline whose relations are built: the
-    default at the ring's rank unless ``max_degree`` is given, which must
-    reach every generator (checked before the pipeline's costlier checks)."""
-    if max_degree is None:
-        return default_degree_bound(kind, _rank(pres))
-    pres.relations.require_degree_bound(max_degree)
-    return max_degree
+def _degree_bound(pres, default: int, max_degree: int | None) -> int:
+    """The certification bound, ``max_degree`` if given, else the pipeline's
+    ``default``; either is checked to reach every generator before the
+    pipeline's costlier checks.  Every report prints it: the ideal identities
+    hold in all degrees, the artifact certifies a finite range."""
+    bound = default if max_degree is None else max_degree
+    pres.relations.require_degree_bound(bound)
+    return bound
 
 
 def _certified(
@@ -282,7 +269,7 @@ def m01(max_degree: int | None = None) -> RingPresentation:
     pres = projective_bundle(RepRoots(3, "Sym2(E*)"))
     pres = excise_veronese(pres, method="localization")
     pres = torsor_quotient(pres, 1)
-    bound = _degree_bound(pres, "m01", max_degree)
+    bound = _degree_bound(pres, 12, max_degree)
     literal = GradedIdeal(
         pres.relations.variables, [parse_polynomial(t) for t in M01_RELATIONS]
     )
@@ -320,7 +307,7 @@ def reduced_quadrics(
     pres = excise_veronese(pres, method="closed_form")
     pres = torsor_quotient(pres, k)
     pres = _drop_redundant_bundle_relation(pres)
-    bound = _degree_bound(pres, "quadrics", max_degree)
+    bound = _degree_bound(pres, 2 * comb(n, 2) + n, max_degree)
 
     family = quadric_family(n, k)
     targets = {"quadrics-relations-match-generator-family": family}
@@ -390,7 +377,7 @@ def orthogonal(n: int, k: int, max_degree: int | None = None) -> RingPresentatio
         raise ValueError("need n >= 2 and k >= 0")
 
     pres = _alpha_relations(n, k)
-    bound = _degree_bound(pres, "orthogonal", max_degree)
+    bound = _degree_bound(pres, 2 * n + 2, max_degree)
     variables = pres.relations.variables
     checks = []
     if n <= SERIES_CROSS_CHECK_MAX_RANK:
@@ -416,22 +403,27 @@ def orthogonal(n: int, k: int, max_degree: int | None = None) -> RingPresentatio
 
 # -- provenance replay -----------------------------------------------------------------
 
-# step name: (function, {logged parameter: its JSON type}, whether it opens a log)
+# step name: (function, {logged parameter: its JSON type}, the steps an
+# earlier entry must name, or None for a step that opens a log)
 STEPS = {
     "projective_bundle": (
         lambda module, rank: projective_bundle(build_roots(rank, module)),
         {"module": str, "rank": int},
-        True,
+        None,
     ),
-    "excise_veronese": (excise_veronese, {"method": str}, False),
-    "torsor_quotient": (torsor_quotient, {"k": int}, False),
-    "drop_redundant_bundle_relation": (_drop_redundant_bundle_relation, {}, False),
+    "excise_veronese": (excise_veronese, {"method": str}, ()),
+    "torsor_quotient": (torsor_quotient, {"k": int}, ()),
+    "drop_redundant_bundle_relation": (
+        _drop_redundant_bundle_relation,
+        {},
+        ("excise_veronese", "torsor_quotient"),
+    ),
     "simplify_generators": (
         _simplify_generators,
         {"max_degree": int, "record_only": bool},
-        False,
+        (),
     ),
-    "alpha_relations": (_alpha_relations, {"rank": int, "k": int}, True),
+    "alpha_relations": (_alpha_relations, {"rank": int, "k": int}, None),
 }
 
 
@@ -446,15 +438,16 @@ def replay_provenance(steps) -> RingPresentation:
     step again, the redundancy containment check included.
 
     Each entry is a dict naming a step of ``STEPS``; the log opens with a
-    step whose row opens a log and contains no other.  Each parameter the
-    row lists must be logged with exactly its type, and exactly those are
-    passed to the step.  The entry the step then logs must equal the given
-    entry field by field, types included: that covers the fields the step
-    derives (the hyperplane, the excision rank, the dropped index) and
-    rejects a missing, unknown or foreign field.  Any malformed log raises
-    ValueError.  Only construction steps participate; verification summaries
-    are not part of provenance.  The result's relations are bit-exact equal
-    to the original presentation's.
+    step whose row opens a log and contains no other, and every other step
+    comes after the steps its row names.  Each parameter the row lists must
+    be logged with exactly its type, and exactly those are passed to the
+    step.  The entry the step then logs must equal the given entry field by
+    field, types included: that covers the fields the step derives (the
+    hyperplane, the excision rank, the dropped index) and rejects a missing,
+    unknown or foreign field.  Any malformed log raises ValueError.  Only
+    construction steps participate; verification summaries are not part of
+    provenance.  The result's relations are bit-exact equal to the original
+    presentation's.
     """
     pres: RingPresentation | None = None
     for step in steps:
@@ -463,10 +456,12 @@ def replay_provenance(steps) -> RingPresentation:
         name = step.get("step")
         if not isinstance(name, str) or name not in STEPS:
             raise ValueError(f"unknown provenance step {name!r} in {step}")
-        fn, param_types, opens = STEPS[name]
-        if (pres is None) != opens:
+        fn, param_types, needs = STEPS[name]
+        if (pres is None) != (needs is None):
             where = "start" if pres is None else "follow another step"
             raise ValueError(f"step {name!r} cannot {where} a provenance log")
+        if needs and not set(needs) <= {entry["step"] for entry in pres.provenance}:
+            raise ValueError(f"step {name!r} must follow {' and '.join(needs)} steps")
         for key, expected in param_types.items():
             if type(step.get(key)) is not expected:
                 raise ValueError(
@@ -474,7 +469,7 @@ def replay_provenance(steps) -> RingPresentation:
                     f"not {step.get(key)!r}"
                 )
         params = {key: step[key] for key in param_types}
-        pres = fn(**params) if opens else fn(pres, **params)
+        pres = fn(**params) if needs is None else fn(pres, **params)
         if _typed(pres.provenance[-1]) != _typed(step):
             raise ValueError(
                 f"step {name!r} logs {pres.provenance[-1]}, not its entry {step}"

@@ -861,6 +861,10 @@ def sum_fractions(fractions: Iterable[StructuredFraction]) -> StructuredFraction
         for f, m in fraction.denominator:
             lcm[f] = max(lcm.get(f, 0), m)
     total = ZERO
+    # Each numerator, the large factor of a localization sum, is multiplied
+    # once, by its whole missing product.  One form at a time is faster only
+    # on tiny fractions: on veronese_pushforward(7, 6)'s sum it took 0.32 s
+    # against 0.23 s (Python 3.11, 2-core shared VM).
     for fraction in fractions:
         own = dict(fraction.denominator)
         missing = ONE

@@ -83,10 +83,6 @@ def _factorization():
     return bool(image) and image == first * _rhat(), {}
 
 
-def _oracle():
-    return True, {"cases": properties.oracle_equivalence()}
-
-
 def _quadrics():
     ok = True
     for n in range(2, 6):
@@ -163,7 +159,12 @@ CLAIMS = (
     Claim("m01-theorem-presentation", 1, _m01_theorem),
     Claim("pushforward-displays-rank3", 2, _pushforward_displays),
     Claim("hyperplane-relation-factorization-rank3", 3, _factorization),
-    Claim("pushforward-interpolation-oracle", 4, _oracle, min_cases=15),
+    Claim(
+        "pushforward-interpolation-oracle",
+        4,
+        _property(properties.oracle_equivalence),
+        min_cases=15,
+    ),
     Claim("quadrics-presentations", 5, _quadrics),
     Claim("orthogonal-presentations", 6, _orthogonal),
     Claim("alpha-elimination-rank3", 7, _alpha_elimination),

@@ -493,6 +493,29 @@ def test_outputs_match_recorded_digests(capsys):
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, job
 
 
+@pytest.mark.parametrize("seed", ["0", "12345"])
+@pytest.mark.parametrize(
+    "job", ["m01 --format json", "orthogonal --n 5 --k 3 --format json"]
+)
+def test_output_digest_does_not_depend_on_the_hash_seed(job, seed):
+    """A fresh interpreter prints the recorded bytes whatever its string-hash
+    seed, so no output depends on set or dict iteration over hashed keys."""
+    src = os.path.dirname(os.path.dirname(eqchow.__file__))
+    env = dict(
+        os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed, PYTHONDONTWRITEBYTECODE="1"
+    )
+    code = "import sys, eqchow.cli; sys.exit(eqchow.cli.run(sys.argv[1:]))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *job.split()],
+        capture_output=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    expected = json.loads(BENCH_EXPECTED.read_text(encoding="utf-8"))[job]
+    assert hashlib.sha256(proc.stdout).hexdigest() == expected
+
+
 # A fresh interpreter imports the CLI and runs one command with the given
 # arguments; it prints the exit code, the modules the import added to those
 # the interpreter started with (site's included) and the modules the command

@@ -13,7 +13,6 @@ from eqchow.pipeline import (
     VerificationFailure,
     alpha_family,
     chern_series_divide,
-    default_degree_bound,
     excise_veronese,
     m01,
     orthogonal,
@@ -223,6 +222,8 @@ class TestReplayValidation:
             "bool-index",
             "false-index",
             "index-out-of-range",
+            "excision-removed",
+            "excision-after-drop",
             *WRONG_TYPES,
         ],
     )
@@ -248,6 +249,12 @@ class TestReplayValidation:
             log[1]["rank"] = 3.0
         elif malform == "int-key":
             log[1][1] = "H"
+        elif malform == "excision-removed":
+            log = [dict(s) for s in reduced_quadrics(3, 0).provenance]
+            del log[1]
+        elif malform == "excision-after-drop":
+            log = [dict(s) for s in reduced_quadrics(3, 0).provenance]
+            log.insert(3, log.pop(1))
         elif malform in self.WRONG_TYPES:
             entry, key, value = self.WRONG_TYPES[malform]
             log[entry][key] = value
@@ -576,15 +583,25 @@ class TestOrthogonal:
 
 
 class TestDegreeBounds:
-    def test_default_bounds(self):
-        assert default_degree_bound("m01", 3) == 12
-        assert default_degree_bound("quadrics", 5) == 25
-        assert default_degree_bound("orthogonal", 4) == 10
-
     def test_bounds_visible_in_presentations(self):
         assert m01().max_degree == 12
         assert reduced_quadrics(3, 1).max_degree == 9
+        assert reduced_quadrics(5, 0).max_degree == 25
         assert orthogonal(4, 1).max_degree == 10
+
+    @pytest.mark.parametrize(
+        "build",
+        [m01, lambda: reduced_quadrics(4, 1), lambda: orthogonal(4, 0)],
+        ids=["m01", "quadrics", "orthogonal"],
+    )
+    def test_default_bound_checked_before_checks(self, build, monkeypatch):
+        def too_low(ideal, max_degree):
+            raise DegreeBoundTooLow(f"bound {max_degree} refused")
+
+        monkeypatch.setattr(GradedIdeal, "require_degree_bound", too_low)
+        monkeypatch.setattr(pipeline, "compare_up_to", None)  # must not be reached
+        with pytest.raises(DegreeBoundTooLow):
+            build()
 
     def test_low_bound_rejected_before_checks(self, monkeypatch):
         monkeypatch.setattr(pipeline, "compare_up_to", None)  # must not be reached
