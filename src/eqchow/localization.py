@@ -9,7 +9,7 @@ those of P(Sym2 E*).  The pushforward of K^r along the squaring map is computed
 by an explicit localization sum over the source fixed points, with denominators
 cleared by ``sum_fractions``; the interpolation shortcut 2^(n-1-r) H^r R(H) is
 implemented independently as ``closed_form_pushforward`` and their agreement is
-a test, never an assumption.
+a test, never an assumption.  Both check n and r with ``symfunc.require_rank``.
 
 The sum is evaluated in the l-variable ring and converted to Chern classes only
 after the denominators clear; the intermediate sum is not expressible in the
@@ -35,6 +35,7 @@ from .symfunc import (
     NotSymmetric,
     RepRoots,
     chern_polynomial,
+    require_rank,
     symmetric_to_chern,
     total_chern_poly,
 )
@@ -89,11 +90,6 @@ def _wedge_total_chern(n: int) -> Polynomial:
     return total_chern_poly(RepRoots(n, "Wedge2(E*)"))
 
 
-def _check_power(n: int, r: int) -> None:
-    if n < 2 or not 0 <= r <= n - 1:
-        raise ValueError("need n >= 2 and 0 <= r <= n-1")
-
-
 def _localize(n: int, r: int, point_class, factor: Polynomial = ONE) -> Polynomial:
     """The localization sum for the pushforward of K^r: over the source fixed
     points j, point_class(j) (-l_j)^r / (tangent weights at j).  The sum must
@@ -127,7 +123,7 @@ def veronese_pushforward(n: int, r: int) -> Polynomial:
     which keeps the summands small (the factorization is itself asserted by
     the test suite against ``fundamental_class``).
     """
-    _check_power(n, r)
+    require_rank(n, r=r)
     doubled = tuple(2 * m for m in RepRoots(n, "E*").roots)
     return _localize(n, r, partial(fundamental_class, doubled), _wedge_total_chern(n))
 
@@ -136,6 +132,6 @@ def veronese_pushforward(n: int, r: int) -> Polynomial:
 def closed_form_pushforward(n: int, r: int) -> Polynomial:
     """Interpolation shortcut: 2^(n-1-r) * H^r * c_H(Wedge2(E*)), bypassing
     the localization sum entirely."""
-    _check_power(n, r)
+    require_rank(n, r=r)
     pairs = chern_polynomial(RepRoots(n, "Wedge2(E*)"))
     return 2 ** (n - 1 - r) * var(HYPERPLANE) ** r * pairs

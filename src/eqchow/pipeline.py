@@ -13,10 +13,11 @@ Three assemblies over the lower layers:
 
 The hyperplane class is always H (``symfunc.HYPERPLANE``), the one hyperplane
 variable; the bundle, excision and torsor steps log it as ``"hyperplane": "H"``.
-The excision and the redundancy step read the rank from the ring's Chern
-variables; the excision logs it, and the redundancy step logs the ``index`` of
-the bundle relation it finds and drops.  The excision accepts only the ring of
-P(Sym2(E*)), untwisted, the target of the squaring embedding.
+Each family checks n and k with ``symfunc.require_rank`` first; the excision
+and the redundancy step read the rank off the ring's Chern variables with
+``poly.max_index``.  The excision logs it, the redundancy step logs the
+``index`` of the bundle relation it finds and drops, and the excision accepts
+only the ring of P(Sym2(E*)), untwisted, the target of the squaring embedding.
 Every pipeline records a replayable provenance log (step name + parameters).
 ``STEPS`` is the one step table: each row gives the function that performs a
 step, the logged fields it takes as parameters with their JSON types, and the
@@ -36,9 +37,10 @@ from math import comb
 from .ideal import GradedIdeal, IdealComparison, compare_up_to
 from .localization import closed_form_pushforward, veronese_pushforward
 from .poly import ONE, Polynomial, Record, ZERO
-from .poly import parse_polynomial, var, var_index, var_weight
+from .poly import max_index, parse_polynomial, var, var_weight
 from .symfunc import HYPERPLANE, RepRoots, build_roots, c_vars, chern_classes
-from .symfunc import chern_polynomial, e_top, elementary_of_shifted, torsor_substitute
+from .symfunc import chern_polynomial, e_top, elementary_of_shifted, require_rank
+from .symfunc import torsor_substitute
 from .symfunc import symmetric_to_chern  # noqa: F401, read by bench/test_bench.py
 
 
@@ -121,11 +123,6 @@ def _after(pres, step: str, params: dict, relations: GradedIdeal, simplified=Non
     return RingPresentation(relations, provenance, None, (), simplified)
 
 
-def _rank(pres: RingPresentation) -> int:
-    """The rank n of a ring over the Chern variables c1..cn."""
-    return max((var_index(v, "c") or 0 for v in pres.relations.variables), default=0)
-
-
 def _require_hyperplane(pres: RingPresentation) -> None:
     if HYPERPLANE not in pres.relations.variables:
         raise ValueError(f"presentation has no hyperplane variable {HYPERPLANE}")
@@ -156,7 +153,7 @@ def excise_veronese(pres: RingPresentation, method: str) -> RingPresentation:
         or bundle.get("module") != RepRoots(bundle["rank"], "Sym2(E*)").label
     ):
         raise ValueError(f"excise_veronese needs P(Sym2(E*)), not the ring of {bundle}")
-    rank = _rank(pres)
+    rank = max_index(pres.relations.variables, "c")
     push = veronese_pushforward if method == "localization" else closed_form_pushforward
     extra = [push(rank, r) for r in range(rank)]
     return _after(
@@ -188,8 +185,8 @@ def _drop_redundant_bundle_relation(pres: RingPresentation) -> RingPresentation:
     relation 2^(n-1-r) H^r R(H) has degree C(n, 2) + r.  The logged ``index``
     is 0, or None when the relation vanished and nothing is dropped."""
     relations, index = pres.relations, None
-    gens = relations.generators
-    if gens and gens[0].weighted_degree() == comb(_rank(pres) + 1, 2):
+    gens, n = relations.generators, max_index(relations.variables, "c")
+    if gens and gens[0].weighted_degree() == comb(n + 1, 2):
         relations, index = GradedIdeal(relations.variables, gens[1:]), 0
         if not relations.contains(gens[0]):
             raise VerificationFailure(
@@ -301,8 +298,7 @@ def reduced_quadrics(
     for even k its single generator 2^(n-1) e_top(n,k) is verified to give the
     same ideal.
     """
-    if n < 2 or k < 0:
-        raise ValueError("need n >= 2 and k >= 0")
+    require_rank(n, k)
     pres = projective_bundle(RepRoots(n, "Sym2(E*)"))
     pres = excise_veronese(pres, method="closed_form")
     pres = torsor_quotient(pres, k)
@@ -331,8 +327,7 @@ def alpha_family(n: int) -> tuple[Polynomial, ...]:
     is sum_{j<i} binom(n-j, i-j) (-1)^j c_j H^(i-j), minus 2c_i for odd i, so
     alpha_i(0) is -2c_i for odd i and 0 for even i.  Each is checked to be
     homogeneous of degree i."""
-    if n < 2:
-        raise ValueError("need n >= 2")
+    require_rank(n)
     e, cs = elementary_of_shifted(n, 1), chern_classes(n)
     polys = tuple(e[i] - cs[i] for i in range(1, n + 1))
     for i, a in enumerate(polys, start=1):
@@ -349,8 +344,7 @@ def chern_series_divide(n: int) -> tuple[Polynomial, ...]:
     Both series are handled as graded component tuples; the division is the
     degree-ascending recursion beta_i = P_i - sum_{j<i} beta_j R_(i-j).
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
+    require_rank(n)
     H, cs = var(HYPERPLANE), chern_classes(n)
     P = sum(((-1) ** j * cs[j] * (1 + H) ** (n - j) for j in range(n + 1)), start=ZERO)
     P_parts = P.homogeneous_components()
@@ -373,9 +367,7 @@ def orthogonal(n: int, k: int, max_degree: int | None = None) -> RingPresentatio
     the same ideal as the series-division generators before substituting; for
     k = 0 the presentation is certified against (2c1, 2c3, 2c5, ...).
     """
-    if n < 2 or k < 0:
-        raise ValueError("need n >= 2 and k >= 0")
-
+    require_rank(n, k)
     pres = _alpha_relations(n, k)
     bound = _degree_bound(pres, 2 * n + 2, max_degree)
     variables = pres.relations.variables

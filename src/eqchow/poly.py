@@ -193,6 +193,11 @@ def var_index(name: str, stem: str) -> int | None:
     return entry.index if entry.stem == stem else None
 
 
+def max_index(names: Iterable[str], stem: str) -> int:
+    """The largest i of a name ``<stem><i>`` among ``names`` (0 if none)."""
+    return max((var_index(v, stem) or 0 for v in names), default=0)
+
+
 # -- monomials ------------------------------------------------------------------------
 
 

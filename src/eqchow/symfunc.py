@@ -35,9 +35,10 @@ leads the coefficient of its own non-l part, so no grouping is needed.
 That route, and the localization sums built on it, are the oracles the
 Chern-ring route is checked against.  Variable names and the monomial layout
 follow the conventions stated once in ``eqchow.poly``; ``l_vars`` and
-``c_vars`` name the root and Chern variables, ``chern_classes`` lists
-1, c1, ..., cn, and ``HYPERPLANE`` is H, the one hyperplane variable: the
-hyperplane class of every projective bundle the package builds.
+``c_vars`` name the root and Chern variables (``poly.max_index`` reads a
+rank off them), ``chern_classes`` lists 1, c1, ..., cn, ``HYPERPLANE`` is H,
+the hyperplane class of every projective bundle the package builds, and
+``require_rank`` is the one domain rule of every family and pushforward.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ from .poly import (
     exact_divide,
     lex_priority,
     make_mono,
+    max_index,
     mono_exponents,
     mono_str,
     poly_sort_key,
@@ -99,9 +101,11 @@ def torsor_substitute(p: Polynomial, k: int) -> Polynomial:
     return p.substitute(HYPERPLANE, k * var("c1"))
 
 
-def infer_rank(p: Polynomial) -> int:
-    """Largest l-index occurring in p (0 if none)."""
-    return max((var_index(v, "l") or 0 for v in p.variables()), default=0)
+def require_rank(n: int, k: int = 0, r: int = 0) -> None:
+    """The one domain rule of the families: rank n >= 2, twist k >= 0 and
+    pushforward power 0 <= r < n, else ValueError."""
+    if n < 2 or k < 0 or not 0 <= r < n:
+        raise ValueError(f"need n >= 2, k >= 0 and 0 <= r < n, not {n}, {k}, {r}")
 
 
 # -- modules ------------------------------------------------------------------------
@@ -182,7 +186,7 @@ def is_symmetric(p: Polynomial, n: int) -> bool:
     for v in p.variables():
         if var_index(v, "l") is None:
             raise ValueError(f"is_symmetric expects only l-variables, found {v}")
-    if infer_rank(p) > n:
+    if max_index(p.variables(), "l") > n:
         return False
     if n < 2:
         return True
@@ -234,7 +238,7 @@ def symmetric_to_chern(p: Polynomial, n: int) -> Polynomial:
     non-l part, and no grouping is needed.  It strictly decreases; if it does
     not (the arithmetic is broken), ArithmeticError is raised, never a loop.
     """
-    rank = infer_rank(p)
+    rank = max_index(p.variables(), "l")
     if rank > n:
         raise NotSymmetric(f"variable l{rank} exceeds rank {n}")
     ls, cs = lex_priority(l_vars(n)), c_vars(n)
@@ -371,6 +375,5 @@ def chern_polynomial(module: RepRoots) -> Polynomial:
 @lru_cache(maxsize=None)
 def e_top(n: int, k: int) -> Polynomial:
     """Top Chern class of det^k (x) Wedge2(E*): c_H(Wedge2(E*)) at H = k*c1."""
-    if n < 2 or k < 0:
-        raise ValueError("need n >= 2 and k >= 0")
+    require_rank(n, k)
     return torsor_substitute(chern_polynomial(RepRoots(n, "Wedge2(E*)")), k)

@@ -493,20 +493,28 @@ def test_outputs_match_recorded_digests(capsys):
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, job
 
 
-@pytest.mark.parametrize("seed", ["0", "12345"])
+@pytest.mark.parametrize(
+    "seed, flags",
+    [
+        pytest.param(seed, flags, id=" ".join((seed, *flags)))
+        for flags in ((), ("-O",))
+        for seed in ("0", "12345")
+    ],
+)
 @pytest.mark.parametrize(
     "job", ["m01 --format json", "orthogonal --n 5 --k 3 --format json"]
 )
-def test_output_digest_does_not_depend_on_the_hash_seed(job, seed):
+def test_output_digest_does_not_depend_on_the_hash_seed(job, seed, flags):
     """A fresh interpreter prints the recorded bytes whatever its string-hash
-    seed, so no output depends on set or dict iteration over hashed keys."""
+    seed, so no output depends on set or dict iteration over hashed keys, and
+    under ``python -O`` too, so no output depends on an assert."""
     src = os.path.dirname(os.path.dirname(eqchow.__file__))
     env = dict(
         os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed, PYTHONDONTWRITEBYTECODE="1"
     )
     code = "import sys, eqchow.cli; sys.exit(eqchow.cli.run(sys.argv[1:]))"
     proc = subprocess.run(
-        [sys.executable, "-c", code, *job.split()],
+        [sys.executable, *flags, "-c", code, *job.split()],
         capture_output=True,
         env=env,
         timeout=300,

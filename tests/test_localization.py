@@ -7,7 +7,6 @@ import pytest
 
 from eqchow.localization import (
     RepeatedRoots,
-    _check_power,
     _localize,
     closed_form_pushforward,
     fundamental_class,
@@ -16,7 +15,7 @@ from eqchow.localization import (
     veronese_pushforward,
 )
 from eqchow.poly import ONE, Polynomial, var
-from eqchow.symfunc import RepRoots, build_roots
+from eqchow.symfunc import RepRoots, build_roots, require_rank
 
 H = var("H")
 c1, c2, c3 = var("c1"), var("c2"), var("c3")
@@ -32,7 +31,7 @@ def pushforward_via_fixed_point_classes(n: int, r: int) -> Polynomial:
     plain fundamental_class products.  Quadratically more expensive than
     ``veronese_pushforward``; used as an independent cross-check at small n.
     """
-    _check_power(n, r)
+    require_rank(n, r=r)
     target, point_map = RepRoots(n, "Sym2(E*)").roots, veronese_point_map(n)
     return _localize(n, r, lambda j: fundamental_class(target, point_map[j]))
 
@@ -177,12 +176,11 @@ class TestPushforwards:
                 exact_divide(p, 2)
 
     def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            veronese_pushforward(3, 3)
-        with pytest.raises(ValueError):
-            closed_form_pushforward(1, 0)
-        with pytest.raises(ValueError):
-            pushforward_via_fixed_point_classes(2, -1)
+        # both pushforwards are rows of tests/test_symfunc.py::test_rank_domain;
+        # the reference route keeps their domain
+        for n, r in ((1, 0), (2, -1), (3, 3)):
+            with pytest.raises(ValueError, match=r"\Aneed n >= 2"):
+                pushforward_via_fixed_point_classes(n, r)
 
     def test_random_integer_evaluation_oracle(self):
         # numeric check of the full localization formula, independent of both

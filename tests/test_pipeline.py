@@ -373,10 +373,11 @@ class TestReducedQuadrics:
         assert pres.relations.generators == ()
 
     def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            reduced_quadrics(1, 0)
-        with pytest.raises(ValueError):
-            reduced_quadrics(3, -1)
+        # the rank and twist are the rank rule's, tested at every entry point
+        # by tests/test_symfunc.py::test_rank_domain; here the excision's own
+        bundle = projective_bundle(RepRoots(3, "Sym2(E*)"))
+        with pytest.raises(ValueError, match="unknown excision method 'residue'"):
+            excise_veronese(bundle, method="residue")
 
     def test_one_cache_entry_per_pushforward(self):
         # the pipeline and a direct caller share one entry per (n, r)

@@ -11,7 +11,7 @@ from math import comb
 import pytest
 
 import eqchow
-from eqchow import symfunc
+from eqchow import localization, pipeline, symfunc
 from eqchow.poly import (
     ONE,
     ZERO,
@@ -229,6 +229,30 @@ class TestSymmetricToChern:
         for extra in (l1**2 * var(f"l{n}"), var(f"l{n}") ** 3, l1 * l2**2):
             for shift in (ONE, H, H**2):
                 assert symmetric_to_chern(sym * shift, n)
+                with pytest.raises(NotSymmetric):
+                    symmetric_to_chern((sym + extra) * shift, n)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_unequal_orbit_coefficients_are_not_symmetric(self, n):
+        # a symmetric polynomial plus c*(x^a - x^s(a)) for a transposition s
+        # that moves a: every orbit is complete, but two coefficients in the
+        # orbit of a differ by 2c, alone and as the coefficient of H
+        rng, ls = random.Random(70 + n), l_vars(n)
+        cs = chern_classes(n)[1:]
+        for _ in range(30):
+            q = ZERO
+            for _ in range(3):
+                q = q + rng.randint(-9, 9) * rng.choice(cs) ** rng.randint(1, 2)
+            sym = chern_to_roots(q, n)
+            a = [rng.randint(0, 3) for _ in range(n)]
+            i, j = rng.sample(range(n), 2)
+            a[j] += a[i] == a[j]  # so the transposition (i j) moves a
+            b = a[:]
+            b[i], b[j] = a[j], a[i]
+            c = rng.choice((-1, 1)) * rng.randint(1, 9)
+            extra = Polynomial({make_mono(zip(ls, a)): c, make_mono(zip(ls, b)): -c})
+            for shift in (ONE, H):
+                assert symmetric_to_chern(sym * shift, n) == q * shift
                 with pytest.raises(NotSymmetric):
                     symmetric_to_chern((sym + extra) * shift, n)
 
@@ -479,6 +503,33 @@ class TestETop:
     def test_rank2_twist1_vanishes(self):
         # the twisted pair bundle is trivial there, so its top class is zero
         assert e_top(2, 1) == ZERO
+
+
+# The entry points of the rank rule ``require_rank``, each with the argument
+# it takes after the rank n: a twist k, a pushforward power r, or none
+RANK_DOMAIN = {
+    "e_top": (e_top, "k"),
+    "reduced_quadrics": (pipeline.reduced_quadrics, "k"),
+    "orthogonal": (pipeline.orthogonal, "k"),
+    "alpha_family": (pipeline.alpha_family, None),
+    "chern_series_divide": (pipeline.chern_series_divide, None),
+    "veronese_pushforward": (localization.veronese_pushforward, "r"),
+    "closed_form_pushforward": (localization.closed_form_pushforward, "r"),
+}
+# n = 1, k = -1, r = -1 and r = n are rejected; n = 2, k = 0, r = 0 and
+# r = n - 1 accepted
+REJECTED = {None: [(1,)], "k": [(1, 0), (3, -1)], "r": [(1, 0), (3, -1), (3, 3)]}
+ACCEPTED = {None: [(2,)], "k": [(2, 0)], "r": [(2, 0), (2, 1)]}
+
+
+@pytest.mark.parametrize("name", RANK_DOMAIN)
+def test_rank_domain(name):
+    fn, takes = RANK_DOMAIN[name]
+    for args in REJECTED[takes]:
+        with pytest.raises(ValueError, match=r"\Aneed n >= 2, k >= 0 and 0 <= r < n"):
+            fn(*args)
+    for args in ACCEPTED[takes]:
+        fn(*args)
 
 
 def test_elementary_symmetric_counts():
