@@ -22,7 +22,6 @@ from .localization import (
     closed_form_pushforward,
     fundamental_class,
     tangent_weights,
-    veronese_point_map,
     veronese_pushforward,
 )
 from .pipeline import (
@@ -98,6 +97,5 @@ __all__ = [
     "torsor_quotient",
     "total_chern_poly",
     "var",
-    "veronese_point_map",
     "veronese_pushforward",
 ]

@@ -256,11 +256,11 @@ def run(argv=None) -> int:
             text, code = _render_report(result, fmt), 0 if result["all_passed"] else 2
         else:
             text, code = _render(result, command, params, fmt), 0
-    except DegreeBoundTooLow as exc:
-        return _error(f"--max-degree: {exc}")
     except VerificationFailure as exc:
         text, code = _render_failure(exc, fmt), 2
-    except Exception as exc:  # a bug, not a usage error: reported as a failed check
+    except Exception as exc:  # a bug, reported as a failed check
+        if isinstance(exc, DegreeBoundTooLow) and values["max-degree"] is not None:
+            return _error(f"--max-degree: {exc}")  # unless a given bound is too low
         from traceback import format_exc  # only on failure, so start-up skips it
 
         error = f"{type(exc).__name__}: {exc}"

@@ -4,8 +4,8 @@ P(E*) -> P(Sym2 E*).
 A fixed point of P(V) is an index j into a tuple of pairwise distinct roots
 of V (``RepRoots.roots``): the hyperplane class restricts to -roots[j] there,
 ``tangent_weights`` gives {m_i - m_j : i != j} and ``fundamental_class`` the
-point's class.  ``veronese_point_map`` matches the fixed points of P(E*) with
-those of P(Sym2 E*).  The pushforward of K^r along the squaring map is computed
+point's class.  The squaring map sends the fixed point of P(E*) with root m
+to that of P(Sym2 E*) with root 2m.  The pushforward of K^r along it is computed
 by an explicit localization sum over the source fixed points, with denominators
 cleared by ``sum_fractions``; the interpolation shortcut 2^(n-1-r) H^r R(H) is
 implemented independently as ``closed_form_pushforward`` and their agreement is
@@ -71,17 +71,6 @@ def fundamental_class(roots: tuple[Polynomial, ...], j: int) -> Polynomial:
     _check_point(roots, j)
     x = var(HYPERPLANE)
     return prod((x + m for i, m in enumerate(roots) if i != j), start=ONE)
-
-
-@lru_cache(maxsize=None)
-def veronese_point_map(n: int) -> tuple[int, ...]:
-    """The squaring embedding on fixed points: source point j of P(E*), with
-    root l_j, maps to the point of P(Sym2 E*) whose root is 2*l_j."""
-    target = RepRoots(n, "Sym2(E*)").roots
-    mapping = tuple(target.index(2 * m) for m in RepRoots(n, "E*").roots)
-    if len(set(mapping)) != n:
-        raise InternalInconsistency("squared roots are not pairwise distinct")
-    return mapping
 
 
 @lru_cache(maxsize=None)

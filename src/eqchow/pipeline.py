@@ -25,8 +25,10 @@ steps it must follow (None if it opens a log).  ``replay_provenance`` folds
 over it to rebuild the presentation bit-exactly, and requires each step to log
 exactly the entry it was replayed from, types included, so a logged field the
 step derives rather than takes must come back unchanged.  Every pipeline runs
-its verification checks as it goes.  A failed check raises VerificationFailure
-carrying the full per-degree lattice report; mismatches are data, not crashes.
+its verification checks as it goes, each through ``_check``: a name, an
+ideal, the target's generators and a bound.  A failed check raises
+VerificationFailure carrying the full per-degree lattice report; mismatches
+are data, not crashes.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .ideal import GradedIdeal, IdealComparison, compare_up_to
+from .ideal import GradedIdeal, compare_up_to
 from .localization import closed_form_pushforward, veronese_pushforward
 from .poly import ONE, Polynomial, Record, ZERO
 from .poly import max_index, parse_polynomial, var, var_weight
@@ -93,18 +95,18 @@ class RingPresentation(Record):
         }
 
 
-def _require(name: str, cmp: IdealComparison) -> dict:
+def _check(name: str, ideal: GradedIdeal, generators, bound: int) -> dict:
+    """The named check that ``generators`` generate ``ideal`` up to degree
+    ``bound``: its record without the per-degree audit trail, which is empty
+    on success; on failure VerificationFailure carries the whole report."""
+    cmp = compare_up_to(ideal, GradedIdeal(ideal.variables, generators), bound)
+    report = {"name": name, **cmp.to_json_obj()}
     if not cmp.equal:
         raise VerificationFailure(
-            f"check {name!r} failed at degree {cmp.first_mismatch}",
-            {"name": name, **cmp.to_json_obj()},
+            f"check {name!r} failed at degree {cmp.first_mismatch}", report
         )
-    return {
-        "name": name,
-        "equal": cmp.equal,
-        "max_degree": cmp.max_degree,
-        "first_mismatch": cmp.first_mismatch,
-    }
+    del report["per_degree"]
+    return report
 
 
 # -- construction steps ---------------------------------------------------------
@@ -246,8 +248,7 @@ def _certified(
     replaces; that check is not listed, so correct outputs do not change."""
     relations = pres.relations
     pres = _simplify_generators(pres, bound, record_only)
-    simplified = GradedIdeal(relations.variables, pres.simplified)
-    _require("simplified-generators", compare_up_to(relations, simplified, bound))
+    _check("simplified-generators", relations, pres.simplified, bound)
     return pres.replace(max_degree=bound, verification=tuple(checks))
 
 
@@ -267,16 +268,9 @@ def m01(max_degree: int | None = None) -> RingPresentation:
     pres = excise_veronese(pres, method="localization")
     pres = torsor_quotient(pres, 1)
     bound = _degree_bound(pres, 12, max_degree)
-    literal = GradedIdeal(
-        pres.relations.variables, [parse_polynomial(t) for t in M01_RELATIONS]
-    )
-    checks = [
-        _require(
-            "m01-relations-match-literal-ideal",
-            compare_up_to(pres.relations, literal, bound),
-        )
-    ]
-    return _certified(pres, bound, checks)
+    literal = [parse_polynomial(t) for t in M01_RELATIONS]
+    name = "m01-relations-match-literal-ideal"
+    return _certified(pres, bound, [_check(name, pres.relations, literal, bound)])
 
 
 # -- reduced quadrics ------------------------------------------------------------------
@@ -309,11 +303,7 @@ def reduced_quadrics(
     targets = {"quadrics-relations-match-generator-family": family}
     if k % 2 == 0:
         targets["even-twist-single-generator"] = family[:1]
-    variables = pres.relations.variables
-    checks = [
-        _require(name, compare_up_to(pres.relations, GradedIdeal(variables, g), bound))
-        for name, g in targets.items()
-    ]
+    checks = [_check(name, pres.relations, g, bound) for name, g in targets.items()]
     return _certified(pres, bound, checks, record_only=True)
 
 
@@ -370,25 +360,15 @@ def orthogonal(n: int, k: int, max_degree: int | None = None) -> RingPresentatio
     require_rank(n, k)
     pres = _alpha_relations(n, k)
     bound = _degree_bound(pres, 2 * n + 2, max_degree)
-    variables = pres.relations.variables
     checks = []
     if n <= SERIES_CROSS_CHECK_MAX_RANK:
-        hvars = variables + (HYPERPLANE,)
-        alpha_ideal = GradedIdeal(hvars, alpha_family(n))
-        beta_ideal = GradedIdeal(hvars, chern_series_divide(n))
-        checks.append(
-            _require(
-                "alpha-vs-series-division",
-                compare_up_to(alpha_ideal, beta_ideal, 2 * n),
-            )
-        )
+        alpha_ideal = GradedIdeal(c_vars(n) + (HYPERPLANE,), alpha_family(n))
+        series = chern_series_divide(n)
+        checks.append(_check("alpha-vs-series-division", alpha_ideal, series, 2 * n))
     if k == 0:
         odd = [2 * var(v) for v in c_vars(n)[::2]]
         checks.append(
-            _require(
-                "zero-twist-odd-chern-presentation",
-                compare_up_to(pres.relations, GradedIdeal(variables, odd), bound),
-            )
+            _check("zero-twist-odd-chern-presentation", pres.relations, odd, bound)
         )
     return _certified(pres, bound, checks, record_only=True)
 

@@ -301,10 +301,11 @@ class NotDivisible(ArithmeticError):
 class Polynomial:
     """Immutable sparse polynomial with integer coefficients.
 
-    ``terms`` maps monomials to ints; a key may also be a tuple of
-    (variable, exponent) pairs, which is packed.  Zero coefficients are
-    dropped.  Polynomials compare equal iff their term maps are identical,
-    which is exactly ring equality because the representation is canonical.
+    ``terms`` maps monomials to ints, and any other coefficient is a
+    TypeError; a key may also be a tuple of (variable, exponent) pairs,
+    which is packed.  Zero coefficients are dropped.  Polynomials compare
+    equal iff their term maps are identical, which is exactly ring equality
+    because the representation is canonical.
     """
 
     __slots__ = ("_terms", "_hash")
@@ -312,6 +313,8 @@ class Polynomial:
     def __init__(self, terms: Mapping[Mono | tuple, int] | None = None):
         cleaned: dict[Mono, int] = {}
         for m, c in (terms or {}).items():
+            if not isinstance(c, int):
+                raise TypeError(f"coefficient {c!r} is not an int")
             if c:
                 if m.__class__ is not int:
                     m = make_mono(m)
@@ -323,7 +326,7 @@ class Polynomial:
 
     @staticmethod
     def constant(value: int) -> Polynomial:
-        return Polynomial({_EMPTY_MONO: int(value)})
+        return Polynomial({_EMPTY_MONO: value})
 
     # -- basic queries -----------------------------------------------------
 
@@ -424,6 +427,8 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> Polynomial:
+        if not isinstance(exponent, int):
+            return NotImplemented
         if exponent < 0:
             raise ValueError("negative exponent")
         result = ONE
@@ -438,6 +443,8 @@ class Polynomial:
 
     def mono_shift(self, mono: Mono, coeff: int = 1) -> Polynomial:
         """Multiply by a single term coeff*mono (cheap key remap)."""
+        if not isinstance(coeff, int):
+            raise TypeError(f"coefficient {coeff!r} is not an int")
         if coeff == 0:
             return ZERO
         out = {m + mono: c * coeff for m, c in self._terms.items()}

@@ -43,6 +43,33 @@ class TestExitCodes:
             code, _, err = capture(capsys, argv)
             assert code == 1 and "max-degree" in err and "usage" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["m01"],
+            ["quadrics", "--n", "3", "--k", "1"],
+            ["orthogonal", "--n", "3", "--k", "1"],
+        ],
+        ids=" ".join,
+    )
+    def test_refused_default_bound_is_a_failed_check(self, argv, capsys, monkeypatch):
+        # only a bound the user gave is a usage error; a pipeline whose own
+        # default bound is refused has a bug, reported as a failed check
+        from eqchow.ideal import DegreeBoundTooLow, GradedIdeal
+
+        def refuse(ideal, max_degree):
+            raise DegreeBoundTooLow(f"bound {max_degree} refused")
+
+        monkeypatch.setattr(GradedIdeal, "require_degree_bound", refuse)
+        code, out, err = capture(capsys, argv + ["--format", "json"])
+        assert (code, err) == (2, "")
+        record = json.loads(out)["verification_failure"]
+        assert record["name"] == "unexpected-error"
+        assert record["error"].startswith("DegreeBoundTooLow: bound ")
+        code, out, err = capture(capsys, argv + ["--max-degree", "20"])
+        assert (code, out) == (1, "")
+        assert err == f"eqchow: error: --max-degree: bound 20 refused\n{USAGE}"
+
     def test_max_degree_floor_is_maximal_generator_degree(self, capsys):
         # quadrics n=4, k=1 has generators up to degree C(4,2) + 4 - 1 = 9
         code, out, _ = capture(capsys, ["quadrics", "--n", "4", "--k", "1", "--max-degree", "9"])

@@ -11,7 +11,6 @@ from eqchow.localization import (
     closed_form_pushforward,
     fundamental_class,
     tangent_weights,
-    veronese_point_map,
     veronese_pushforward,
 )
 from eqchow.poly import ONE, Polynomial, var
@@ -32,8 +31,12 @@ def pushforward_via_fixed_point_classes(n: int, r: int) -> Polynomial:
     ``veronese_pushforward``; used as an independent cross-check at small n.
     """
     require_rank(n, r=r)
-    target, point_map = RepRoots(n, "Sym2(E*)").roots, veronese_point_map(n)
-    return _localize(n, r, lambda j: fundamental_class(target, point_map[j]))
+    source, target = RepRoots(n, "E*").roots, RepRoots(n, "Sym2(E*)").roots
+    # the squaring embedding maps the source point with root m to the
+    # target point with root 2m
+    return _localize(
+        n, r, lambda j: fundamental_class(target, target.index(2 * source[j]))
+    )
 
 
 class TestFixedPoints:
@@ -115,8 +118,8 @@ class TestFundamentalClass:
             source = build_roots(n, "E*").roots
             target = build_roots(n, "Sym2(E*)").roots
             pairs = _wedge_total_chern(n)
-            for j, tj in enumerate(veronese_point_map(n)):
-                cls = fundamental_class(target, tj)
+            for j, m in enumerate(source):
+                cls = fundamental_class(target, target.index(2 * m))
                 partial = ONE
                 for i, r in enumerate(source):
                     if i != j:
@@ -129,10 +132,10 @@ class TestVeroneseCorrespondence:
         for n in (2, 3, 4, 5):
             source = build_roots(n, "E*").roots
             target = build_roots(n, "Sym2(E*)").roots
-            point_map = veronese_point_map(n)
+            # each doubled source root is a target root, so the squaring
+            # embedding maps fixed points to fixed points, injectively
+            point_map = [target.index(2 * m) for m in source]
             assert len(set(point_map)) == n
-            for j, tj in enumerate(point_map):
-                assert target[tj] == 2 * source[j]
 
 
 class TestPushforwards:

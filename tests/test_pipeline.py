@@ -610,6 +610,90 @@ class TestDegreeBounds:
             orthogonal(4, 0, max_degree=2)
 
 
+def _scaled(fn, factor):
+    """``fn`` with every polynomial it returns multiplied by ``factor``."""
+
+    def scaled(*args):
+        result = fn(*args)
+        return type(result)(factor * p for p in result)
+
+    return scaled
+
+
+def _rotated(fn):
+    """``fn`` with the first member of the sequence it returns moved last."""
+    return lambda *args: fn(*args)[1:] + fn(*args)[:1]
+
+
+# name: (the module global to patch, its perturbation, the run, its bound)
+NAMED_CHECK_FAILURES = {
+    "m01-relations-match-literal-ideal": (
+        (pipeline, "parse_polynomial", lambda t: 2 * parse_polynomial(t)),
+        m01,
+        12,
+    ),
+    "quadrics-relations-match-generator-family": (
+        (pipeline, "quadric_family", _scaled(pipeline.quadric_family, 3)),
+        lambda: reduced_quadrics(4, 1),
+        16,
+    ),
+    # the same set, so the family check passes, but family[:1] is no longer
+    # 2^(n-1) e_top(n, k)
+    "even-twist-single-generator": (
+        (pipeline, "quadric_family", _rotated(pipeline.quadric_family)),
+        lambda: reduced_quadrics(3, 2),
+        9,
+    ),
+    "alpha-vs-series-division": (
+        (pipeline, "chern_series_divide", _scaled(chern_series_divide, 3)),
+        lambda: orthogonal(4, 1),
+        8,
+    ),
+    # past SERIES_CROSS_CHECK_MAX_RANK only the odd Chern target reads var
+    "zero-twist-odd-chern-presentation": (
+        (pipeline, "var", lambda name: 3 * var(name)),
+        lambda: orthogonal(6, 0),
+        14,
+    ),
+    "simplified-generators": (
+        (
+            GradedIdeal,
+            "simplified_generators",
+            _scaled(GradedIdeal.simplified_generators, 3),
+        ),
+        m01,
+        12,
+    ),
+}
+
+
+class TestNamedChecks:
+    @pytest.mark.parametrize("name", NAMED_CHECK_FAILURES)
+    def test_perturbed_target_fails_with_the_whole_report(self, name, monkeypatch):
+        (owner, attr, perturbed), build, bound = NAMED_CHECK_FAILURES[name]
+        monkeypatch.setattr(owner, attr, perturbed)
+        with pytest.raises(VerificationFailure, match=f"check {name!r} failed") as info:
+            build()
+        report = info.value.report
+        assert report.keys() == {
+            "name", "equal", "max_degree", "first_mismatch", "per_degree"
+        }
+        assert report["name"] == name
+        assert report["equal"] is False
+        assert report["max_degree"] == bound
+        assert report["per_degree"][-1]["degree"] == report["first_mismatch"]
+
+    def test_passing_checks_record_four_keys(self):
+        runs = [m01(), reduced_quadrics(3, 2), orthogonal(4, 0)]
+        records = [c for pres in runs for c in pres.verification]
+        assert {c["name"] for c in records} == set(NAMED_CHECK_FAILURES) - {
+            "simplified-generators"
+        }
+        for c in records:
+            assert c.keys() == {"name", "equal", "max_degree", "first_mismatch"}
+            assert (c["equal"], c["first_mismatch"]) == (True, None)
+
+
 class TestLatexAndJson:
     def test_m01_latex(self):
         latex = m01().to_latex()

@@ -198,6 +198,45 @@ class TestCanonicalForm:
         p = (l1 + l2) - l2 - l1
         assert p.terms == {}
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Polynomial.constant(2.7),
+            lambda: Polynomial.constant(2.0),
+            lambda: Polynomial({(("c1", 1),): 2.5}),
+            lambda: Polynomial({(("c1", 1),): 0.0}),
+            lambda: Polynomial({(): "3"}),
+            lambda: c1.mono_shift(make_mono([("H", 1)]), 2.5),
+            lambda: c1.mono_shift(make_mono([("H", 1)]), 0.0),
+        ],
+        ids=[
+            "constant-float",
+            "constant-whole-float",
+            "terms-float",
+            "terms-zero-float",
+            "terms-str",
+            "mono-shift-float",
+            "mono-shift-zero-float",
+        ],
+    )
+    def test_non_integer_coefficient_rejected(self, build):
+        # a float would stop arithmetic being exact: 2.7 must not become 2,
+        # nor 2.5*c1 put 5*c1 in the ideal it generates
+        with pytest.raises(TypeError, match="is not an int"):
+            build()
+
+    @pytest.mark.parametrize("exponent", [2.0, 0.0, 2.5])
+    def test_non_integer_exponent_rejected(self, exponent):
+        # c1**0.0 must not be 1, nor c1**2.0 fail inside the bit loop
+        with pytest.raises(TypeError, match="unsupported operand"):
+            c1**exponent
+
+    def test_bool_coefficient_stored_as_int(self):
+        for p in (Polynomial.constant(True), Polynomial({(("c1", 1),): True})):
+            assert [type(c) for c in p.terms.values()] == [int]
+        assert Polynomial.constant(True) == ONE
+        assert Polynomial.constant(False) == ZERO
+
     def test_equality_is_term_map_identity(self):
         assert (c1 + c2) * (c1 - c2) == c1**2 - c2**2
 
