@@ -73,7 +73,7 @@ class IntegerLattice:
     ``hnf`` builds the canonical rows from the bottom up: each echelon row is
     walked by the canonical rows below it, whose entries at later pivots are
     already in [0, pivot), so the walk multiplies by bounded entries and not
-    by the echelon rows' unbounded ones.  The canonical rows and their
+    by the echelon rows' unreduced ones.  The canonical rows and their
     supports are published together in one assignment to ``_hnf``; from then
     on ``contains`` and ``reduce`` walk them, until an insert clears it.  The
     echelon rows are never rewritten by ``hnf``.
@@ -106,9 +106,15 @@ class IntegerLattice:
         after every step at an earlier column has updated it, so it yields
         the column each step clears.  An exact step subtracts a multiple of
         the row over its support; a gcd step first writes the vector's
-        columns outside the support, then merges the two over the support."""
+        columns outside the support, then merges the two over the support.
+
+        A gcd step on an entry of 2^64 or more, the row's pivot or the
+        vector's, notes its column.  Once the vector is placed, the noted
+        rows, from the bottom up, are walked by the echelon rows below them:
+        the merges alone grow the entries without bound."""
         vec = self._copy(vec)
         changed = False
+        large: list[int] = []
         nonzero = compress(count(), vec)
         for j in nonzero:
             i = bisect_left(self.pivot_cols, j)
@@ -129,6 +135,8 @@ class IntegerLattice:
                 for k in support:
                     vec[k] -= q * row[k]
             else:
+                if a >> 64 or abs(b) >> 64:
+                    large.append(j)
                 x, y, g = _xgcd(a, b)
                 ag, bg = a // g, b // g
                 added = [k for k in compress(range(j, self.dim), vec[j:]) if not row[k]]
@@ -142,6 +150,13 @@ class IntegerLattice:
                     vec[k] = ag * v - bg * u
                 self.supports[i] = [k for k in sorted(support + added) if row[k]]
                 changed = True
+        if large:
+            pivots, rows, supports = self.pivot_cols, self.rows, self.supports
+            for j in reversed(large):
+                i = bisect_left(pivots, j)
+                below = zip(pivots[i + 1 :], rows[i + 1 :], supports[i + 1 :])
+                rows[i] = out = self._walk(rows[i], False, below)
+                supports[i] = list(compress(range(j, self.dim), out[j:]))
         if changed:
             self._hnf = None
         return changed

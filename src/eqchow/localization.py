@@ -20,7 +20,7 @@ polynomial in H (``symfunc.HYPERPLANE``), the one hyperplane variable.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import prod
 
 from .poly import (
@@ -79,27 +79,6 @@ def _wedge_total_chern(n: int) -> Polynomial:
     return total_chern_poly(RepRoots(n, "Wedge2(E*)"))
 
 
-def _localize(n: int, r: int, point_class, factor: Polynomial = ONE) -> Polynomial:
-    """The localization sum for the pushforward of K^r: over the source fixed
-    points j, point_class(j) (-l_j)^r / (tangent weights at j).  The sum must
-    clear to a polynomial, which times ``factor`` is rewritten into Chern
-    classes; a kept denominator or an asymmetric sum is an
-    InternalInconsistency."""
-    roots = RepRoots(n, "E*").roots
-    total = sum_fractions(
-        StructuredFraction.make(
-            point_class(j) * (-roots[j]) ** r, tangent_weights(roots, j)
-        )
-        for j in range(n)
-    )
-    if total.denominator:
-        raise InternalInconsistency(f"localization sum kept a denominator: {total}")
-    try:
-        return symmetric_to_chern(total.numerator * factor, n)
-    except NotSymmetric as exc:
-        raise InternalInconsistency(f"localization sum is not symmetric: {exc}")
-
-
 @lru_cache(maxsize=None)
 def veronese_pushforward(n: int, r: int) -> Polynomial:
     """Pushforward of K^r to P(Sym2 E*), by explicit localization.
@@ -110,11 +89,27 @@ def veronese_pushforward(n: int, r: int) -> Polynomial:
     + l_j)); the first factor is the class of point j over the doubled roots,
     the second is independent of j and is multiplied back in after the sum,
     which keeps the summands small (the factorization is itself asserted by
-    the test suite against ``fundamental_class``).
+    the test suite against ``fundamental_class``).  The sum must clear to a
+    polynomial, which times the second factor is rewritten into Chern
+    classes; a kept denominator or an asymmetric sum is an
+    InternalInconsistency.
     """
     require_rank(n, r=r)
-    doubled = tuple(2 * m for m in RepRoots(n, "E*").roots)
-    return _localize(n, r, partial(fundamental_class, doubled), _wedge_total_chern(n))
+    roots = RepRoots(n, "E*").roots
+    doubled = tuple(2 * m for m in roots)
+    total = sum_fractions(
+        StructuredFraction.make(
+            fundamental_class(doubled, j) * (-roots[j]) ** r,
+            tangent_weights(roots, j),
+        )
+        for j in range(n)
+    )
+    if total.denominator:
+        raise InternalInconsistency(f"localization sum kept a denominator: {total}")
+    try:
+        return symmetric_to_chern(total.numerator * _wedge_total_chern(n), n)
+    except NotSymmetric as exc:
+        raise InternalInconsistency(f"localization sum is not symmetric: {exc}")
 
 
 @lru_cache(maxsize=None)

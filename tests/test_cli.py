@@ -19,6 +19,8 @@ from eqchow import cli
 from eqchow.cli import MAX_RANK, MAX_TWIST, run
 
 BENCH_EXPECTED = Path(__file__).resolve().parents[1] / "bench" / "expected.json"
+# the directory a fresh interpreter imports eqchow from
+SRC = os.path.dirname(os.path.dirname(eqchow.__file__))
 
 
 def capture(capsys, argv):
@@ -535,9 +537,8 @@ def test_output_digest_does_not_depend_on_the_hash_seed(job, seed, flags):
     """A fresh interpreter prints the recorded bytes whatever its string-hash
     seed, so no output depends on set or dict iteration over hashed keys, and
     under ``python -O`` too, so no output depends on an assert."""
-    src = os.path.dirname(os.path.dirname(eqchow.__file__))
     env = dict(
-        os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed, PYTHONDONTWRITEBYTECODE="1"
+        os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=seed, PYTHONDONTWRITEBYTECODE="1"
     )
     code = "import sys, eqchow.cli; sys.exit(eqchow.cli.run(sys.argv[1:]))"
     proc = subprocess.run(
@@ -580,12 +581,11 @@ NOT_AT_START_UP = {
 
 
 def _fresh_run(argv, out):
-    src = os.path.dirname(os.path.dirname(eqchow.__file__))
     proc = subprocess.run(
         [sys.executable, "-c", START_UP, *argv, "--out", str(out)],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=src),
+        env=dict(os.environ, PYTHONPATH=SRC),
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
@@ -594,9 +594,9 @@ def _fresh_run(argv, out):
 
 
 # The package modules each pipeline command loads, all of them at import.
-# ``eqchow/__init__`` imports every layer but verify and properties, so a
-# command loads modules it never calls: orthogonal loads localization.  A
-# lazy import that changes this must change the pin with it.
+# ``cli`` imports ``pipeline``, which imports every layer but verify and
+# properties, so a command loads modules it never calls: orthogonal loads
+# localization.  A lazy import that changes this must change the pin with it.
 EVERY_LAYER = {
     "eqchow",
     "eqchow.cli",
@@ -658,3 +658,22 @@ class TestStartUp:
         report = json.loads((tmp_path / "out").read_text())
         assert code == 0 and report["all_passed"]
         assert len(report["checks"]) == len(CLAIMS)
+
+    @pytest.mark.parametrize(
+        "module, loaded",
+        [("eqchow", {"eqchow"}), ("eqchow.poly", {"eqchow", "eqchow.poly"})],
+    )
+    def test_importing_a_module_loads_only_what_it_imports(self, module, loaded):
+        # the package re-exports nothing, so importing it, or one layer,
+        # loads no other layer
+        code = f"import sys, {module}; print(*sorted(sys.modules))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=SRC),
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        package = {m for m in proc.stdout.split() if m.split(".")[0] == "eqchow"}
+        assert package == loaded

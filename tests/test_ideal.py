@@ -456,13 +456,15 @@ class TestLatticeInvariants:
 
 
 # The slice-based row operations IntegerLattice had before it kept each row's
-# support, kept as the reference its in-place kernel must agree with.
+# support, kept as the reference its in-place kernel must agree with; like the
+# kernel, it walks each row a large gcd merge made by the rows below it.
 class ReferenceLattice(IntegerLattice):
     __slots__ = ()
 
     def insert(self, vec):
         vec = self._copy(vec)
         changed = False
+        large = []
         j = 0
         while True:
             while j < self.dim and not vec[j]:
@@ -481,12 +483,18 @@ class ReferenceLattice(IntegerLattice):
                 q = b // a
                 vec[j:] = [u - q * v for u, v in zip(vec[j:], row[j:])]
             else:
+                if max(abs(a), abs(b)) >= 2**64:
+                    large.append(j)
                 x, y, g = _xgcd(a, b)
                 ag, bg = a // g, b // g
                 new_row = [x * u + y * v for u, v in zip(row[j:], vec[j:])]
                 vec[j:] = [ag * v - bg * u for u, v in zip(row[j:], vec[j:])]
                 row[j:] = new_row
                 changed = True
+        pairs = list(zip(self.pivot_cols, self.rows))
+        for j in reversed(large):
+            i = self.pivot_cols.index(j)
+            self.rows[i][:] = self._walk(self.rows[i], False, pairs[i + 1 :])
         if changed:
             self._hnf = None
         return changed

@@ -5,16 +5,16 @@ from functools import lru_cache
 
 import pytest
 
+from eqchow import localization, symfunc
 from eqchow.localization import (
     RepeatedRoots,
-    _localize,
     closed_form_pushforward,
     fundamental_class,
     tangent_weights,
     veronese_pushforward,
 )
-from eqchow.poly import ONE, Polynomial, var
-from eqchow.symfunc import RepRoots, build_roots, require_rank
+from eqchow.poly import ONE, Polynomial, StructuredFraction, sum_fractions, var
+from eqchow.symfunc import RepRoots, build_roots, require_rank, symmetric_to_chern
 
 H = var("H")
 c1, c2, c3 = var("c1"), var("c2"), var("c3")
@@ -34,9 +34,15 @@ def pushforward_via_fixed_point_classes(n: int, r: int) -> Polynomial:
     source, target = RepRoots(n, "E*").roots, RepRoots(n, "Sym2(E*)").roots
     # the squaring embedding maps the source point with root m to the
     # target point with root 2m
-    return _localize(
-        n, r, lambda j: fundamental_class(target, target.index(2 * source[j]))
+    total = sum_fractions(
+        StructuredFraction.make(
+            fundamental_class(target, target.index(2 * m)) * (-m) ** r,
+            tangent_weights(source, j),
+        )
+        for j, m in enumerate(source)
     )
+    assert not total.denominator
+    return symmetric_to_chern(total.numerator, n)
 
 
 class TestFixedPoints:
@@ -154,6 +160,25 @@ class TestPushforwards:
         for n in (2, 3, 4):
             for r in range(n):
                 assert pushforward_via_fixed_point_classes(n, r) == veronese_pushforward(n, r)
+
+    def test_localization_route_never_reads_chern_polynomial(self, monkeypatch):
+        # the two routes are independent: the closed form reads
+        # chern_polynomial, the localization sum must not, even through a
+        # cache filled before
+        expected = {
+            (n, r): veronese_pushforward(n, r) for n in range(2, 6) for r in range(n)
+        }
+
+        def refuse(module):
+            raise AssertionError(f"chern_polynomial({module}) was read")
+
+        for module in (symfunc, localization):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+            monkeypatch.setattr(module, "chern_polynomial", refuse)
+        for (n, r), value in expected.items():
+            assert veronese_pushforward(n, r) == value
 
     def test_oracle_equivalence_all_ranks(self):
         # localization against interpolation, the central cross-check

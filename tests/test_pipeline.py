@@ -8,7 +8,7 @@ import pytest
 
 from eqchow import pipeline
 from eqchow.cli import run
-from eqchow.ideal import DegreeBoundTooLow, GradedIdeal, compare_up_to
+from eqchow.ideal import DegreeBoundTooLow, GradedIdeal, IntegerLattice, compare_up_to
 from eqchow.pipeline import (
     VerificationFailure,
     alpha_family,
@@ -438,12 +438,22 @@ class TestReducedQuadrics:
         ids=["k3", "k5"],
     )
     def test_golden_orthogonal_rank12(self, capsys, k, digest):
-        # rank 12, where the echelon entries reach about 92,000 bits at
-        # k = 3; the digests were recorded by the top-down HNF walk
+        # rank 12; the digests were recorded by the top-down HNF walk before
+        # inserts bounded their rows, so they pin that bounding changes no
+        # output
         argv = ["orthogonal", "--n", "12", "--k", str(k), "--force", "--format", "json"]
         assert run(argv) == 0
         out = capsys.readouterr().out.encode("utf-8")
         assert hashlib.sha256(out).hexdigest() == digest
+
+    def test_golden_orthogonal_rank14_twist3(self, capsys):
+        # the bounded inserts at a rank that took minutes without them
+        argv = ["orthogonal", "--n", "14", "--k", "3", "--force", "--format", "json"]
+        assert run(argv) == 0
+        out = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(out).hexdigest() == (
+            "76afe0ce4db1609523bfa370db90789996fee860d316a4ae3411885a3aa38c46"
+        )
 
 
 class TestAlphaFamily:
@@ -574,6 +584,33 @@ class TestOrthogonal:
         for n, expected in ((top, True), (top + 1, False)):
             names = [c["name"] for c in orthogonal(n, 0).verification]
             assert ("alpha-vs-series-division" in names) == expected
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_lattice_entries_stay_bounded(self, monkeypatch, k):
+        # after every insert into any lattice orthogonal(n, k) builds for
+        # n <= 14, no echelon entry reaches 2^6000: the largest measured is
+        # 2,500 bits at (14, 3) and 5,065 bits at (13, 5), against 92,199
+        # bits at (12, 3) when inserts did not bound their rows.  The kernel
+        # gives every row it writes a new support list, so only rows with a
+        # new support need a look.
+        insert, largest = IntegerLattice.insert, [0]
+
+        def checked(lat, vec):
+            before = list(lat.supports)  # held, so no id is reused
+            old = set(map(id, before))
+            changed = insert(lat, vec)
+            for row, support in zip(lat.rows, lat.supports):
+                if id(support) not in old:
+                    bits = max(max(row), -min(row)).bit_length()
+                    assert bits < 6000, (n, k, bits)  # fails fast if unbounded
+                    largest[0] = max(largest[0], bits)
+            return changed
+
+        monkeypatch.setattr(IntegerLattice, "insert", checked)
+        for n in range(2, 15):
+            orthogonal(n, k)
+        # more than 64 bits: the check saw rows large enough to be bounded
+        assert largest[0] > 64
 
     def test_replay(self):
         for n, k in ((3, 0), (4, 1), (2, 1)):

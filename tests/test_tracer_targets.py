@@ -1,5 +1,5 @@
-"""The names the benchmark's span tracer and the package exports refer to,
-and the library calls of the benchmark's ``small-ops`` workload.
+"""The names the benchmark's span tracer refers to, and the library calls of
+the benchmark's ``small-ops`` workload.
 
 ``bench/tracer.py`` wraps library functions by name and ``bench/small_ops.py``
 calls them; their own tests run only with the benchmark, so a rename or a
@@ -12,8 +12,6 @@ import importlib.util
 from pathlib import Path
 
 import pytest
-
-import eqchow
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -37,11 +35,6 @@ def test_tracer_target_resolves(module_name, path):
     for part in cls_path:
         owner = getattr(owner, part)
     assert callable(owner.__dict__[attr])
-
-
-@pytest.mark.parametrize("name", eqchow.__all__)
-def test_package_export_resolves(name):
-    assert hasattr(eqchow, name)
 
 
 def test_small_ops_batches_pass_their_checks():
